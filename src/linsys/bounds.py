@@ -357,8 +357,17 @@ def optimize_allocation(t: FpSystem) -> BoundReport:
     return BoundReport(value, per_var, _CTILDE_REL_TOL * value, "coordinate-descent")
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, or inf where that overflows a float."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def upper_bound_strong(t: FpSystem, n: int) -> float:
-    """Upper bound C^n for the largest strongly free set in F_p^n.
+    """Upper bound C^n for the largest strongly free set in F_p^n (math.inf
+    when C^n overflows a float).
 
     Requires a balanced irreducible system; warns (does not fail) when the
     r1/2 + r2/e > L inequality does not hold, since the bound is then
@@ -376,7 +385,7 @@ def upper_bound_strong(t: FpSystem, n: int) -> float:
             stacklevel=2,
         )
     rep = optimize_allocation(t)
-    return rep.value**n
+    return _power(rep.value, n)
 
 
 def bound_small_p(t: FpSystem, N: int) -> BoundReport:
@@ -397,21 +406,22 @@ def bound_small_p(t: FpSystem, N: int) -> BoundReport:
 
 def wshape_upper(p: int, n: int) -> float:
     """7 * (C_W(p) * p)^(n/2), the distinct-point-solution-free set bound
-    attached to the five-variable W system; C_W(p) = c_tilde(3,2,2,2,p)."""
+    attached to the five-variable W system; C_W(p) = c_tilde(3,2,2,2,p).
+    math.inf when it overflows a float."""
     if p < 3 or not is_prime(p):
         raise ValueError("p must be a prime >= 3")
     if n < 0:
         raise ValueError("n must be >= 0")
     c = c_tilde(3, 2, 2, 2, p).value
-    return 7.0 * (c * p) ** (n / 2.0)
+    return 7.0 * _power(c * p, n / 2.0)
 
 
 def parallelogram_upper(p: int, n: int) -> float:
     """7 * (sqrt(Lambda_{1,1/4,p-1} * p))^n for the four-variable
-    parallelogram system."""
+    parallelogram system; math.inf when it overflows a float."""
     if p < 3 or not is_prime(p):
         raise ValueError("p must be a prime >= 3")
     if n < 0:
         raise ValueError("n must be >= 0")
     lam = lambda_min(1, 0.25, p - 1).value
-    return 7.0 * (lam * p) ** (n / 2.0)
+    return 7.0 * _power(lam * p, n / 2.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import warnings
@@ -28,8 +29,10 @@ from .eqsys import FpSystem, ZSystem, parse_system, reduce_mod_p, render_system
 from .errors import GuardExceeded, ParseError
 from .lattice import best_sphere_set, embed_mod_p, norm_class_counts, pigeonhole_bound, verify_construction
 from .oracle import (
+    DEFAULT_NODE_BUDGET,
     Matching,
     PointSet,
+    SearchResult,
     is_multicolored_free,
     is_strongly_free,
     is_weakly_free,
@@ -85,7 +88,7 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
     if isinstance(obj, float):
-        return obj
+        return obj if math.isfinite(obj) else None  # JSON has no inf or nan
     return str(obj)
 
 
@@ -190,7 +193,8 @@ def cmd_upper(args: argparse.Namespace, cfg: RunConfig) -> int:
         report["base"] = alloc.value
         report["base_over_p"] = alloc.value / cfg.p
         report["allocation"] = alloc.optimizer
-        report["upper"] = bounds.upper_bound_strong(t, cfg.n)
+        report["upper"] = bounds.upper_bound_strong(t, cfg.n)  # inf (null) past the float range
+        report["log_upper"] = cfg.n * math.log(alloc.value)
     for w in caught:
         report.setdefault("warnings", []).append(str(w.message))
     _emit(report, cfg)
@@ -200,10 +204,13 @@ def cmd_upper(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _trace_report(trace) -> dict[str, Any]:
     steps = []
     for step in trace.steps:
+        merged: dict[str, list[str]] = {}
+        for old, new in step.merge_map:
+            merged.setdefault(new, []).append(old)
         steps.append({
             "subsystem": [i + 1 for i in step.subsystem],
             "coefficient": step.coefficient,
-            "merged": {name: list(atoms) for name, atoms in step.merge_map},
+            "merged": merged,
             "result": render_system(step.result) if step.result.L else "(no equations)",
             "variables": list(step.result.names),
         })
@@ -283,7 +290,7 @@ def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> int:
     s = _load_system(args.system)
     t = reduce_mod_p(s, cfg.p)
     fn = max_strongly_free if args.kind == "strong" else max_weakly_free
-    res = fn(t, cfg.n, workers=cfg.workers, node_budget=args.node_budget)
+    res = fn(t, cfg.n, node_budget=args.node_budget)
     _emit({"kind": args.kind, "p": cfg.p, "n": cfg.n, "value": res.value,
            "witness": [",".join(map(str, pt)) for pt in res.witness],
            "nodes_explored": res.nodes_explored, "exhaustive": res.exhaustive}, cfg)
@@ -309,6 +316,19 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not holds:
         raise VerificationFailure(f"{args.kind} freeness does not hold")
     return 0
+
+
+def _gate_exact(report: dict[str, Any], checks: list[tuple[str, bool]], key: str,
+                res: SearchResult, upper: float, name: str) -> None:
+    """Report an exact maximum and check it against ``upper``; a search cut
+    off by its node budget reports null and is not checked."""
+    if res.exhaustive:
+        report[key] = res.value
+        checks.append((name, res.value <= upper * (1 + 1e-9)))
+    else:
+        report[key] = None
+        report[f"{key}_note"] = (f"search stopped at its node budget ({res.nodes_explored} sets) "
+                                 f"with a free set of {res.value} points; not checked")
 
 
 def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -356,10 +376,8 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
             upper = bounds.upper_bound_strong(t, cfg.n)
             report["upper_strong"] = upper
             if p ** cfg.n <= 81:
-                exact = max_strongly_free(t, cfg.n, workers=cfg.workers)
-                report["exact_strong"] = exact.value
-                checks.append(("exact strong maximum within upper bound",
-                               exact.value <= upper * (1 + 1e-9)))
+                _gate_exact(report, checks, "exact_strong", max_strongly_free(t, cfg.n), upper,
+                            "exact strong maximum within upper bound")
                 if report.get("lower_strong"):
                     report["lower_strong_note"] = (
                         "lower bound is asymptotic (holds for all large n); "
@@ -368,10 +386,8 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
             wupper = bounds.wshape_upper(p, cfg.n)
             report["upper_weak"] = wupper
             if p ** cfg.n <= 81:
-                exact_w = max_weakly_free(t, cfg.n, workers=cfg.workers)
-                report["exact_weak"] = exact_w.value
-                checks.append(("exact weak maximum within W-shape upper bound",
-                               exact_w.value <= wupper * (1 + 1e-9)))
+                _gate_exact(report, checks, "exact_weak", max_weakly_free(t, cfg.n), wupper,
+                            "exact weak maximum within W-shape upper bound")
 
     report["checks"] = [{"name": name, "ok": ok} for name, ok in checks]
     failed = [name for name, ok in checks if not ok]
@@ -472,7 +488,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--system", default="SW",
                     help="path or built-in name (default SW)")
     sp.add_argument("--kind", choices=("strong", "weak"), required=True)
-    sp.add_argument("--node-budget", type=int, default=None)
+    sp.add_argument("--node-budget", type=int, default=None,
+                    help="sets the search may visit before it stops with exhaustive: false "
+                         f"(default {DEFAULT_NODE_BUDGET})")
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("verify", help="check a point set or matching file")

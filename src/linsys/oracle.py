@@ -8,31 +8,35 @@ division.  Positions nobody pins are enumerated in ascending order, so
 solutions stream out in lexicographic order and the product of the free
 positions' set sizes bounds the work (guarded at 1e8).
 
-Search for maximum free sets fixes the zero vector into every nonempty
-candidate (balanced systems are translation invariant, and among maximum
-witnesses one contains 0; its sorted sequence starts with the globally
-smallest point, so the lexicographically least maximum witness contains 0)
-and branches over the remaining points in lexicographic order with a
-shared monotone best-size record.  Pruning is strict (a branch dies only
-when it cannot even tie the record), which makes the reported value and
-witness independent of worker count and schedule.
+Search for maximum free sets first compiles the system over F_p^n: row
+reduction mod p gives every solution at once, and the supports a free set
+must avoid become bitmasks of point indices.  It then fixes the zero
+vector into every nonempty candidate (balanced systems are translation
+invariant, and among maximum witnesses one contains 0; its sorted sequence
+starts with the globally smallest point, so the lexicographically least
+maximum witness contains 0) and runs one include-first depth-first pass
+over ascending point indices, keeping a mask of the points that may still
+join.  A branch dies when even all of those could not beat the record, so
+the first maximum set found is the lexicographically least one.
 """
 from __future__ import annotations
 
 import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .arith import is_prime
-from .eqsys import FpSystem
+from .eqsys import FpSystem, reduce_mod_p
 from .errors import GuardExceeded
+from .systems import builtin
 
 ENUMERATION_GUARD = 10**8
-#: exact search is guaranteed only up to this many points
-SEARCH_GUARD = 81
-#: per-task node allowance for best-effort (non-exhaustive) searches
+#: largest solution table (solutions times r) and point count a search compiles
+COMPILE_GUARD = 4_000_000
+#: sets a search visits before it stops with exhaustive=False
 DEFAULT_NODE_BUDGET = 2_000_000
 
 Point = tuple[int, ...]
@@ -63,8 +67,12 @@ class PointSet:
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
+    @cached_property
+    def _lookup(self) -> frozenset:
+        return frozenset(self.points)
+
     def __contains__(self, pt: object) -> bool:
-        return pt in set(self.points)
+        return pt in self._lookup
 
 
 @dataclass(frozen=True)
@@ -278,147 +286,183 @@ def is_weakly_free(t: FpSystem, a) -> bool:
 # ---------------------------------------------------------------------------
 # maximum free set search
 
-class _Best:
-    """Monotone best-size record shared across worker tasks."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self._lock = threading.Lock()
-
-    def update(self, size: int) -> None:
-        with self._lock:
-            if size > self.size:
-                self.size = size
-
-    def get(self) -> int:
-        with self._lock:
-            return self.size
-
-
-class _OutOfNodes(Exception):
-    pass
-
-
-def _violates(rows, p, members: list[Point], cand: Point, weak: bool) -> bool:
-    """Would adding ``cand`` to the free set ``members`` break freeness?
-    Only tuples involving ``cand`` can (the rest were checked before)."""
-    cols = [members + [cand]] * len(rows[0])
-    if weak:
-        for _ in iter_solutions(rows, cols, p, distinct=True, must_use=cand):
-            return True
-        return False
-    for sol in iter_solutions(rows, cols, p, must_use=cand):
-        if any(pt != cand for pt in sol):
-            return True
-    return False
+def _row_reduce(rows: Sequence[Sequence[int]], p: int, r: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod p: the nonzero rows and their pivot columns."""
+    mat = [[c % p for c in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(r):
+        rank = len(pivots)
+        pick = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pick is None:
+            continue
+        mat[rank], mat[pick] = mat[pick], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        mat[rank] = [c * inv % p for c in mat[rank]]
+        for i, row in enumerate(mat):
+            if i != rank and row[col]:
+                f = row[col]
+                mat[i] = [(a - f * b) % p for a, b in zip(row, mat[rank])]
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
 
 
-def _search_max_free(t: FpSystem, n: int, weak: bool, workers: Optional[int], node_budget: Optional[int]) -> SearchResult:
+@dataclass(frozen=True)
+class CompiledSystem:
+    """The supports a free set must avoid, over the points of F_p^n.
+
+    Points are indices into ``space_points(p, n)`` and sets are Python-int
+    bitmasks of them.  A support is the set of entries of a forbidden
+    solution: a non-constant one for strong freeness, one with r distinct
+    entries for weak freeness.  A set is free exactly when it contains no
+    support.  A search that adds points in ascending order only needs, when
+    it adds q, the supports whose second-largest point is q: if the rest of
+    such a support, below q, is already chosen, its largest point x can no
+    longer join.  ``forbid[q]`` files those supports in a trie keyed by the
+    rest's points in descending order; a trie node is ``[xs, children]``,
+    xs the mask of the x's whose rest ends at that node.
+    """
+
+    size: int
+    solutions: int
+    supports: int
+    blocked: int               # points that alone form a support
+    forbid: tuple[list, ...]   # per q: the root of its trie
+
+
+def compile_system(t: FpSystem, n: int, weak: bool, guard: int = COMPILE_GUARD) -> CompiledSystem:
+    """Enumerate every solution of t over F_p^n once and file its support.
+
+    Row reduction mod p leaves p^(r - rank) scalar solutions; a solution
+    over F_p^n picks one of them per coordinate, so there are
+    p^(n (r - rank)) of them.  ``guard`` bounds that count times r (the
+    entries of the solution table) and p^n, and is checked before any work.
+    """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    p, r = t.p, t.r
+    size = p**n
+    reduced, pivots = _row_reduce(t.rows, p, r)
+    free = [c for c in range(r) if c not in pivots]
+    count = p ** (n * len(free))
+    if count * r > guard or size > guard:
+        raise GuardExceeded(f"compiling {count} solutions over {size} points exceeds the guard "
+                            f"({guard} table entries)")
+
+    vals = np.array(list(itertools.product(range(p), repeat=len(free))), dtype=np.int64)
+    vals = vals.reshape(p ** len(free), len(free))
+    scalar = np.zeros((len(vals), r), dtype=np.int64)
+    scalar[:, free] = vals
+    for row, col in zip(reduced, pivots):
+        scalar[:, col] = -(vals @ np.array([row[c] for c in free], dtype=np.int64)) % p
+    table = scalar
+    for _ in range(n - 1):  # one more coordinate, less significant in the lex index
+        table = (table[:, None, :] * p + scalar[None, :, :]).reshape(-1, r)
+
+    table = np.sort(table, axis=1)
+    repeats = table[:, 1:] == table[:, :-1]
+    distinct = r - repeats.sum(axis=1)
+    table = table[distinct == r] if weak else table[distinct >= 2]
+    if not weak:  # blank out repeated entries so that equal supports become equal rows
+        table[:, 1:][repeats[distinct >= 2]] = -1
+        table = np.sort(table, axis=1)
+    table = table[np.lexsort(table.T[::-1])]
+    first = np.ones(len(table), dtype=bool)
+    first[1:] = (table[1:] != table[:-1]).any(axis=1)
+    table = table[first]
+
+    blocked = 0
+    forbid = tuple([0, {}] for _ in range(size))
+    for row in table.tolist():
+        x = row[-1]
+        if len(row) < 2:
+            blocked |= 1 << x
+            continue
+        node = forbid[row[-2]]
+        for v in reversed(row[:-2]):
+            if v < 0:
+                break
+            node = node[1].setdefault(v, [0, {}])
+        node[0] |= 1 << x
+    return CompiledSystem(size, count, len(table), blocked, forbid)
+
+
+def _forbidden(node: list, members: list[int], end: int) -> int:
+    """The x's of the trie below ``node`` whose rest lies in members[:end]."""
+    xs, children = node
+    if children:
+        for i in range(end):
+            child = children.get(members[i])
+            if child is not None:
+                xs |= _forbidden(child, members, i)
+    return xs
+
+
+def _index_point(i: int, p: int, n: int) -> Point:
+    digits = []
+    for _ in range(n):
+        i, d = divmod(i, p)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]) -> SearchResult:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     p = t.p
-    pts = space_points(p, n)
-    N = len(pts)
-    if weak and N < t.r:
+    if weak and p**n < t.r:
         # fewer points than positions: no tuple can have r distinct entries
-        return SearchResult(N, PointSet(p, n, pts), 0, True)
-    workers = workers or 1
-    under_guard = N <= SEARCH_GUARD
-    budget = node_budget if node_budget is not None else (None if under_guard else DEFAULT_NODE_BUDGET)
-    rows = t.rows
-    zero = pts[0]
+        pts = space_points(p, n)
+        return SearchResult(len(pts), PointSet(p, n, pts), 0, True)
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    comp = compile_system(t, n, weak)
 
-    shared = _Best(1)
-    # when budgeted, tasks must not influence each other or results would
-    # depend on scheduling; each then prunes only against its own record
-    share_pruning = budget is None
-
-    def run_task(second_idx: int) -> tuple[int, Optional[tuple[Point, ...]], int, bool]:
-        nodes = 0
-        task_best = 0
-        task_witness: Optional[tuple[Point, ...]] = None
-        local = _Best(1)
-
-        def record() -> int:
-            return shared.get() if share_pruning else local.get()
-
-        def note(size: int) -> None:
-            shared.update(size)
-            local.update(size)
-
-        def spend() -> None:
-            nonlocal nodes
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _OutOfNodes
-
-        members = [zero]
-
-        def extend(next_idx: int) -> None:
-            nonlocal task_best, task_witness
-            for idx in range(next_idx, N):
-                if len(members) + (N - idx) < record():
-                    return  # cannot even tie the best anymore
-                spend()
-                cand = pts[idx]
-                if _violates(rows, p, members, cand, weak):
-                    continue
-                members.append(cand)
-                size = len(members)
-                if size > task_best:
-                    task_best = size
-                    task_witness = tuple(members)
-                    note(size)
-                extend(idx + 1)
-                members.pop()
-
-        truncated = False
-        try:
-            if len(members) + (N - second_idx) >= record():
-                spend()
-                cand = pts[second_idx]
-                if not _violates(rows, p, members, cand, weak):
-                    members.append(cand)
-                    task_best = 2
-                    task_witness = tuple(members)
-                    note(2)
-                    extend(second_idx + 1)
-                    members.pop()
-        except _OutOfNodes:
+    # include-first DFS over ascending point indices from {0}; each stack
+    # frame holds the points that may still join its set
+    members = [0]
+    allowed = ((1 << comp.size) - 2) & ~comp.blocked & ~comp.forbid[0][0]
+    stack = [allowed]
+    best = [0]
+    nodes = 1
+    truncated = False
+    while stack:
+        allowed = stack[-1]
+        if len(members) + allowed.bit_count() <= len(best):
+            stack.pop()  # cannot beat the record (ties keep the earlier, lex-smaller set)
+            members.pop()
+            continue
+        if nodes >= budget:
             truncated = True
-        return task_best, task_witness, nodes, truncated
-
-    task_ids = list(range(1, N))
-    if workers <= 1:
-        results = [run_task(i) for i in task_ids]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_task, task_ids))
-
-    best_size = 1
-    witness: tuple[Point, ...] = (zero,)
-    nodes_total = 0
-    truncated_any = False
-    for size, wit, nodes, truncated in results:
-        nodes_total += nodes
-        truncated_any = truncated_any or truncated
-        if size > best_size and wit is not None:
-            best_size = size
-            witness = wit
-    return SearchResult(best_size, PointSet(p, n, witness), nodes_total, not truncated_any)
+            break
+        low = allowed & -allowed
+        q = low.bit_length() - 1
+        allowed ^= low
+        stack[-1] = allowed
+        allowed &= ~_forbidden(comp.forbid[q], members, len(members))
+        members.append(q)
+        nodes += 1
+        if len(members) > len(best):
+            best = members.copy()
+        stack.append(allowed)
+    witness = PointSet(p, n, tuple(_index_point(i, p, n) for i in best))
+    return SearchResult(len(best), witness, nodes, not truncated)
 
 
 def max_strongly_free(t: FpSystem, n: int, workers: Optional[int] = None, node_budget: Optional[int] = None) -> SearchResult:
-    """Exact maximum size of a strongly free subset of F_p^n with the
-    lexicographically least maximum witness (exact up to p^n <= 81; larger
-    spaces fall back to a budgeted best-effort with exhaustive=False)."""
-    return _search_max_free(t, n, weak=False, workers=workers, node_budget=node_budget)
+    """Maximum size of a strongly free subset of F_p^n with the
+    lexicographically least maximum witness.
+
+    The search visits at most ``node_budget`` sets (default
+    DEFAULT_NODE_BUDGET); when it stops early the result is the best set
+    found, with exhaustive=False.  ``workers`` is accepted and ignored: the
+    search is one deterministic depth-first pass.
+    """
+    return _search_max_free(t, n, weak=False, node_budget=node_budget)
 
 
 def max_weakly_free(t: FpSystem, n: int, workers: Optional[int] = None, node_budget: Optional[int] = None) -> SearchResult:
     """Like max_strongly_free but forbidding only pairwise-distinct
     solutions; p^n < r short-circuits to the whole space."""
-    return _search_max_free(t, n, weak=True, workers=workers, node_budget=node_budget)
+    return _search_max_free(t, n, weak=True, node_budget=node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +475,6 @@ def is_multicolored_free(t: FpSystem, m: Matching) -> bool:
     cols = [list(m.column(i)) for i in range(t.r)]
     found = set(iter_solutions(t.rows, cols, t.p))
     return found == set(m.rows)
-
-
-_W_ROWS = ((1, -1, -1, 1, 0), (1, 0, -2, 0, 1))
 
 
 def classify_semishape_W(x: Sequence[Point], p: int) -> str:
@@ -455,7 +496,7 @@ def classify_semishape_W(x: Sequence[Point], p: int) -> str:
     dim = len(pts[0])
     if any(len(pt) != dim for pt in pts):
         raise ValueError("point dimension mismatch")
-    for row in _W_ROWS:
+    for row in builtin("SW").coefficient_rows():
         for d in range(dim):
             if sum(c * pt[d] for c, pt in zip(row, pts)) % p:
                 raise ValueError("not a solution of the W system")
@@ -516,7 +557,7 @@ def build_colored_subcollection(m: Matching, p: int, n: int) -> Matching:
 
     t_count = m.size
     space = p**n
-    tsys = FpSystem(p, 5, tuple(tuple(c % p for c in row) for row in _W_ROWS))
+    tsys = reduce_mod_p(builtin("SW"), p)
     cols = [list(m.column(i)) for i in range(5)]
     pairs = extendable_pairs(tsys, cols, 0, 2)
     fanout: dict[Point, list[Point]] = {}

@@ -209,6 +209,13 @@ def test_wshape_upper_matches_composition():
     assert 20.8 <= wshape_upper(3, 1) <= 21.0
 
 
+def test_upper_bounds_past_the_float_range_are_inf():
+    t = reduce_mod_p(builtin("S3AP"), 3)
+    assert upper_bound_strong(t, 2000) == math.inf
+    assert wshape_upper(3, 4000) == math.inf
+    assert parallelogram_upper(3, 4000) == math.inf
+
+
 def test_parallelogram_upper_matches_composition():
     lam = lambda_min(1, 0.25, 2).value
     assert abs(parallelogram_upper(3, 1) - 7 * math.sqrt(lam * 3)) < 1e-9

@@ -1,9 +1,19 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 import linsys.bounds
+import linsys.oracle
 from linsys.cli import main
+from linsys.eqsys import reduce_mod_p
+from linsys.oracle import PointSet, is_strongly_free
+from linsys.systems import builtin
 
 
 def run(capsys, *argv):
@@ -109,6 +119,19 @@ def test_upper_subcommand(capsys):
     assert code == 0 and rep["warnings"]
 
 
+def test_upper_past_the_float_range_reports_its_log():
+    # a fresh interpreter, so that an uncaught exception would show as a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(linsys.__file__).parents[1]))
+    argv = [sys.executable, "-m", "linsys.cli", "upper", "--system", "S3AP",
+            "--p", "3", "--n", "2000", "--format", "json"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["upper"] is None
+    assert rep["log_upper"] == pytest.approx(2000 * math.log(rep["base"]))
+
+
 # ---------------------------------------------------------------------------
 # reductions and lower bounds
 
@@ -126,6 +149,13 @@ def test_reduce_json_trace(capsys):
     assert rep["terminated"] is True and rep["b_tilde"] == 2
     assert [s["subsystem"] for s in rep["steps"]] == [[3], [1], [1]]
     assert rep["steps"][1]["result"] == "x_{1_2_6} - 2x_{3_4} + x5 = 0"
+
+
+def test_reduce_json_groups_merged_variables(capsys):
+    code, rep, err = run_json(capsys, "reduce", "--system", "S3")
+    assert code == 0
+    assert rep["steps"][0]["merged"] == {"x_{1_2_6}": ["x1", "x2", "x6"]}
+    assert rep["steps"][1]["merged"] == {"x_{3_4}": ["x3", "x4"]}
 
 
 def test_reduce_exhaustive_beats_greedy_on_s2(capsys):
@@ -185,6 +215,25 @@ def test_search_weak_default_system(capsys):
     code, rep, err = run_json(capsys, "search", "--kind", "weak", "--p", "3", "--n", "1")
     assert code == 0
     assert rep["value"] == 3 and rep["witness"] == ["0", "1", "2"]
+
+
+def test_search_node_budget_bounds_a_large_space(capsys):
+    start = time.monotonic()
+    code, rep, err = run_json(
+        capsys, "search", "--kind", "strong", "--system", "S3AP", "--p", "3", "--n", "5",
+        "--node-budget", "2000",
+    )
+    assert time.monotonic() - start < 10
+    assert code == 0
+    assert rep["exhaustive"] is False and rep["nodes_explored"] == 2000
+    witness = [tuple(int(c) for c in pt.split(",")) for pt in rep["witness"]]
+    t = reduce_mod_p(builtin("S3AP"), 3)
+    assert len(witness) == rep["value"] and is_strongly_free(t, PointSet(3, 5, tuple(witness)))
+
+
+def test_search_past_the_compile_guard_is_input_error(capsys):
+    code, out, err = run(capsys, "search", "--kind", "weak", "--p", "3", "--n", "5")
+    assert code == 1 and "guard" in err
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +303,14 @@ def test_certify_w_system_weak_chain(capsys):
     assert rep["lower_weak"]["base"] <= rep["exact_weak"] <= rep["upper_weak"]
     assert rep["upper_strong"] == pytest.approx(2.9789, abs=2e-3)
     assert rep["exact_strong"] == 1
+
+
+def test_certify_skips_an_exact_search_cut_by_the_budget(capsys, monkeypatch):
+    monkeypatch.setattr(linsys.oracle, "DEFAULT_NODE_BUDGET", 50)
+    code, rep, err = run_json(capsys, "certify", "--system", "S3AP", "--p", "3", "--n", "4")
+    assert code == 0 and rep["verified"] is True
+    assert rep["exact_strong"] is None and "node budget" in rep["exact_strong_note"]
+    assert all("exact" not in c["name"] for c in rep["checks"])
 
 
 def test_certify_spp_reports_notes_only(capsys):

@@ -6,6 +6,7 @@ from linsys.eqsys import reduce_mod_p
 from linsys.errors import GuardExceeded
 from linsys.oracle import (
     Matching,
+    compile_system,
     PointSet,
     build_colored_subcollection,
     classify_semishape_W,
@@ -232,6 +233,39 @@ def test_search_worker_invariance_exact_mode():
     for w in (2, 4):
         r = max_strongly_free(t, 2, workers=w)
         assert (r.value, r.witness.points) == (base.value, base.witness.points)
+
+
+def test_cap_set_in_f3_cubed():
+    r = max_strongly_free(s3ap(3), 3)
+    assert r.exhaustive and r.value == 9
+    assert ["".join(map(str, pt)) for pt in r.witness] == [
+        "000", "001", "010", "011", "100", "101", "112", "122", "212"]
+
+
+def test_weak_w_system_in_f3_cubed():
+    r = max_weakly_free(sw(3), 3)
+    assert r.exhaustive and r.value == 9
+    assert ["".join(map(str, pt)) for pt in r.witness] == [
+        "000", "001", "002", "010", "020", "100", "111", "200", "222"]
+
+
+def test_compile_counts_solutions_and_supports():
+    c = compile_system(s3ap(3), 2, weak=False)
+    assert c.size == 9 and c.solutions == 81
+    assert c.supports == 12  # the lines of AG(2,3)
+    # STAR systems share one variable among all equations; row reduction
+    # handles them without enumerating free positions
+    star = compile_system(reduce_mod_p(builtin("STAR3"), 5), 2, weak=False)
+    assert star.size == 25 and star.solutions == 5**8
+
+
+def test_compile_guard_fails_fast():
+    with pytest.raises(GuardExceeded):
+        compile_system(sw(3), 5, weak=True)  # 27^5 solutions
+    with pytest.raises(GuardExceeded):
+        max_weakly_free(sw(3), 5)
+    with pytest.raises(GuardExceeded):
+        compile_system(s3ap(3), 2, weak=False, guard=100)
 
 
 def test_search_dimension_validation():

@@ -13,6 +13,7 @@ from linsys.oracle import (
     is_weakly_free,
     iter_solutions,
     max_strongly_free,
+    max_weakly_free,
     space_points,
 )
 from linsys.systems import builtin
@@ -77,6 +78,68 @@ def test_strong_freeness_implies_weak(p, values):
     a = {(v % p,) for v in values}
     if is_strongly_free(t, a):
         assert is_weakly_free(t, a)
+
+
+# spaces F_p^n with p^n <= 25
+SMALL_SPACES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2),
+                (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1)]
+
+
+@st.composite
+def small_balanced_systems(draw):
+    r = draw(st.integers(min_value=2, max_value=4))
+    equations = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        head = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(r - 1)]
+        row = tuple(head) + (-sum(head),)
+        if any(row):
+            equations.append(ZEquation(row))
+    if not equations:
+        equations.append(ZEquation((1,) + (0,) * (r - 2) + (-1,)))
+    return ZSystem(r, tuple(equations))
+
+
+def _brute_force_maximum(t, n, weak):
+    """Size and lexicographically least member of the largest free sets,
+    over all subsets of F_p^n: a backtracking over free sets that gives up
+    a branch only when it cannot even tie the largest size, with freeness
+    read off the solutions iter_solutions lists over the whole space."""
+    pts = space_points(t.p, n)
+    through: dict = {pt: [] for pt in pts}
+    for sol in iter_solutions(t.rows, [pts] * t.r, t.p):
+        entries = frozenset(sol)
+        if (len(entries) == t.r) if weak else (len(entries) > 1):
+            for pt in entries:
+                through[pt].append(entries)
+    largest = [[]]
+
+    def extend(start, chosen):
+        if len(chosen) > len(largest[0]):
+            largest[:] = [list(chosen)]
+        elif len(chosen) == len(largest[0]):
+            largest.append(list(chosen))
+        for i in range(start, len(pts)):
+            if len(chosen) + len(pts) - i < len(largest[0]):
+                return
+            members = set(chosen) | {pts[i]}
+            if any(s <= members for s in through[pts[i]]):
+                continue
+            chosen.append(pts[i])
+            extend(i + 1, chosen)
+            chosen.pop()
+
+    extend(0, [])
+    return len(largest[0]), min(tuple(c) for c in largest)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_balanced_systems(), st.sampled_from(SMALL_SPACES), st.booleans())
+def test_compiled_search_matches_brute_force(s, space, weak):
+    p, n = space
+    t = reduce_mod_p(s, p)
+    res = (max_weakly_free if weak else max_strongly_free)(t, n)
+    assert res.exhaustive
+    assert (res.value, res.witness.points) == _brute_force_maximum(t, n, weak)
 
 
 def test_supermultiplicativity_spot_check():
