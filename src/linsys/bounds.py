@@ -59,12 +59,6 @@ class BoundReport:
         return self.value + self.tolerance
 
 
-def _as_float(alpha) -> float:
-    if isinstance(alpha, Fraction):
-        return float(alpha)
-    return float(alpha)
-
-
 def g_value(m: int, alpha, h: int, u: float) -> float:
     """Evaluate G_{m,alpha,h}(u) in extended (80-bit) precision.
 
@@ -73,7 +67,7 @@ def g_value(m: int, alpha, h: int, u: float) -> float:
     """
     if m < 1 or h < 1:
         raise ValueError("need m >= 1 and h >= 1")
-    af = _as_float(alpha)
+    af = float(alpha)
     if af < 0:
         raise ValueError("alpha must be >= 0")
     if not (0.0 < u <= 1.0):
@@ -167,7 +161,7 @@ def lambda_min(m: int, alpha, h: int) -> BoundReport:
     """
     if m < 1 or h < 1:
         raise ValueError("need m >= 1 and h >= 1")
-    af = _as_float(alpha)
+    af = float(alpha)
     if af < 0:
         raise ValueError("alpha must be >= 0")
     return _lambda_cached(m, af, h)
@@ -328,8 +322,12 @@ def optimize_allocation(t: FpSystem) -> BoundReport:
                     def fi(a: float) -> float:
                         return lambda_min(ms[i], a, h).value
 
+                    def rest(a: float) -> float:
+                        # rounding may leave budget - counts[i]*a just below 0
+                        return max(0.0, (budget - counts[i] * a) / counts[j])
+
                     def fj(a: float) -> float:
-                        return lambda_min(ms[j], (budget - counts[i] * a) / counts[j], h).value
+                        return lambda_min(ms[j], rest(a), h).value
 
                     lo, hi = 0.0, top
                     if fi(lo) > fj(lo):
@@ -345,7 +343,7 @@ def optimize_allocation(t: FpSystem) -> BoundReport:
                         else:
                             hi = mid
                     a = 0.5 * (lo + hi)
-                    alloc[i], alloc[j] = a, (budget - counts[i] * a) / counts[j]
+                    alloc[i], alloc[j] = a, rest(a)
             cur = max(level(i) for i in range(len(ms)))
             if prev - cur < 1e-12 * max(1.0, cur):
                 break

@@ -48,8 +48,6 @@ class VerificationFailure(Exception):
 
 @dataclasses.dataclass
 class RunConfig:
-    subcommand: str
-    system_path: Optional[str] = None
     p: Optional[int] = None
     n: Optional[int] = None
     format: str = "text"
@@ -350,17 +348,21 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if trace is not None and trace.terminated:
         report["reduction_steps"] = len(trace.steps)
         report["b_tilde"] = trace.b_tilde
-        strong_low = lower_bound_strong(trace, p, epsilon=Fraction(args.epsilon))
-        report["lower_strong"] = dataclasses.asdict(strong_low)
-        k = (p - 1) // trace.b_tilde
-        if cfg.n is not None and cfg.n >= 2 and k >= 1 and (k + 1) ** cfg.n <= 2**24:
-            sphere = best_sphere_set(cfg.n, k)
-            report["sphere"] = {"k": k, "radius_sq": sphere.radius_sq, "size": len(sphere)}
-            ok_sphere = verify_construction(s, sphere)
-            checks.append(("sphere set has only constant solutions", ok_sphere))
-            embedded = embed_mod_p(sphere, p)
-            ok_embed = is_strongly_free(t, embedded)
-            checks.append(("embedded sphere set is strongly free mod p", ok_embed))
+        if p <= trace.b_tilde:
+            report["lower_strong_note"] = (f"p = {p} does not exceed b~ = {trace.b_tilde}; "
+                                           "no strong lower bound or sphere set derived")
+        else:
+            strong_low = lower_bound_strong(trace, p, epsilon=Fraction(args.epsilon))
+            report["lower_strong"] = dataclasses.asdict(strong_low)
+            k = (p - 1) // trace.b_tilde
+            if cfg.n is not None and cfg.n >= 2 and (k + 1) ** cfg.n <= 2**24:
+                sphere = best_sphere_set(cfg.n, k)
+                report["sphere"] = {"k": k, "radius_sq": sphere.radius_sq, "size": len(sphere)}
+                ok_sphere = verify_construction(s, sphere)
+                checks.append(("sphere set has only constant solutions", ok_sphere))
+                embedded = embed_mod_p(sphere, p)
+                ok_embed = is_strongly_free(t, embedded)
+                checks.append(("embedded sphere set is strongly free mod p", ok_embed))
     else:
         report["reduction_note"] = "no dominant subsystem chain reaches the one-variable empty system; no strong lower bound derived"
 
@@ -429,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n", type=int, required=True, help="dimension")
         if workers:
             sp.add_argument("--workers", type=int, default=None,
-                            help="worker threads (default: LINSYS_THREADS or 1)")
+                            help="accepted and ignored; everything runs on one thread")
 
     sp = sub.add_parser("analyze", help="hypergraph, parameters, star inequality")
     common(sp, system=True)
@@ -516,8 +518,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = RunConfig(
-        subcommand=args.subcommand,
-        system_path=getattr(args, "system", None),
         p=getattr(args, "p", None),
         n=getattr(args, "n", None),
         format=getattr(args, "format", "text"),

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +25,8 @@ from .eqsys import ZEquation, ZSystem, subsystem
 from .errors import GuardExceeded
 from .structure import build_hypergraph, is_irreducible
 
-_EXHAUSTIVE_GUARD = 12  # max L for exhaustive strategy
+#: reductions the exhaustive strategy may perform (about 0.1 ms each)
+EXHAUSTIVE_REDUCTION_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class StandardForm:
 class DominanceReport:
     table: tuple[Optional[Dominance], ...]
     dominant_equations: tuple[int, ...]                     # 0-based equation indices
-    maximal: tuple[int, ...]                                # == dominant_equations
     irreducible_subsystems: tuple[tuple[tuple[int, ...], int], ...]
     subset_enumeration_complete: bool
 
@@ -138,6 +136,11 @@ def render_standard(sf: StandardForm, names: tuple[str, ...]) -> str:
     return f"{term(sf.index, sf.coefficient)} = {right}"
 
 
+def _subsets(indices: tuple[int, ...]):
+    for size in range(1, len(indices) + 1):
+        yield from itertools.combinations(indices, size)
+
+
 def dominant_subsystems(s: ZSystem) -> DominanceReport:
     """Per-equation dominance table, the maximal dominant subsystem, and
     which dominant subsystems are irreducible in the original r variables.
@@ -153,12 +156,10 @@ def dominant_subsystems(s: ZSystem) -> DominanceReport:
         table.append(dominance_of(eq))
     dom = tuple(i for i, d in enumerate(table) if d is not None)
     if not dom:
-        return DominanceReport(tuple(table), (), (), (), True)
+        return DominanceReport(tuple(table), (), (), True)
     complete = len(dom) <= 16
     if complete:
-        candidates = []
-        for size in range(1, len(dom) + 1):
-            candidates.extend(itertools.combinations(dom, size))
+        candidates = list(_subsets(dom))
     else:
         candidates = [(i,) for i in dom]
         if len(dom) > 1:
@@ -171,7 +172,7 @@ def dominant_subsystems(s: ZSystem) -> DominanceReport:
             coeff = max(table[i].coefficient for i in subset)
             irreducible.append((tuple(subset), coeff))
     irreducible.sort(key=lambda t: (len(t[0]), t[0]))
-    return DominanceReport(tuple(table), dom, dom, tuple(irreducible), complete)
+    return DominanceReport(tuple(table), dom, tuple(irreducible), complete)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +277,65 @@ def _dominant_indices(s: ZSystem) -> tuple[int, ...]:
     return tuple(i for i, eq in enumerate(s.equations) if dominance_of(eq) is not None)
 
 
+def _exhaustive_steps(s: ZSystem) -> Optional[tuple[ReductionStep, ...]]:
+    """Steps of the chain minimizing (b~, #steps, lexicographic encoding),
+    or None when no chain reaches the terminal system.
+
+    b* is the smallest cap under which some chain of subsets with
+    coefficients <= cap reaches the terminal system; caps are tried in
+    ascending order, each next one being the smallest coefficient above
+    the last that the failed pass met.  At b* every terminating chain has
+    b~ = b*, and (steps, encoding) is ordered by the first subset and then
+    by the best suffix, so a search memoised on the reduced system is
+    exact.  Two chains reach equal systems exactly when they induce the
+    same partition of the original variables.
+    """
+    reductions = 0
+    cap = 0
+    while True:
+        next_cap: Optional[int] = None
+        memo: dict[ZSystem, Optional[tuple]] = {}
+
+        def best(state: ZSystem) -> Optional[tuple]:
+            """(#steps, encoding, steps) of the best chain from ``state``."""
+            nonlocal reductions, next_cap
+            if _is_terminal(state):
+                return (0, (), ())
+            if state in memo:
+                return memo[state]
+            allowed = []
+            for i, eq in enumerate(state.equations):
+                d = dominance_of(eq)
+                if d is None:
+                    continue
+                if d.coefficient <= cap:
+                    allowed.append(i)
+                elif next_cap is None or d.coefficient < next_cap:
+                    next_cap = d.coefficient
+            found = None
+            for subset in _subsets(tuple(allowed)):
+                reductions += 1
+                if reductions > EXHAUSTIVE_REDUCTION_CAP:
+                    raise GuardExceeded(f"exhaustive reduction stopped after "
+                                        f"{EXHAUSTIVE_REDUCTION_CAP} reductions")
+                reduced, merge_map, coeff = _reduce_detailed(state, subset)
+                rest = best(reduced)
+                if rest is None:
+                    continue
+                key = (rest[0] + 1, (subset,) + rest[1])
+                if found is None or key < found[:2]:
+                    found = key + ((ReductionStep(subset, coeff, merge_map, reduced),) + rest[2],)
+            memo[state] = found
+            return found
+
+        found = best(s)
+        if found is not None:
+            return found[2]
+        if next_cap is None:
+            return None
+        cap = next_cap
+
+
 def reduction_sequence(
     s: ZSystem, strategy: str = "greedy", workers: int = 1
 ) -> Optional[ReductionTrace]:
@@ -283,9 +343,11 @@ def reduction_sequence(
     system, or None when no such sequence exists.
 
     greedy: always reduce by the maximal dominant subsystem (all dominant
-    equations at once).  exhaustive: search all subsystem choices (guarded
-    by L <= 12) and return the trace minimizing (b~, #steps, lexicographic
-    step encoding); ties are schedule-independent for any worker count.
+    equations at once).  exhaustive: the trace minimizing (b~, #steps,
+    lexicographic step encoding) over all subsystem choices, found by a
+    memoised search that raises GuardExceeded after
+    EXHAUSTIVE_REDUCTION_CAP reductions.  ``workers`` is accepted and
+    ignored.
     """
     for eq in s.equations:
         if not eq.is_balanced:
@@ -303,62 +365,8 @@ def reduction_sequence(
         return ReductionTrace(s, tuple(steps))
     if strategy != "exhaustive":
         raise ValueError("strategy must be 'greedy' or 'exhaustive'")
-    if s.L > _EXHAUSTIVE_GUARD:
-        raise GuardExceeded(f"exhaustive strategy guarded by L <= {_EXHAUSTIVE_GUARD}")
-
-    best_lock = threading.Lock()
-    best: list = [None]  # (b_tilde, nsteps, encoding, steps)
-
-    def subsets_of(dom: tuple[int, ...]):
-        for size in range(1, len(dom) + 1):
-            yield from itertools.combinations(dom, size)
-
-    def dfs(current: ZSystem, steps: tuple[ReductionStep, ...], running: int, encoding: tuple):
-        if _is_terminal(current):
-            key = (running, len(steps), encoding)
-            with best_lock:
-                if best[0] is None or key < best[0][:3]:
-                    best[0] = (running, len(steps), encoding, steps)
-            return
-        dom = _dominant_indices(current)
-        if not dom or current.L == 0:
-            return
-        for subset in subsets_of(dom):
-            coeff = max(dominance_of(current.equations[i]).coefficient for i in subset)
-            new_running = max(running, coeff)
-            with best_lock:
-                cut = best[0] is not None and new_running > best[0][0]
-            if cut:
-                continue
-            reduced, merge_map, _ = _reduce_detailed(current, subset)
-            dfs(
-                reduced,
-                steps + (ReductionStep(subset, coeff, merge_map, reduced),),
-                new_running,
-                encoding + (subset,),
-            )
-
-    if _is_terminal(s):
-        return ReductionTrace(s, ())
-    dom0 = _dominant_indices(s)
-    if not dom0 or s.L == 0:
-        return None
-    first_choices = list(subsets_of(dom0))
-
-    def run_first(subset):
-        coeff = max(dominance_of(s.equations[i]).coefficient for i in subset)
-        reduced, merge_map, _ = _reduce_detailed(s, subset)
-        dfs(reduced, (ReductionStep(subset, coeff, merge_map, reduced),), coeff, (subset,))
-
-    if workers <= 1:
-        for subset in first_choices:
-            run_first(subset)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_first, first_choices))
-    if best[0] is None:
-        return None
-    return ReductionTrace(s, best[0][3])
+    found = _exhaustive_steps(s)
+    return None if found is None else ReductionTrace(s, found)
 
 
 def lower_bound_strong(trace: ReductionTrace, p: int, epsilon: float = 1.0 / 16) -> LowerBoundReport:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from .eqsys import ZSystem
 from .errors import GuardExceeded
 from .oracle import Point, PointSet, iter_solutions
@@ -66,20 +68,22 @@ class SphereSet:
 
 def norm_class_counts(n: int, k: int) -> NormClassTable:
     """Exact counts by n-fold convolution of the one-coordinate squared
-    values {0², 1², …, k²}; arbitrary precision throughout."""
+    values {0², 1², …, k²}: each coordinate adds the k+1 shifted copies of
+    the running census, held as Python integers in a numpy object array."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    single = {v * v: 1 for v in range(k + 1)}
-    acc = {0: 1}
+    acc = np.zeros(n * k * k + 1, dtype=object)
+    acc[0] = 1
+    top = 0  # largest squared norm reached so far
     for _ in range(n):
-        nxt: dict[int, int] = {}
-        for q, c in acc.items():
-            for s in single:
-                nxt[q + s] = nxt.get(q + s, 0) + c
+        nxt = np.zeros_like(acc)
+        for v in range(k + 1):
+            nxt[v * v:v * v + top + 1] += acc[:top + 1]
         acc = nxt
+        top += k * k
     acc[0] -= 1
-    acc[n * k * k] -= 1
-    counts = {q: c for q, c in sorted(acc.items()) if c > 0}
+    acc[top] -= 1
+    counts = {q: c for q, c in enumerate(acc.tolist()) if c > 0}
     return NormClassTable(n, k, counts)
 
 

@@ -134,15 +134,13 @@ def iter_solutions(
     modulus: Optional[int] = None,
     *,
     distinct: bool = False,
-    must_use: Optional[Point] = None,
     guard: int = ENUMERATION_GUARD,
 ) -> Iterator[tuple[Point, ...]]:
     """Stream all tuples (x_1..x_r), x_i from sets[i], solving every row.
 
     modulus None means exact integer arithmetic.  ``distinct`` keeps only
-    pairwise-distinct tuples (pruned along the prefix), ``must_use``
-    requires the given point to appear somewhere.  Solutions come out in
-    lexicographic order.
+    pairwise-distinct tuples (pruned along the prefix).  Solutions come out
+    in lexicographic order.
     """
     r = len(sets)
     srt = [sorted({tuple(pt) for pt in s}) for s in sets]
@@ -174,11 +172,6 @@ def iter_solutions(
     if work > guard:
         raise GuardExceeded(f"enumeration would take ~{work} nodes (> {guard})")
 
-    tail_has = [False] * (r + 1)
-    if must_use is not None:
-        for v in range(r - 1, -1, -1):
-            tail_has[v] = tail_has[v + 1] or (must_use in lookup[v])
-
     x: list[Optional[Point]] = [None] * r
 
     def residual(row: Sequence[int], sup: Sequence[int]) -> list[int]:
@@ -190,12 +183,9 @@ def iter_solutions(
                 out[d] += c * xi[d]
         return out
 
-    def rec(v: int, used: bool) -> Iterator[tuple[Point, ...]]:
+    def rec(v: int) -> Iterator[tuple[Point, ...]]:
         if v == r:
-            if must_use is None or used:
-                yield tuple(x)  # type: ignore[arg-type]
-            return
-        if must_use is not None and not used and not tail_has[v]:
+            yield tuple(x)  # type: ignore[arg-type]
             return
         pinned = by_last.get(v)
         if pinned:
@@ -228,17 +218,17 @@ def iter_solutions(
             if distinct and cand in x[:v]:
                 return
             x[v] = cand
-            yield from rec(v + 1, used or cand == must_use)
+            yield from rec(v + 1)
             x[v] = None
         else:
             for cand in srt[v]:
                 if distinct and cand in x[:v]:
                     continue
                 x[v] = cand
-                yield from rec(v + 1, used or cand == must_use)
+                yield from rec(v + 1)
             x[v] = None
 
-    yield from rec(0, False)
+    yield from rec(0)
 
 
 def _as_point_lists(t: FpSystem, sets) -> list[list[Point]]:

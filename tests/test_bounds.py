@@ -163,6 +163,16 @@ def test_optimize_allocation_single_equation_symmetric():
     assert all(abs(a - 1 / 3) < 1e-9 for a in rep.optimizer)
 
 
+@pytest.mark.parametrize("name, p", [("S1", 19), ("S2", 5)])
+def test_optimize_allocation_never_hands_out_a_negative_exponent(name, p):
+    # budget - counts[i]*a used to round just below 0 here
+    t = reduce_mod_p(builtin(name), p)
+    rep = optimize_allocation(t)
+    assert min(rep.optimizer) >= 0.0
+    assert abs(sum(rep.optimizer) - len(t.rows)) < 1e-9
+    assert rep.value == pytest.approx(p)
+
+
 def test_optimize_allocation_requires_irreducible():
     from linsys.eqsys import parse_system
     s = parse_system("x1 - x2 = 0\nx3 - x4 = 0")

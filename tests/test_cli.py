@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import linsys.bounds
+import linsys.dominance
 import linsys.oracle
 from linsys.cli import main
 from linsys.eqsys import reduce_mod_p
@@ -173,6 +174,13 @@ def test_reduce_stuck_system_notes(capsys):
     assert rep["terminated"] is False and "note" in rep
 
 
+def test_reduce_exhaustive_past_the_reduction_cap_is_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(linsys.dominance, "EXHAUSTIVE_REDUCTION_CAP", 1000)
+    code, out, err = run(capsys, "reduce", "--system", "STAR7", "--strategy", "exhaustive")
+    assert code == 1 and out == ""
+    assert err == "error: exhaustive reduction stopped after 1000 reductions\n"
+
+
 def test_lower_bound_s3(capsys):
     code, rep, err = run_json(capsys, "lower-bound", "--system", "S3", "--p", "3")
     assert code == 0
@@ -311,6 +319,23 @@ def test_certify_skips_an_exact_search_cut_by_the_budget(capsys, monkeypatch):
     assert code == 0 and rep["verified"] is True
     assert rep["exact_strong"] is None and "node budget" in rep["exact_strong_note"]
     assert all("exact" not in c["name"] for c in rep["checks"])
+
+
+def test_certify_with_p_at_most_b_tilde_omits_the_strong_bound(capsys):
+    code, rep, err = run_json(capsys, "certify", "--system", "S2", "--p", "3", "--n", "5")
+    assert code == 0 and rep["verified"] is True
+    assert rep["b_tilde"] == 4
+    assert "lower_strong" not in rep and "sphere" not in rep
+    assert "does not exceed b~ = 4" in rep["lower_strong_note"]
+    assert rep["lower_weak"]["b"] == 2
+
+
+@pytest.mark.parametrize("name, p", [("S1", 19), ("S2", 5)])
+def test_upper_where_the_allocation_rounds_below_zero(capsys, name, p):
+    code, rep, err = run_json(capsys, "upper", "--system", name, "--p", str(p), "--n", "4")
+    assert code == 0 and err == ""
+    assert min(rep["allocation"]) >= 0.0
+    assert rep["upper"] == pytest.approx(p**4)
 
 
 def test_certify_spp_reports_notes_only(capsys):

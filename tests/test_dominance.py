@@ -1,5 +1,6 @@
 import pytest
 
+from linsys import dominance
 from linsys.dominance import (
     dominance_of,
     dominant_reduce,
@@ -10,7 +11,7 @@ from linsys.dominance import (
     render_standard,
     standard_form,
 )
-from linsys.eqsys import ZEquation, parse_system, render_system
+from linsys.eqsys import ZEquation, render_system
 from linsys.errors import GuardExceeded
 from linsys.systems import builtin
 
@@ -111,12 +112,38 @@ def test_exhaustive_is_worker_count_invariant(workers):
     ]
 
 
-def test_exhaustive_guard():
-    lines = "\n".join(f"x{i} - x{i + 1} = 0" for i in range(1, 14))
-    s = parse_system(lines)
-    assert s.L == 13
-    with pytest.raises(GuardExceeded):
-        reduction_sequence(s, "exhaustive")
+def test_exhaustive_guard(monkeypatch):
+    # STAR7 takes 2,059 reductions
+    monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 1000)
+    with pytest.raises(GuardExceeded, match="1000 reductions"):
+        reduction_sequence(builtin("STAR7"), "exhaustive")
+    monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 2059)
+    assert reduction_sequence(builtin("STAR7"), "exhaustive").b_tilde == 2
+
+
+# (b~, steps, subsystems) of the exhaustive trace, frozen from the
+# un-memoised depth-first search over every ordered chain
+EXHAUSTIVE_PINS = {
+    "SW": None,
+    "S3AP": (2, 1, [(0,)]),
+    "S4AP": (2, 1, [(0, 1)]),
+    "SP": None,
+    "SPP": None,
+    "S1": None,
+    "S2": (3, 3, [(2,), (1,), (0,)]),
+    "S3": (2, 3, [(2,), (0,), (0,)]),
+    **{f"STAR{k}": (2, 1, [tuple(range(k))]) for k in range(2, 8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXHAUSTIVE_PINS))
+def test_exhaustive_trace_pins(name):
+    tr = reduction_sequence(builtin(name), "exhaustive")
+    pin = EXHAUSTIVE_PINS[name]
+    if pin is None:
+        assert tr is None
+    else:
+        assert (tr.b_tilde, len(tr.steps), [st.subsystem for st in tr.steps]) == pin
 
 
 def test_reduction_none_when_stuck():

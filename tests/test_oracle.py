@@ -94,14 +94,12 @@ def test_iter_solutions_exact_integer_mode():
     assert all(a[0] + c[0] == 2 * b[0] for a, b, c in sols)
 
 
-def test_iter_solutions_distinct_and_must_use():
+def test_iter_solutions_distinct():
     rows = [(1, -2, 1)]
     cols = [[(v,) for v in range(5)]] * 3
     distinct = list(iter_solutions(rows, cols, 5, distinct=True))
     assert all(len({a, b, c}) == 3 for a, b, c in distinct)
     assert len(distinct) == 20  # 25 pairs (x,y), minus 5 constants
-    anchored = list(iter_solutions(rows, cols, 5, must_use=(4,)))
-    assert anchored and all((4,) in sol for sol in anchored)
 
 
 def test_iter_solutions_empty_set_short_circuits():

@@ -5,6 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linsys.bounds import count_theta, lambda_min
+from linsys.dominance import (
+    ReductionStep,
+    ReductionTrace,
+    _reduce_detailed,
+    dominance_of,
+    reduction_sequence,
+)
 from linsys.eqsys import ZEquation, ZSystem, parse_system, reduce_mod_p, render_system
 from linsys.lattice import norm_class_counts
 from linsys.oracle import (
@@ -229,3 +236,55 @@ def test_classifier_total_on_generated_solutions(p, a, b, c):
 def test_full_space_is_never_strongly_free(p, shift):
     t = reduce_mod_p(builtin("S3AP"), p)
     assert not is_strongly_free(t, space_points(p, 1))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive dominant reduction: memoised search against the plain one
+
+def _reference_exhaustive(s):
+    """Depth-first search over every ordered chain of dominant subsets,
+    keeping the least (b~, #steps, encoding)."""
+    best = None
+
+    def dfs(current, steps, running, encoding):
+        nonlocal best
+        if current.L == 0 and current.r == 1:
+            key = (running, len(steps), encoding)
+            if best is None or key < best[0]:
+                best = (key, steps)
+            return
+        dom = [i for i, eq in enumerate(current.equations) if dominance_of(eq) is not None]
+        for size in range(1, len(dom) + 1):
+            for subset in itertools.combinations(dom, size):
+                reduced, merge_map, coeff = _reduce_detailed(current, subset)
+                if best is not None and max(running, coeff) > best[0][0]:
+                    continue
+                step = ReductionStep(subset, coeff, merge_map, reduced)
+                dfs(reduced, steps + (step,), max(running, coeff), encoding + (subset,))
+
+    dfs(s, (), 0, ())
+    return None if best is None else ReductionTrace(s, best[1])
+
+
+@st.composite
+def dominant_systems(draw):
+    """1-4 dominant equations in 3-6 variables: one variable carries -b
+    (or +b), 1-3 others carry the opposite sign and sum to b <= 9."""
+    r = draw(st.integers(min_value=3, max_value=6))
+    equations = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        support = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=4, unique=True))
+        parts = [draw(st.integers(min_value=1, max_value=3)) for _ in support[1:]]
+        sign = draw(st.sampled_from([1, -1]))
+        row = [0] * r
+        row[support[0]] = -sign * sum(parts)
+        for i, c in zip(support[1:], parts):
+            row[i] = sign * c
+        equations.append(ZEquation(tuple(row)))
+    return ZSystem(r, tuple(equations))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(dominant_systems(), balanced_systems()))
+def test_exhaustive_reduction_matches_plain_search(s):
+    assert reduction_sequence(s, "exhaustive") == _reference_exhaustive(s)
