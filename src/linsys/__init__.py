@@ -3,7 +3,6 @@ solution-free subsets of F_p^n under balanced systems of linear equations."""
 
 from .bounds import (
     BoundReport,
-    LambdaQuery,
     bound_small_p,
     c_tilde,
     count_theta,
@@ -82,7 +81,7 @@ from .systems import builtin, builtin_names
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "LambdaQuery", "bound_small_p", "c_tilde", "count_theta",
+    "BoundReport", "bound_small_p", "c_tilde", "count_theta",
     "g_value", "lambda_min", "optimize_allocation", "parallelogram_upper",
     "star_inequality", "upper_bound_strong", "wshape_upper",
     "Dominance", "DominanceReport", "LowerBoundReport", "ReductionStep",

@@ -9,11 +9,26 @@ integer tuples in {0..m*h}^n with coordinate sum <= alpha*h*n is at most
 Lambda^n (count_theta checks that exactly).  Lambda is defined as 1 when
 alpha = 0 (the infimum is approached as u -> 0 but never attained).
 
-Substituting t = -ln u makes log G convex in t (its t-derivative is
-alpha*h minus the mean of a truncated geometric distribution, which is
-monotone), so a coarse scan plus golden-section refinement is provably
-safe; the scan is kept anyway as a belt-and-braces measure and because it
-vectorizes well.
+Substitute t = -ln u and write M = m*h.  The weights e^(-t*j) on {0..M}
+form a tilted geometric distribution with mean
+
+    mu(t) = 1/expm1(t) - (M+1)/expm1((M+1)*t)
+
+and variance Var(t) = -mu'(t).  The t-derivative of log G is alpha*h - mu(t)
+and mu falls from M/2 to 0, so log G is convex and its minimiser is the one
+root of mu(t) = alpha*h; when alpha >= m/2 there is none and the minimum is
+M+1 at u = 1.  lambda_min finds the root by Newton steps kept inside a
+bracket.  Along the curve of minimisers, ln Lambda(t) = t*mu(t) + ln S(t)
+with S(t) = (1 - e^(-(M+1)t)) / (1 - e^(-t)), the entropy of the tilted
+distribution, and its t-derivative is -t*Var(t) < 0: a level of Lambda
+fixes t, and with it alpha = mu(t)/h.
+
+Spreading a budget L of exponents over variables, the largest Lambda is
+least when every multiplicity group sits at one common level l = ln(lambda)
+(each Lambda rises with its own exponent).  optimize_allocation and c_tilde
+therefore solve sum_i c_i*alpha_i(l) = L for l, by Newton steps again
+(d alpha_i / dl = 1/(h*t_i)); once l reaches ln(M_i + 1), group i can take
+any exponent, and the group of least multiplicity takes what is left.
 
 Every report's ``value`` is a true evaluation of G at a feasible point, so
 it is automatically a valid upper bound for the corresponding infimum;
@@ -27,6 +42,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,17 +50,10 @@ from .arith import is_prime
 from .eqsys import FpSystem
 from .structure import SystemParameters, build_hypergraph, is_irreducible, parameters
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_SCAN_POINTS = 4096
 _LAMBDA_REL_TOL = 1e-9
 _CTILDE_REL_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class LambdaQuery:
-    m: int
-    alpha: float
-    h: int
+_NEWTON_STEPS = 64
+_NEWTON_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,7 @@ def g_value(m: int, alpha, h: int, u: float) -> float:
     if m < 1 or h < 1:
         raise ValueError("need m >= 1 and h >= 1")
     af = float(alpha)
-    if af < 0:
+    if not af >= 0:  # also refuses nan
         raise ValueError("alpha must be >= 0")
     if not (0.0 < u <= 1.0):
         raise ValueError("u must lie in (0, 1]")
@@ -89,80 +98,101 @@ def _log_g(m: int, alpha: float, h: int, t: float) -> float:
     M = m * h
     if t <= 0.0:
         return math.log(M + 1)
-    lu = -t
-    num = -math.expm1((M + 1) * lu)
-    den = -math.expm1(lu)
-    return alpha * h * t + math.log(num) - math.log(den)
+    return alpha * h * t + _log_s(M, t)
 
 
-def _log_g_grid(m: int, alpha: float, h: int, ts: np.ndarray) -> np.ndarray:
-    M = m * h
-    lu = -ts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = -np.expm1((M + 1) * lu)
-        den = -np.expm1(lu)
-        out = alpha * h * ts + np.log(num) - np.log(den)
-    out[ts <= 0.0] = math.log(M + 1)
-    return out
+def _log_s(M: int, t: float) -> float:
+    """ln(1 + e^(-t) + ... + e^(-M*t)) for t > 0."""
+    return math.log(-math.expm1(-(M + 1) * t)) - math.log(-math.expm1(-t))
+
+
+def _tilted_moments(M: int, t: float) -> tuple[float, float]:
+    """Mean mu(t) and variance Var(t) of the weights e^(-t*j) on {0..M}, t > 0."""
+    e, f = math.exp(-t), math.exp(-(M + 1) * t)
+    de, df = -math.expm1(-t), -math.expm1(-(M + 1) * t)
+    mean = e / de - (M + 1) * f / df
+    var = e / (de * de) - (M + 1) * (M + 1) * f / (df * df)
+    return mean, var
+
+
+def _root(fn: Callable[[float], tuple[float, float]], lo: float, hi: float, x: float) -> float:
+    """The root in [lo, hi] of a function that is positive left of it and
+    negative right of it, from x.  fn(x) gives (value, slope); a Newton step
+    that leaves the bracket narrowed so far becomes a bisection."""
+    for _ in range(_NEWTON_STEPS):
+        val, slope = fn(x)
+        if val > 0:
+            lo = x
+        elif val < 0:
+            hi = x
+        else:
+            return x
+        nxt = x - val / slope if slope else hi
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= _NEWTON_REL_TOL * x:
+            return nxt
+        x = nxt
+    return x
+
+
+def _tilt(M: int, a: float) -> float:
+    """The t > 0 with mu(t) = a, for 0 < a < M/2."""
+    # mu is convex with slope -M(M+2)/12 at 0, so its tangent there stays below it
+    lo = 12.0 * (M / 2.0 - a) / (M * (M + 2.0))
+    if (M + 1) * lo < 1e-4:
+        return lo  # mu is its tangent there, up to a relative (M+1)^2 t^2 / 60
+    hi = math.log1p(a) - math.log(a)  # mu(t) < 1/expm1(t), the untruncated mean
+
+    def excess(t: float) -> tuple[float, float]:
+        mean, var = _tilted_moments(M, t)
+        return mean - a, -var
+
+    return _root(excess, lo, hi, hi)
+
+
+def _level_tilt(M: int, level: float, start: float) -> float:
+    """The t > 0 with ln Lambda(t) = t*mu(t) + ln S(t) = level, for
+    0 < level < ln(M+1); Newton starts at ``start`` when that is positive."""
+    # the untruncated geometric's entropy, an upper bound, is below level there
+    hi = 2.0 * math.log1p(2.0 / level)
+
+    def excess(t: float) -> tuple[float, float]:
+        mean, var = _tilted_moments(M, t)
+        return t * mean + _log_s(M, t) - level, -t * var
+
+    return _root(excess, 0.0, hi, start if 0.0 < start < hi else hi)
 
 
 @lru_cache(maxsize=4096)
 def _lambda_cached(m: int, alpha: float, h: int) -> BoundReport:
     if alpha == 0.0:
         return BoundReport(1.0, None, 0.0, "defined-limit")
+    M = m * h
     if alpha >= m / 2.0:
-        # the mean of the uniform distribution on {0..mh} is mh/2, so log G
-        # is nondecreasing along t >= 0 and the minimum sits at u = 1
-        return BoundReport(float(m * h + 1), 1.0, 0.0, "boundary-exact")
-    # bracket the interior minimum in t = -ln u
-    T = 1.0
-    while _log_g(m, alpha, h, T) <= _log_g(m, alpha, h, T / 2.0) and T < 1e9:
-        T *= 2.0
-    ts = np.linspace(0.0, T, _SCAN_POINTS)
-    vals = _log_g_grid(m, alpha, h, ts)
-    i = int(np.argmin(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, _SCAN_POINTS - 1)]
-    # golden-section on the log objective down to machine-level width
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = _log_g(m, alpha, h, c)
-    fd = _log_g(m, alpha, h, d)
-    best_t, best = (c, fc) if fc < fd else (d, fd)
-    for _ in range(140):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _log_g(m, alpha, h, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _log_g(m, alpha, h, d)
-        t, f = (c, fc) if fc < fd else (d, fd)
-        if f < best:
-            best_t, best = t, f
-        if b - a < 1e-14 * max(1.0, b):
-            break
-    if vals[i] < best:
-        best_t, best = ts[i], float(vals[i])
-    boundary = math.log(m * h + 1)
-    if boundary <= best:
-        return BoundReport(float(m * h + 1), 1.0, 0.0, "boundary-exact")
+        # mu(t) <= M/2 <= alpha*h, so log G is nondecreasing in t and the
+        # minimum sits at u = 1
+        return BoundReport(float(M + 1), 1.0, 0.0, "boundary-exact")
+    t = _tilt(M, alpha * h)
+    best = _log_g(m, alpha, h, t)
+    if math.log(M + 1) <= best:
+        return BoundReport(float(M + 1), 1.0, 0.0, "boundary-exact")
     value = math.exp(best)
-    return BoundReport(value, math.exp(-best_t), _LAMBDA_REL_TOL * value, "scan+golden-section")
+    return BoundReport(value, math.exp(-t), _LAMBDA_REL_TOL * value, "tilted-mean-newton")
 
 
 def lambda_min(m: int, alpha, h: int) -> BoundReport:
     """Minimum of G_{m,alpha,h} over (0,1]; exactly 1 when alpha = 0.
 
-    The returned value is G evaluated at the reported optimizer (never
-    below the true minimum) and is within relative 1e-9 of it.
+    The minimiser is u = e^(-t) with t the root of mu(t) = alpha*h, the
+    mean of the tilted geometric weights on {0..m*h}.  The returned value
+    is G evaluated at the reported optimizer (never below the true minimum)
+    and is within relative 1e-9 of it.
     """
     if m < 1 or h < 1:
         raise ValueError("need m >= 1 and h >= 1")
     af = float(alpha)
-    if af < 0:
+    if not af >= 0:  # also refuses nan
         raise ValueError("alpha must be >= 0")
     return _lambda_cached(m, af, h)
 
@@ -207,14 +237,66 @@ def star_inequality(params: SystemParameters | tuple[int, int, int]) -> tuple[bo
     return margin > 0.0, margin
 
 
+def _common_level(groups: dict[int, int], L: int, h: int) -> dict[int, float]:
+    """Exponents per multiplicity (groups[m] variables each) that put every
+    group at one level of Lambda and sum to L, before rescaling."""
+    ms = sorted(groups)
+    tops = {m: math.log(m * h + 1) for m in ms}
+    tilt = {}
+    levels = []
+    uniform = L / sum(groups.values())
+    for m in ms:
+        rep = lambda_min(m, uniform, h)
+        tilt[m] = -math.log(rep.optimizer)
+        levels.append(math.log(rep.value))
+    # the uniform allocation sums to L: the common level lies between its levels
+    lo, hi = min(levels), min(max(levels), tops[ms[0]])
+    alloc = {}
+
+    def shortfall(level: float) -> tuple[float, float]:
+        """L minus the budget the groups take at ``level``, and its slope."""
+        total = slope = 0.0
+        for m in ms:
+            if level >= tops[m]:
+                tilt[m], alloc[m] = 0.0, m / 2.0
+            else:
+                tilt[m] = _level_tilt(m * h, level, tilt[m])
+                alloc[m] = _tilted_moments(m * h, tilt[m])[0] / h
+            total += groups[m] * alloc[m]
+            slope += groups[m] / (h * tilt[m]) if tilt[m] else math.inf
+        return L - total, -slope
+
+    if shortfall(hi)[0] >= 0.0:
+        # even at its top the rest leave budget over: the least multiplicity,
+        # whose Lambda stays at m*h + 1 from alpha = m/2 on, takes it
+        m0 = ms[0]
+        rest = sum(groups[m] * alloc[m] for m in ms[1:])
+        alloc[m0] = max(alloc[m0], (L - rest) / groups[m0])
+    else:
+        shortfall(_root(shortfall, lo, hi, hi))
+    return alloc
+
+
+def _allocate(groups: dict[int, int], L: int, h: int) -> tuple[float, dict[int, float]]:
+    """The common-level allocation, rescaled to sum to exactly L, and the
+    largest Lambda_{m, alpha_m, h} at it."""
+    if len(groups) == 1:
+        alloc = {m: L / c for m, c in groups.items()}
+    else:
+        alloc = _common_level(groups, L, h)
+        scale = L / sum(groups[m] * a for m, a in alloc.items())
+        alloc = {m: a * scale for m, a in alloc.items()}
+    value = max(lambda_min(m, a, h).value for m, a in alloc.items())
+    return value, alloc
+
+
 def c_tilde(r1: int, r2: int, L: int, m: int, d: int) -> BoundReport:
     """Best blended envelope constant for split parameters (r1, r2, L, m).
 
     Minimizes max(Lambda_{1,alpha,d-1}, Lambda_{m,beta,d-1}) over the
-    segment r1*alpha + r2*beta = L, alpha, beta >= 0.  Along the segment
-    the first branch is nondecreasing and the second nonincreasing, so the
-    optimum is at their crossing; a dense scan stands in when the sampled
-    monotonicity sanity check fails.
+    segment r1*alpha + r2*beta = L, alpha, beta >= 0: the two-group case
+    {1: r1, m: r2} of optimize_allocation, solved at the common level of
+    both branches.  With r1 or r2 zero the allocation is forced.
     """
     if r1 < 0 or r2 < 0 or (r1 == 0 and r2 == 0):
         raise ValueError("need r1, r2 >= 0, not both zero")
@@ -222,71 +304,24 @@ def c_tilde(r1: int, r2: int, L: int, m: int, d: int) -> BoundReport:
         raise ValueError("need L >= 1, m >= 1, d >= 2")
     h = d - 1
     if r2 == 0:
-        alpha = L / r1
-        rep = lambda_min(1, alpha, h)
-        return BoundReport(rep.value, (alpha, 0.0), rep.tolerance, "forced-allocation")
+        rep = lambda_min(1, L / r1, h)
+        return BoundReport(rep.value, (L / r1, 0.0), rep.tolerance, "forced-allocation")
     if r1 == 0:
-        beta = L / r2
-        rep = lambda_min(m, beta, h)
-        return BoundReport(rep.value, (0.0, beta), rep.tolerance, "forced-allocation")
-
-    amax = L / r1
-
-    def f1(a: float) -> float:
-        return lambda_min(1, a, h).value
-
-    def f2(a: float) -> float:
-        return lambda_min(m, (L - r1 * a) / r2, h).value
-
-    # sanity: f1 nondecreasing, f2 nonincreasing on a coarse grid
-    grid = [amax * i / 8 for i in range(9)]
-    v1 = [f1(a) for a in grid]
-    v2 = [f2(a) for a in grid]
-    slack = 1e-9 * (1 + max(v1 + v2))
-    monotone = all(v1[i] <= v1[i + 1] + slack for i in range(8)) and all(
-        v2[i] + slack >= v2[i + 1] for i in range(8)
-    )
-
-    best_val = math.inf
-    best_ab = (0.0, L / r2)
-
-    def consider(a: float) -> float:
-        nonlocal best_val, best_ab
-        b = (L - r1 * a) / r2
-        val = max(f1(a), f2(a))
-        if val < best_val:
-            best_val, best_ab = val, (a, b)
-        return val
-
-    if not monotone:
-        for i in range(_SCAN_POINTS + 1):
-            consider(amax * i / _SCAN_POINTS)
-        return BoundReport(best_val, best_ab, _CTILDE_REL_TOL * best_val, "dense-scan")
-
-    lo, hi = 0.0, amax
-    consider(lo)
-    consider(hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        consider(mid)
-        if f1(mid) < f2(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, amax):
-            break
-    consider(0.5 * (lo + hi))
-    return BoundReport(best_val, best_ab, _CTILDE_REL_TOL * best_val, "crossing-bisection")
+        rep = lambda_min(m, L / r2, h)
+        return BoundReport(rep.value, (0.0, L / r2), rep.tolerance, "forced-allocation")
+    value, alloc = _allocate({1: r1 + r2} if m == 1 else {1: r1, m: r2}, L, h)
+    return BoundReport(value, (alloc[1], alloc[m]), _CTILDE_REL_TOL * value, "common-level-newton")
 
 
 def optimize_allocation(t: FpSystem) -> BoundReport:
     """Best per-variable exponent allocation for a balanced irreducible system.
 
     Minimizes max_i Lambda_{m_i, alpha_i, p-1} subject to sum(alpha_i) = L.
-    Variables sharing a multiplicity share an alpha at some optimum (each
-    branch is nondecreasing in its alpha, so equalizing within the group
-    never hurts); across groups a pairwise coordinate descent from the
-    uniform allocation rebalances budgets by crossing bisection.
+    Variables sharing a multiplicity share an alpha, and at the optimum all
+    groups share one level of Lambda: the level is found by Newton steps on
+    the budget it takes, each group's alpha from the tilted-geometric curve.
+    The allocation is rescaled to sum to L and the value is the largest
+    Lambda at it.
     """
     if not t.is_balanced:
         raise ValueError("system must be balanced")
@@ -294,65 +329,13 @@ def optimize_allocation(t: FpSystem) -> BoundReport:
     irr, _ = is_irreducible(h_graph)
     if not irr:
         raise ValueError("system must be irreducible")
-    par = parameters(h_graph)
-    L = par.L
-    h = t.p - 1
     mult = h_graph.multiplicities
     groups: dict[int, int] = {}
     for m in mult:
         groups[m] = groups.get(m, 0) + 1
-    ms = sorted(groups)
-    counts = [groups[m] for m in ms]
-    r = sum(counts)
-    alloc = [L / r] * len(ms)
-
-    def level(idx: int) -> float:
-        return lambda_min(ms[idx], alloc[idx], h).value
-
-    if len(ms) > 1:
-        prev = max(level(i) for i in range(len(ms)))
-        for _ in range(60):
-            for i in range(len(ms)):
-                for j in range(i + 1, len(ms)):
-                    budget = counts[i] * alloc[i] + counts[j] * alloc[j]
-                    if budget <= 0:
-                        continue
-                    top = budget / counts[i]
-
-                    def fi(a: float) -> float:
-                        return lambda_min(ms[i], a, h).value
-
-                    def rest(a: float) -> float:
-                        # rounding may leave budget - counts[i]*a just below 0
-                        return max(0.0, (budget - counts[i] * a) / counts[j])
-
-                    def fj(a: float) -> float:
-                        return lambda_min(ms[j], rest(a), h).value
-
-                    lo, hi = 0.0, top
-                    if fi(lo) > fj(lo):
-                        alloc[i], alloc[j] = lo, budget / counts[j]
-                        continue
-                    if fi(hi) < fj(hi):
-                        alloc[i], alloc[j] = top, 0.0
-                        continue
-                    for _ in range(60):
-                        mid = 0.5 * (lo + hi)
-                        if fi(mid) < fj(mid):
-                            lo = mid
-                        else:
-                            hi = mid
-                    a = 0.5 * (lo + hi)
-                    alloc[i], alloc[j] = a, rest(a)
-            cur = max(level(i) for i in range(len(ms)))
-            if prev - cur < 1e-12 * max(1.0, cur):
-                break
-            prev = cur
-
-    value = max(level(i) for i in range(len(ms)))
-    by_mult = dict(zip(ms, alloc))
-    per_var = tuple(by_mult[m] for m in mult)
-    return BoundReport(value, per_var, _CTILDE_REL_TOL * value, "coordinate-descent")
+    value, alloc = _allocate(groups, parameters(h_graph).L, t.p - 1)
+    per_var = tuple(alloc[m] for m in mult)
+    return BoundReport(value, per_var, _CTILDE_REL_TOL * value, "common-level-newton")
 
 
 def _power(base: float, exponent: float) -> float:
@@ -363,13 +346,14 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
-def upper_bound_strong(t: FpSystem, n: int) -> float:
+def upper_bound_strong(t: FpSystem, n: int, allocation: Optional[BoundReport] = None) -> float:
     """Upper bound C^n for the largest strongly free set in F_p^n (math.inf
     when C^n overflows a float).
 
     Requires a balanced irreducible system; warns (does not fail) when the
     r1/2 + r2/e > L inequality does not hold, since the bound is then
-    typically vacuous (C >= p).
+    typically vacuous (C >= p).  C comes from ``allocation`` when given (the
+    optimize_allocation report for t), otherwise it is computed here.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -382,7 +366,7 @@ def upper_bound_strong(t: FpSystem, n: int) -> float:
             f"r1/2 + r2/e > L fails (margin {margin:.6f}); the bound may be vacuous",
             stacklevel=2,
         )
-    rep = optimize_allocation(t)
+    rep = allocation if allocation is not None else optimize_allocation(t)
     return _power(rep.value, n)
 
 

@@ -191,7 +191,7 @@ def cmd_upper(args: argparse.Namespace, cfg: RunConfig) -> int:
         report["base"] = alloc.value
         report["base_over_p"] = alloc.value / cfg.p
         report["allocation"] = alloc.optimizer
-        report["upper"] = bounds.upper_bound_strong(t, cfg.n)  # inf (null) past the float range
+        report["upper"] = bounds.upper_bound_strong(t, cfg.n, alloc)  # inf (null) past the float range
         report["log_upper"] = cfg.n * math.log(alloc.value)
     for w in caught:
         report.setdefault("warnings", []).append(str(w.message))
@@ -530,7 +530,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, GuardExceeded, ValueError, KeyError, OSError) as exc:
+    except (ParseError, GuardExceeded, ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

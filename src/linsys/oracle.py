@@ -1,15 +1,17 @@
 """Ground-truth enumeration and exact search over small point sets.
 
 The workhorse is a depth-first solution iterator over given candidate
-sets, one per variable position.  Whenever a position is the largest
-support index of some equation, that equation pins the value there
-(back-substitution): over F_p by a modular inverse, over Z by exact
-division.  Positions nobody pins are enumerated in ascending order, so
-solutions stream out in lexicographic order and the product of the free
-positions' set sizes bounds the work (guarded at 1e8).
+sets, one per variable position.  The equations are first row-reduced,
+each pivot on the rightmost column it can take (mod p with inverses, over
+Z fraction-free), so that every independent equation ends at its own
+variable and zero rows drop out.  At that position the equation pins the
+value (back-substitution): over F_p by a modular inverse, over Z by exact
+division.  Only r - rank positions stay free; they are enumerated in
+ascending order, so solutions stream out in lexicographic order and the
+product of the free positions' set sizes bounds the work (guarded at 1e8).
 
-Search for maximum free sets first compiles the system over F_p^n: row
-reduction mod p gives every solution at once, and the supports a free set
+Search for maximum free sets first compiles the system over F_p^n: the same
+row reduction mod p gives every solution at once, and the supports a free set
 must avoid become bitmasks of point indices.  It then fixes the zero
 vector into every nonempty candidate (balanced systems are translation
 invariant, and among maximum witnesses one contains 0; its sorted sequence
@@ -22,6 +24,7 @@ the first maximum set found is the lexicographically least one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -128,6 +131,44 @@ def space_points(p: int, n: int) -> tuple[Point, ...]:
 # ---------------------------------------------------------------------------
 # core enumeration
 
+def _pin_rows(rows: Sequence[Sequence[int]], r: int, modulus: Optional[int]) -> list[tuple[tuple[int, ...], int]]:
+    """Row-reduce so that each remaining row's last nonzero column is its
+    own pivot: (row, pivot) pairs, pivots distinct, zero rows dropped.
+
+    Columns are taken from the right; a row picked as pivot of column c has
+    no entry right of c, and c is cleared from the rows not yet picked.
+    Mod p each pivot is scaled to 1; over Z the elimination is fraction-free
+    and every row is divided by the gcd of its entries.  Either way the rows
+    have the same solutions as the input.
+    """
+    mat = []
+    for row in rows:
+        if len(row) != r:
+            raise ValueError("row width must equal the number of sets")
+        mat.append([c % modulus for c in row] if modulus is not None else list(row))
+    pinned = []
+    for col in reversed(range(r)):
+        pick = next((i for i, row in enumerate(mat) if row[col]), None)
+        if pick is None:
+            continue
+        piv = mat.pop(pick)
+        if modulus is not None:
+            inv = pow(piv[col], -1, modulus)
+            piv = [c * inv % modulus for c in piv]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if not f:
+                continue
+            if modulus is not None:
+                mat[i] = [(a - f * b) % modulus for a, b in zip(row, piv)]
+            else:
+                new = [piv[col] * a - f * b for a, b in zip(row, piv)]
+                g = math.gcd(*new)
+                mat[i] = [c // g for c in new] if g > 1 else new
+        pinned.append((tuple(piv), col))
+    return pinned
+
+
 def iter_solutions(
     rows: Sequence[Sequence[int]],
     sets: Sequence[Iterable[Point]],
@@ -151,70 +192,44 @@ def iter_solutions(
     for s in srt:
         if any(len(pt) != dim for pt in s):
             raise ValueError("point dimension mismatch")
-
-    eqs = []
-    for row in rows:
-        if len(row) != r:
-            raise ValueError("row width must equal the number of sets")
-        if modulus is not None:
-            row = tuple(c % modulus for c in row)
-        sup = tuple(i for i, c in enumerate(row) if c != 0)
-        if sup:  # an all-zero (mod p) row constrains nothing
-            eqs.append((tuple(row), sup))
-    by_last: dict[int, list] = {}
-    for row, sup in eqs:
-        by_last.setdefault(sup[-1], []).append((row, sup))
+    # pinned position -> its row and the earlier positions the row uses
+    pins = {col: (row, [i for i in range(col) if row[i]]) for row, col in _pin_rows(rows, r, modulus)}
 
     work = 1
     for v in range(r):
-        if v not in by_last:
+        if v not in pins:
             work *= len(srt[v])
     if work > guard:
         raise GuardExceeded(f"enumeration would take ~{work} nodes (> {guard})")
 
     x: list[Optional[Point]] = [None] * r
 
-    def residual(row: Sequence[int], sup: Sequence[int]) -> list[int]:
-        out = [0] * dim
-        for i in sup[:-1]:
-            c = row[i]
-            xi = x[i]
+    def pinned_value(v: int) -> Optional[Point]:
+        """x_v from the earlier entries, or None when over Z it is not an integer."""
+        row, uses = pins[v]
+        rest = [0] * dim
+        for i in uses:
+            c, xi = row[i], x[i]
             for d in range(dim):
-                out[d] += c * xi[d]
-        return out
+                rest[d] += c * xi[d]
+        if modulus is not None:  # the pivot is 1
+            return tuple(-rv % modulus for rv in rest)
+        vals = []
+        for rv in rest:
+            q, rem = divmod(-rv, row[v])
+            if rem:
+                return None
+            vals.append(q)
+        return tuple(vals)
 
     def rec(v: int) -> Iterator[tuple[Point, ...]]:
         if v == r:
             yield tuple(x)  # type: ignore[arg-type]
             return
-        pinned = by_last.get(v)
-        if pinned:
-            row, sup = pinned[0]
-            cv = row[v]
-            rest = residual(row, sup)
-            if modulus is not None:
-                inv = pow(cv, -1, modulus)
-                cand = tuple((-rv * inv) % modulus for rv in rest)
-            else:
-                vals = []
-                for rv in rest:
-                    q, rem = divmod(-rv, cv)
-                    if rem:
-                        return
-                    vals.append(q)
-                cand = tuple(vals)
-            if cand not in lookup[v]:
+        if v in pins:
+            cand = pinned_value(v)
+            if cand is None or cand not in lookup[v]:
                 return
-            for row2, sup2 in pinned[1:]:
-                acc = residual(row2, sup2)
-                c2 = row2[v]
-                for d in range(dim):
-                    acc[d] += c2 * cand[d]
-                if modulus is not None:
-                    if any(a % modulus for a in acc):
-                        return
-                elif any(acc):
-                    return
             if distinct and cand in x[:v]:
                 return
             x[v] = cand
@@ -276,26 +291,6 @@ def is_weakly_free(t: FpSystem, a) -> bool:
 # ---------------------------------------------------------------------------
 # maximum free set search
 
-def _row_reduce(rows: Sequence[Sequence[int]], p: int, r: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p: the nonzero rows and their pivot columns."""
-    mat = [[c % p for c in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(r):
-        rank = len(pivots)
-        pick = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pick is None:
-            continue
-        mat[rank], mat[pick] = mat[pick], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [c * inv % p for c in mat[rank]]
-        for i, row in enumerate(mat):
-            if i != rank and row[col]:
-                f = row[col]
-                mat[i] = [(a - f * b) % p for a, b in zip(row, mat[rank])]
-        pivots.append(col)
-    return mat[:len(pivots)], pivots
-
-
 @dataclass(frozen=True)
 class CompiledSystem:
     """The supports a free set must avoid, over the points of F_p^n.
@@ -331,8 +326,8 @@ def compile_system(t: FpSystem, n: int, weak: bool, guard: int = COMPILE_GUARD) 
         raise ValueError("dimension must be >= 1")
     p, r = t.p, t.r
     size = p**n
-    reduced, pivots = _row_reduce(t.rows, p, r)
-    free = [c for c in range(r) if c not in pivots]
+    pinned = sorted(_pin_rows(t.rows, r, p), key=lambda pin: pin[1])
+    free = [c for c in range(r) if c not in {col for _, col in pinned}]
     count = p ** (n * len(free))
     if count * r > guard or size > guard:
         raise GuardExceeded(f"compiling {count} solutions over {size} points exceeds the guard "
@@ -342,8 +337,8 @@ def compile_system(t: FpSystem, n: int, weak: bool, guard: int = COMPILE_GUARD) 
     vals = vals.reshape(p ** len(free), len(free))
     scalar = np.zeros((len(vals), r), dtype=np.int64)
     scalar[:, free] = vals
-    for row, col in zip(reduced, pivots):
-        scalar[:, col] = -(vals @ np.array([row[c] for c in free], dtype=np.int64)) % p
+    for row, col in pinned:  # each pinned column from the columns left of it
+        scalar[:, col] = -(scalar @ np.array(row, dtype=np.int64)) % p
     table = scalar
     for _ in range(n - 1):  # one more coordinate, less significant in the lex index
         table = (table[:, None, :] * p + scalar[None, :, :]).reshape(-1, r)

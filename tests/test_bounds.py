@@ -51,7 +51,7 @@ def test_lambda_interior_minima_match_frozen_oracle():
     rep = lambda_min(1, 1 / 3, 2)
     assert abs(rep.value - LAMBDA_1_3RD_2) < 1e-8
     assert abs(rep.optimizer - 0.59307033) < 1e-5
-    assert rep.method == "scan+golden-section"
+    assert rep.method == "tilted-mean-newton"
     assert abs(lambda_min(1, 0.25, 2).value - LAMBDA_1_4TH_2) < 1e-8
     assert abs(lambda_min(1, 0.25, 4).value - LAMBDA_1_4TH_4) < 1e-8
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linsys.bounds
 import linsys.dominance
@@ -338,11 +342,91 @@ def test_upper_where_the_allocation_rounds_below_zero(capsys, name, p):
     assert rep["upper"] == pytest.approx(p**4)
 
 
+def test_certify_star4_sphere_check_pins_every_equation(capsys):
+    # the four equations of STAR4 end at distinct variables once row-reduced,
+    # so the sphere check enumerates one free position, not eight
+    code, rep, err = run_json(capsys, "certify", "--system", "STAR4", "--p", "5", "--n", "4")
+    assert code == 0 and rep["verified"] is True
+    assert rep["sphere"] == {"k": 2, "radius_sq": 5, "size": 12}
+    assert len(rep["checks"]) == 2
+
+
+def test_upper_computes_its_allocation_once(capsys, monkeypatch):
+    calls = []
+    original = linsys.bounds.optimize_allocation
+    monkeypatch.setattr(linsys.bounds, "optimize_allocation", lambda t: calls.append(t) or original(t))
+    code, rep, err = run_json(capsys, "upper", "--system", "S4AP", "--p", "5", "--n", "3")
+    assert code == 0 and len(calls) == 1
+    assert rep["upper"] == rep["base"] ** 3
+    assert any("r1/2 + r2/e > L fails" in w for w in rep["warnings"])
+
+
 def test_certify_spp_reports_notes_only(capsys):
     code, rep, err = run_json(capsys, "certify", "--system", "SPP", "--p", "3")
     assert code == 0 and rep["verified"] is True
     assert "reduction_note" in rep and "weak_note" in rep
     assert rep["checks"] == []
+
+
+# ---------------------------------------------------------------------------
+# edges of the bound subcommands: exit 0, 1 or 2, never a traceback
+
+def _exit_code(argv):
+    """main's exit code; argparse's refusals exit 2 through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code
+
+
+_alpha_texts = st.one_of(
+    st.floats(min_value=0.0, max_value=3.0).map(repr),
+    st.floats(min_value=0.0, max_value=1e-250).map(repr),         # tiny, subnormal included
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.fractions(min_value=-1, max_value=3).map(str),
+    st.sampled_from(["1/0", "abc", ""]),
+)
+_lambda_argv = st.builds(
+    lambda m, alpha, h, rational: ["lambda", "--m", str(m), "--alpha", alpha, "--h", str(h)]
+    + (["--rational"] if rational else []),
+    st.integers(min_value=-1, max_value=5), _alpha_texts,
+    st.one_of(st.integers(min_value=-1, max_value=100), st.integers(min_value=1, max_value=10**6)),
+    st.booleans(),
+)
+_ctilde_argv = st.builds(
+    lambda r1, r2, L, m, d: ["ctilde", "--r1", str(r1), "--r2", str(r2), "--L", str(L),
+                             "--m", str(m), "--d", str(d)],
+    st.integers(min_value=-1, max_value=6), st.integers(min_value=-1, max_value=6),
+    st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=4),
+    st.one_of(st.integers(min_value=1, max_value=40), st.integers(min_value=2, max_value=10**6)),
+)
+_system_names = st.one_of(st.sampled_from(["S1", "S2", "S3", "S3AP", "S4AP", "SP", "SPP", "SW"]),
+                          st.integers(min_value=0, max_value=8).map(lambda k: f"STAR{k}"))
+_upper_argv = st.builds(
+    lambda name, p, n: ["upper", "--system", name, "--p", str(p), "--n", str(n)],
+    _system_names, st.integers(min_value=1, max_value=32), st.integers(min_value=-1, max_value=4),
+)
+_analyze_argv = st.builds(
+    lambda name, p: ["analyze", "--system", name, "--p", str(p)],
+    _system_names, st.integers(min_value=1, max_value=32),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_lambda_argv, _ctilde_argv, _upper_argv, _analyze_argv))
+def test_bound_subcommands_exit_cleanly(argv):
+    assert _exit_code(argv) in (0, 1, 2)
+
+
+def test_lambda_refuses_nan_and_a_zero_denominator(capsys):
+    code, out, err = run(capsys, "lambda", "--m", "1", "--alpha", "nan", "--h", "2")
+    assert code == 1 and "alpha must be >= 0" in err
+    code, out, err = run(capsys, "lambda", "--m", "1", "--alpha", "1/0", "--h", "2", "--rational")
+    assert code == 1 and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

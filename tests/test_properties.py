@@ -1,10 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linsys.bounds import count_theta, lambda_min
+from linsys.bounds import _allocate, count_theta, lambda_min
 from linsys.dominance import (
     ReductionStep,
     ReductionTrace,
@@ -288,3 +291,167 @@ def dominant_systems(draw):
 @given(st.one_of(dominant_systems(), balanced_systems()))
 def test_exhaustive_reduction_matches_plain_search(s):
     assert reduction_sequence(s, "exhaustive") == _reference_exhaustive(s)
+
+
+# ---------------------------------------------------------------------------
+# Lambda and the exponent allocation: the tilted-geometric solves against
+# the scan, golden-section and coordinate-descent searches they replaced
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@lru_cache(maxsize=None)
+def _reference_lambda(m, alpha, h):
+    """Lambda_{m,alpha,h}: a 4,096-point scan of log G over t = -ln u, then
+    golden-section search between the neighbours of the least point."""
+    M = m * h
+    if alpha == 0.0:
+        return 1.0
+    if alpha >= m / 2.0:
+        return float(M + 1)
+
+    def log_g(t):
+        if t <= 0.0:
+            return math.log(M + 1)
+        return alpha * h * t + math.log(-math.expm1(-(M + 1) * t)) - math.log(-math.expm1(-t))
+
+    T = 1.0
+    while log_g(T) <= log_g(T / 2.0) and T < 1e9:
+        T *= 2.0
+    ts = np.linspace(0.0, T, 4096)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = alpha * h * ts + np.log(-np.expm1(-(M + 1) * ts)) - np.log(-np.expm1(-ts))
+    vals[0] = math.log(M + 1)
+    i = int(np.argmin(vals))
+    a, b = ts[max(i - 1, 0)], ts[min(i + 1, 4095)]
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = log_g(c), log_g(d)
+    best = min(fc, fd, float(vals[i]))
+    for _ in range(140):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = log_g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = log_g(d)
+        best = min(best, fc, fd)
+        if b - a < 1e-14 * max(1.0, b):
+            break
+    return math.exp(min(best, math.log(M + 1)))
+
+
+def _reference_allocation(groups, L, h):
+    """Least largest Lambda over exponents per multiplicity summing to L,
+    by pairwise coordinate descent from the uniform allocation."""
+    ms = sorted(groups)
+    counts = [groups[m] for m in ms]
+    alloc = [L / sum(counts)] * len(ms)
+
+    def level(i, a=None):
+        return _reference_lambda(ms[i], alloc[i] if a is None else a, h)
+
+    prev = max(level(i) for i in range(len(ms)))
+    for _ in range(60 if len(ms) > 1 else 0):
+        for i, j in itertools.combinations(range(len(ms)), 2):
+            budget = counts[i] * alloc[i] + counts[j] * alloc[j]
+
+            def rest(a):
+                return max(0.0, (budget - counts[i] * a) / counts[j])
+
+            lo, hi = 0.0, budget / counts[i]
+            if level(i, lo) > level(j, rest(lo)):
+                alloc[i], alloc[j] = lo, budget / counts[j]
+                continue
+            if level(i, hi) < level(j, rest(hi)):
+                alloc[i], alloc[j] = hi, 0.0
+                continue
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if level(i, mid) < level(j, rest(mid)):
+                    lo = mid
+                else:
+                    hi = mid
+            alloc[i], alloc[j] = 0.5 * (lo + hi), rest(0.5 * (lo + hi))
+        cur = max(level(i) for i in range(len(ms)))
+        if prev - cur < 1e-12 * max(1.0, cur):
+            break
+        prev = cur
+    return max(level(i) for i in range(len(ms)))
+
+
+@st.composite
+def lambda_arguments(draw):
+    m = draw(st.integers(min_value=1, max_value=4))
+    alpha = draw(st.floats(min_value=0.0, max_value=m / 2.0))
+    h = draw(st.one_of(st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=10**6)))
+    return m, alpha, h
+
+
+@settings(deadline=None, max_examples=200)
+@given(lambda_arguments())
+def test_lambda_matches_scan_and_golden_section(args):
+    m, alpha, h = args
+    assert math.isclose(lambda_min(m, alpha, h).value, _reference_lambda(m, alpha, h), rel_tol=1e-9)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.dictionaries(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
+                    min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([1, 2, 4, 6, 10, 30, 88, 1000, 10**6]),
+)
+def test_allocation_matches_coordinate_descent(groups, L, h):
+    value, alloc = _allocate(groups, L, h)
+    assert math.isclose(value, _reference_allocation(groups, L, h), rel_tol=1e-9)
+    assert min(alloc.values()) >= 0.0
+    assert math.isclose(sum(groups[m] * a for m, a in alloc.items()), L, rel_tol=1e-12)
+    assert value == max(lambda_min(m, a, h).value for m, a in alloc.items())
+
+
+# ---------------------------------------------------------------------------
+# iter_solutions pins one variable per independent equation: it lists the
+# same tuples, in the same order, as a filter over all r-tuples
+
+def _brute_force_solutions(rows, sets, modulus, distinct):
+    def solves(tup):
+        for row in rows:
+            for d in range(len(tup[0])):
+                acc = sum(c * x[d] for c, x in zip(row, tup))
+                if (acc % modulus if modulus is not None else acc):
+                    return False
+        return True
+
+    columns = [sorted(set(s)) for s in sets]
+    return [tup for tup in itertools.product(*columns)
+            if solves(tup) and (not distinct or len(set(tup)) == len(tup))]
+
+
+@st.composite
+def solution_problems(draw):
+    """Balanced rows (one may be a combination of two others), candidate
+    sets of 1- or 2-dimensional points, and p or None (over Z)."""
+    r = draw(st.integers(min_value=2, max_value=5))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        head = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(r - 1)]
+        rows.append(tuple(head) + (-sum(head),))
+    if len(rows) >= 2 and draw(st.booleans()):
+        f = draw(st.integers(min_value=-2, max_value=2))
+        rows.append(tuple(a + f * b for a, b in zip(rows[0], rows[1])))
+    modulus = draw(st.sampled_from([None, 2, 3, 5, 7]))
+    dim = draw(st.integers(min_value=1, max_value=2))
+    span = range(modulus) if modulus is not None else range(-2, 4)
+    point = st.tuples(*[st.sampled_from(span)] * dim)
+    sets = [draw(st.lists(point, min_size=1, max_size=5)) for _ in range(r)]
+    return rows, sets, modulus
+
+
+@settings(deadline=None, max_examples=300)
+@given(solution_problems(), st.booleans())
+def test_iter_solutions_matches_a_filter_over_all_tuples(problem, distinct):
+    rows, sets, modulus = problem
+    got = list(iter_solutions(rows, sets, modulus, distinct=distinct))
+    assert got == _brute_force_solutions(rows, sets, modulus, distinct)
