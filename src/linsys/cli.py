@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -75,6 +76,11 @@ def _load_system(name_or_path: str) -> ZSystem:
 
 
 def _jsonable(obj: Any) -> Any:
+    # leaves first: reports carry tens of thousands of them
+    if isinstance(obj, (str, bool, int)) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None  # JSON has no inf or nan
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
@@ -83,10 +89,6 @@ def _jsonable(obj: Any) -> Any:
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator, "value": float(obj)}
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None  # JSON has no inf or nan
     return str(obj)
 
 
@@ -330,6 +332,8 @@ def _gate_exact(report: dict[str, Any], checks: list[tuple[str, bool]], key: str
 
 
 def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if cfg.n is not None and cfg.n < 1:
+        raise ValueError("dimension must be >= 1")
     s = _load_system(args.system)
     p = cfg.p
     t = reduce_mod_p(s, p)
@@ -411,7 +415,10 @@ def cmd_selftest(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process: parse_args leaves it
+    unchanged and returns a fresh namespace each call."""
     ap = argparse.ArgumentParser(
         prog="linsys",
         description="Bounds, reductions, constructions and brute-force checks "
@@ -491,8 +498,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="path or built-in name (default SW)")
     sp.add_argument("--kind", choices=("strong", "weak"), required=True)
     sp.add_argument("--node-budget", type=int, default=None,
-                    help="sets the search may visit before it stops with exhaustive: false "
-                         f"(default {DEFAULT_NODE_BUDGET})")
+                    help="sets the search may visit before it stops with exhaustive: false, "
+                         f"at least 1 (default {DEFAULT_NODE_BUDGET})")
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("verify", help="check a point set or matching file")

@@ -2,9 +2,13 @@
 
 Counting is a coordinate-by-coordinate convolution over the squared-norm
 distribution, so the largest norm class can be located exactly even when
-the box itself is far too big to enumerate.  Materialization is a
-separate, guarded step: a lexicographic depth-first walk that prunes on
-the achievable squared-norm range of the remaining coordinates.
+the box itself is far too big to enumerate.  The counts reach (k+1)^n, so
+they are held in int64 limbs, each as wide as the sum of k+1 of them
+allows, with carries propagated once per coordinate.  Materialization is
+a separate, guarded step: a level-by-level walk in numpy that extends
+only the prefixes whose remaining squared norm the other coordinates can
+still reach, so it meets no dead ends and yields the class in
+lexicographic order.
 
 On a sphere no integer solutions of a dominant equation exist except the
 constant ones (strict convexity of the Euclidean norm), which is what
@@ -22,7 +26,7 @@ import numpy as np
 
 from .eqsys import ZSystem
 from .errors import GuardExceeded
-from .oracle import Point, PointSet, iter_solutions
+from .oracle import Point, PointSet, integer_rows, iter_solutions, lex_leads
 
 MATERIALIZE_GUARD = 2**24
 
@@ -45,19 +49,31 @@ class NormClassTable:
 
 @dataclass(frozen=True)
 class SphereSet:
+    """Points of {0..k}^n on the sphere of squared radius ``radius_sq``,
+    sorted.  ``points`` may also be given as an integer array of rows; it
+    is stored as a tuple of tuples either way."""
+
     n: int
     k: int
     radius_sq: int
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(sorted(tuple(pt) for pt in self.points))
-        object.__setattr__(self, "points", pts)
-        for pt in pts:
-            if len(pt) != self.n or any(c < 0 or c > self.k for c in pt):
-                raise ValueError("points must lie in the box")
-            if sum(c * c for c in pt) != self.radius_sq:
-                raise ValueError("point off the sphere")
+        pts = self.points
+        if not isinstance(pts, (tuple, np.ndarray)):
+            pts = tuple(pts)
+        arr = integer_rows(pts, self.n)
+        if arr is None or (arr.size and (arr.min() < 0 or arr.max() > self.k)):
+            raise ValueError("points must lie in the box")
+        wide = arr.astype(object) if self.n * self.k ** 2 >= 2**63 else arr  # exact norms
+        if ((wide * wide).sum(axis=1) != self.radius_sq).any():
+            raise ValueError("point off the sphere")
+        in_order = bool((lex_leads(arr) >= 0).all())
+        if in_order and isinstance(pts, tuple) and set(map(type, pts)) <= {tuple}:
+            return  # already sorted tuples: keep them
+        if not in_order:
+            arr = arr[np.lexsort(arr.T[::-1])]
+        object.__setattr__(self, "points", _tuples(arr))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -68,22 +84,43 @@ class SphereSet:
 
 def norm_class_counts(n: int, k: int) -> NormClassTable:
     """Exact counts by n-fold convolution of the one-coordinate squared
-    values {0², 1², …, k²}: each coordinate adds the k+1 shifted copies of
-    the running census, held as Python integers in a numpy object array."""
+    values {0², 1², …, k²}.  The first two coordinates are one bincount of
+    the (k+1)² pairwise sums; each further coordinate adds the k+1 shifted
+    copies of the running census.  A count below (k+1)^i after i
+    coordinates is held in int64 limbs of 62 - bit_length(k+1) bits, so
+    k+1 of them add without overflow; only the limbs in use are touched,
+    carries are propagated once per coordinate, and the Python integers
+    are built once at the end.
+    """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    acc = np.zeros(n * k * k + 1, dtype=object)
-    acc[0] = 1
-    top = 0  # largest squared norm reached so far
-    for _ in range(n):
-        nxt = np.zeros_like(acc)
-        for v in range(k + 1):
-            nxt[v * v:v * v + top + 1] += acc[:top + 1]
-        acc = nxt
-        top += k * k
-    acc[0] -= 1
-    acc[top] -= 1
-    counts = {q: c for q, c in enumerate(acc.tolist()) if c > 0}
+    kk = k * k
+    bits = 62 - (k + 1).bit_length()
+    mask = (1 << bits) - 1
+    squares = np.arange(k + 1, dtype=np.int64) ** 2
+    acc = np.zeros((-(-((k + 1) ** n).bit_length() // bits), n * kk + 1), dtype=np.int64)
+    nxt = np.empty_like(acc)  # each step zeroes the part it writes
+    # (k+1)² fits one limb for any k whose table could be allocated at all
+    acc[0, :2 * kk + 1] = np.bincount((squares[:, None] + squares).ravel())
+    top, used, reach = 2 * kk, 1, (k + 1) ** 2  # largest norm, limbs in use, (k+1)^i
+    for _ in range(n - 2):
+        reach *= k + 1
+        grown = -(-reach.bit_length() // bits)
+        width, span = top + 1, top + 1 + kk
+        nxt[:grown, :span] = 0
+        for sq in squares.tolist():
+            nxt[:used, sq:sq + width] += acc[:used, :width]
+        for j in range(grown - 1):
+            nxt[j + 1, :span] += nxt[j, :span] >> bits
+            nxt[j, :span] &= mask
+        acc, nxt = nxt, acc
+        used, top = grown, top + kk
+    vals = acc[used - 1].tolist()
+    for j in range(used - 2, -1, -1):
+        vals = [hi << bits | lo for hi, lo in zip(vals, acc[j].tolist())]
+    vals[0] -= 1
+    vals[top] -= 1
+    counts = {q: c for q, c in enumerate(vals) if c > 0}
     return NormClassTable(n, k, counts)
 
 
@@ -92,30 +129,59 @@ def pigeonhole_bound(n: int, k: int) -> Fraction:
     return Fraction((k + 1) ** n, n * k * k)
 
 
-def _materialize(n: int, k: int, target: int) -> tuple[Point, ...]:
+def _materialize(n: int, k: int, target: int) -> np.ndarray:
+    """The points of {0..k}^n with squared norm ``target``, the origin and
+    the corner (k,…,k) left out, in lexicographic order.
+
+    reach[i, s] says that i < n coordinates can have squares summing to
+    s.  Coordinate by coordinate, each prefix keeps the values v whose
+    remainder target - (prefix norm) - v² the coordinates after it can
+    reach; np.nonzero over the (prefix, v) mask lists the extensions
+    prefix by prefix and v ascending, so every level stays sorted and
+    every prefix completes.  The points, one row each, are rebuilt from
+    the per-level (prefix, value) arrays.
+    """
+    if not 0 < target < n * k * k:  # norm 0 and n k² hold only the two left-out corners
+        return np.zeros((0, n), dtype=np.int64)
+    squares = np.arange(k + 1) ** 2
+    fitting = squares[squares <= target]
+    reach = np.zeros((n, target + 1), dtype=bool)
+    reach[0, 0] = True
+    reach[1, fitting] = True
+    for i in range(2, n):
+        for sq in fitting.tolist():
+            reach[i, sq:] |= reach[i - 1, :target + 1 - sq]
+    rest = np.array([target])  # squared norm still to place, per prefix
+    parents, values = [], []
+    for i in range(n):
+        left = rest[:, None] - squares
+        ok = left >= 0
+        ok[ok] = reach[n - 1 - i, left[ok]]
+        prefix, v = np.nonzero(ok)
+        parents.append(prefix)
+        values.append(v)
+        rest = left[prefix, v]
+    pts = np.empty((len(rest), n), dtype=np.int64)
+    at = np.arange(len(rest))
+    for i in range(n - 1, -1, -1):
+        pts[:, i] = values[i][at]
+        at = parents[i][at]
+    return pts
+
+
+def _tuples(arr: np.ndarray) -> tuple[Point, ...]:
+    """Rows as tuples of Python ints, built a chunk at a time so that no
+    list of lists for the whole array is ever alive."""
     out: list[Point] = []
-    prefix: list[int] = []
-
-    def rec(i: int, remaining: int) -> None:
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        room = (n - i) * k * k
-        if remaining < 0 or remaining > room:
-            return
-        for v in range(k + 1):
-            prefix.append(v)
-            rec(i + 1, remaining - v * v)
-            prefix.pop()
-
-    rec(0, target)
-    corner = (k,) * n
-    return tuple(pt for pt in out if pt != corner and any(pt))
+    for start in range(0, len(arr), 4096):
+        out.extend(map(tuple, arr[start:start + 4096].tolist()))
+    return tuple(out)
 
 
 def best_sphere_set(n: int, k: int) -> SphereSet:
-    """Materialize the largest norm class (smallest norm on ties).
+    """Materialize the largest norm class (smallest norm on ties) by the
+    reach-guided walk of _materialize: numpy work O(n k r²) for the reach
+    table of squared radius r², then O(n · class size) for the points.
 
     Enumeration is guarded at (k+1)^n <= 2^24; the counts themselves stay
     available through norm_class_counts for any size.

@@ -45,9 +45,36 @@ DEFAULT_NODE_BUDGET = 2_000_000
 Point = tuple[int, ...]
 
 
+def integer_rows(points: Sequence[Point], n: int) -> Optional[np.ndarray]:
+    """The points as an (len(points), n) int64 array, or None when some
+    point is not n integers that fit in int64."""
+    try:
+        arr = np.asarray(points) if len(points) else np.zeros((0, n), dtype=np.int64)
+    except (ValueError, OverflowError):  # ragged rows
+        return None
+    if arr.dtype.kind != "i" or arr.shape != (len(points), n):
+        return None
+    return arr.astype(np.int64, copy=False)
+
+
+def lex_leads(arr: np.ndarray) -> np.ndarray:
+    """Per pair of consecutive rows, the first nonzero entry of their
+    difference (0 for equal rows): all > 0 means strictly increasing in
+    lexicographic order, all >= 0 means sorted."""
+    if len(arr) < 2:
+        return np.zeros(0, dtype=np.int64)
+    diff = arr[1:] - arr[:-1]
+    return diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
+
+
 @dataclass(frozen=True)
 class PointSet:
-    """A canonical subset of F_p^n: entries reduced mod p, sorted, deduped."""
+    """A canonical subset of F_p^n: entries reduced mod p, sorted, deduped.
+
+    A tuple of n-tuples that is already canonical (entries in [0, p),
+    strictly increasing) is checked with numpy and kept as it is; any
+    other input is normalised point by point.
+    """
 
     p: int
     n: int
@@ -58,11 +85,21 @@ class PointSet:
             raise ValueError(f"p={self.p} is not prime")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
+        if self._canonical():
+            return
         norm = sorted({tuple(c % self.p for c in pt) for pt in self.points})
         for pt in norm:
             if len(pt) != self.n:
                 raise ValueError("point dimension mismatch")
         object.__setattr__(self, "points", tuple(norm))
+
+    def _canonical(self) -> bool:
+        pts = self.points
+        if type(pts) is not tuple or not set(map(type, pts)) <= {tuple}:
+            return False
+        arr = integer_rows(pts, self.n)
+        return (arr is not None and (not arr.size or (arr.min() >= 0 and arr.max() < self.p))
+                and bool((lex_leads(arr) > 0).all()))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -393,6 +430,8 @@ def _index_point(i: int, p: int, n: int) -> Point:
 def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]) -> SearchResult:
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    if node_budget is not None and node_budget < 1:
+        raise ValueError("node budget must be >= 1")
     p = t.p
     if weak and p**n < t.r:
         # fewer points than positions: no tuple can have r distinct entries
@@ -436,7 +475,7 @@ def max_strongly_free(t: FpSystem, n: int, workers: Optional[int] = None, node_b
     """Maximum size of a strongly free subset of F_p^n with the
     lexicographically least maximum witness.
 
-    The search visits at most ``node_budget`` sets (default
+    The search visits at most ``node_budget`` >= 1 sets (default
     DEFAULT_NODE_BUDGET); when it stops early the result is the best set
     found, with exhaustive=False.  ``workers`` is accepted and ignored: the
     search is one deterministic depth-first pass.

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import linsys.bounds
 import linsys.dominance
 import linsys.oracle
-from linsys.cli import main
+from linsys.cli import _build_parser, main
 from linsys.eqsys import reduce_mod_p
 from linsys.oracle import PointSet, is_strongly_free
 from linsys.systems import builtin
@@ -179,10 +179,26 @@ def test_reduce_stuck_system_notes(capsys):
 
 
 def test_reduce_exhaustive_past_the_reduction_cap_is_one_line(capsys, monkeypatch):
+    # STAR11 takes 2,058 reductions, 2,047 of them at its first step
     monkeypatch.setattr(linsys.dominance, "EXHAUSTIVE_REDUCTION_CAP", 1000)
-    code, out, err = run(capsys, "reduce", "--system", "STAR7", "--strategy", "exhaustive")
+    code, out, err = run(capsys, "reduce", "--system", "STAR11", "--strategy", "exhaustive")
     assert code == 1 and out == ""
-    assert err == "error: exhaustive reduction stopped after 1000 reductions\n"
+    assert err == ("error: exhaustive reduction would exceed 1000 reductions: "
+                   "its first step alone has 2047 subsets\n")
+    # S1 has no terminating chain; its 24 reductions all go to the failed caps
+    monkeypatch.setattr(linsys.dominance, "EXHAUSTIVE_REDUCTION_CAP", 20)
+    code, out, err = run(capsys, "reduce", "--system", "S1", "--strategy", "exhaustive")
+    assert code == 1 and out == ""
+    assert err == "error: exhaustive reduction stopped after 20 reductions\n"
+
+
+def test_reduce_exhaustive_star17_is_refused_at_once(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "reduce", "--system", "STAR17", "--strategy", "exhaustive")
+    assert time.monotonic() - start < 1
+    assert code == 1 and out == ""
+    assert err == ("error: exhaustive reduction would exceed 100000 reductions: "
+                   "its first step alone has 131071 subsets\n")
 
 
 def test_lower_bound_s3(capsys):
@@ -241,6 +257,14 @@ def test_search_node_budget_bounds_a_large_space(capsys):
     witness = [tuple(int(c) for c in pt.split(",")) for pt in rep["witness"]]
     t = reduce_mod_p(builtin("S3AP"), 3)
     assert len(witness) == rep["value"] and is_strongly_free(t, PointSet(3, 5, tuple(witness)))
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_search_rejects_a_budget_below_one(capsys, budget):
+    code, out, err = run(capsys, "search", "--kind", "strong", "--system", "S3AP",
+                         "--p", "3", "--n", "1", "--node-budget", budget)
+    assert code == 1 and out == ""
+    assert err == "error: node budget must be >= 1\n"
 
 
 def test_search_past_the_compile_guard_is_input_error(capsys):
@@ -361,6 +385,13 @@ def test_upper_computes_its_allocation_once(capsys, monkeypatch):
     assert any("r1/2 + r2/e > L fails" in w for w in rep["warnings"])
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_certify_rejects_a_dimension_below_one(capsys, n):
+    code, out, err = run(capsys, "certify", "--system", "S3AP", "--p", "5", "--n", n)
+    assert code == 1 and out == ""
+    assert err == "error: dimension must be >= 1\n"
+
+
 def test_certify_spp_reports_notes_only(capsys):
     code, rep, err = run_json(capsys, "certify", "--system", "SPP", "--p", "3")
     assert code == 0 and rep["verified"] is True
@@ -467,3 +498,22 @@ def test_text_format_is_key_value(capsys):
     assert code == 0
     assert out.startswith("holds: True")
     assert "margin:" in out
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_back_to_back_runs_share_no_values(capsys):
+    # the cached parser hands every run fresh defaults
+    code, rep, _ = run_json(capsys, "lower-bound", "--system", "S3", "--p", "7", "--epsilon", "1/8")
+    assert code == 0 and rep["strong"]["epsilon"]["den"] == 8
+    code, rep, _ = run_json(capsys, "search", "--kind", "strong", "--system", "S3AP",
+                            "--p", "3", "--n", "2", "--node-budget", "3")
+    assert code == 0 and rep["nodes_explored"] == 3
+    code, rep, _ = run_json(capsys, "lower-bound", "--system", "S3", "--p", "7")
+    assert code == 0 and rep["strong"]["epsilon"]["den"] == 16
+    code, rep, _ = run_json(capsys, "search", "--kind", "strong", "--system", "S3AP", "--p", "3", "--n", "2")
+    assert code == 0 and rep["exhaustive"] is True and rep["value"] == 4
+    code, out, _ = run(capsys, "star", "--r1", "3", "--r2", "2", "--L", "2")
+    assert code == 0 and out.startswith("holds: True")  # text format again

@@ -112,13 +112,50 @@ def test_exhaustive_is_worker_count_invariant(workers):
     ]
 
 
+def _counted_reductions(monkeypatch):
+    calls = []
+    real = dominance._reduce_detailed
+    monkeypatch.setattr(dominance, "_reduce_detailed", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 def test_exhaustive_guard(monkeypatch):
-    # STAR7 takes 2,059 reductions
+    # STAR11 takes 2,058 reductions: 11 to find b* = 2, then the 2,047
+    # subsets of its first step, which are refused before any is reduced
     monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 1000)
-    with pytest.raises(GuardExceeded, match="1000 reductions"):
-        reduction_sequence(builtin("STAR7"), "exhaustive")
-    monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 2059)
-    assert reduction_sequence(builtin("STAR7"), "exhaustive").b_tilde == 2
+    calls = _counted_reductions(monkeypatch)
+    with pytest.raises(GuardExceeded, match="would exceed 1000 reductions"):
+        reduction_sequence(builtin("STAR11"), "exhaustive")
+    assert len(calls) == 11
+    monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 2057)
+    with pytest.raises(GuardExceeded, match="first step alone has 2047 subsets"):
+        reduction_sequence(builtin("STAR11"), "exhaustive")
+    monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 2058)
+    assert reduction_sequence(builtin("STAR11"), "exhaustive").b_tilde == 2
+    # a search that fails at every cap runs into the cap on the way
+    monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 23)
+    with pytest.raises(GuardExceeded, match="stopped after 23 reductions"):
+        reduction_sequence(builtin("S1"), "exhaustive")
+    monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 24)
+    assert reduction_sequence(builtin("S1"), "exhaustive") is None
+
+
+def test_exhaustive_star17_is_refused_up_front(monkeypatch):
+    calls = _counted_reductions(monkeypatch)
+    with pytest.raises(GuardExceeded, match="131071 subsets"):
+        reduction_sequence(builtin("STAR17"), "exhaustive")
+    assert len(calls) == 17
+
+
+@pytest.mark.parametrize("k, reductions", [(8, 263), (9, 520), (10, 1033), (11, 2058), (12, 4107)])
+def test_exhaustive_star_pins(monkeypatch, k, reductions):
+    # k single steps find b* = 2; deepening then reduces the 2^k - 1
+    # subsets of the first step, of which all k equations at once is the
+    # only one that terminates
+    calls = _counted_reductions(monkeypatch)
+    tr = reduction_sequence(builtin(f"STAR{k}"), "exhaustive")
+    assert (tr.b_tilde, len(tr.steps), len(calls)) == (2, 1, reductions)
+    assert tr.steps[0].subsystem == tuple(range(k))
 
 
 # (b~, steps, subsystems) of the exhaustive trace, frozen from the

@@ -1,12 +1,17 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linsys.errors import GuardExceeded
 from linsys.eqsys import parse_system, reduce_mod_p
 from linsys.lattice import (
     SphereSet,
+    _materialize,
     best_sphere_set,
     embed_mod_p,
     norm_class_counts,
@@ -14,7 +19,7 @@ from linsys.lattice import (
     smallest_valid_dimension,
     verify_construction,
 )
-from linsys.oracle import is_strongly_free
+from linsys.oracle import PointSet, is_strongly_free
 from linsys.systems import builtin
 
 
@@ -33,6 +38,72 @@ def test_norm_class_counts_match_enumeration():
             q = sum(c * c for c in pt)
             census[q] = census.get(q, 0) + 1
         assert norm_class_counts(n, k).counts == census
+
+
+def _box_census(n, k):
+    """Squared norm -> points of {0..k}^n, in lexicographic order, the
+    origin and the corner (k,…,k) left out."""
+    classes: dict[int, list] = {}
+    for pt in itertools.product(range(k + 1), repeat=n):
+        if pt != (0,) * n and pt != (k,) * n:
+            classes.setdefault(sum(c * c for c in pt), []).append(pt)
+    return classes
+
+
+@st.composite
+def small_boxes(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=70).filter(lambda k: (k + 1) ** n <= 5000))
+    return n, k, draw(st.integers(min_value=-1, max_value=n * k * k + 1))
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_boxes())
+def test_census_and_classes_match_the_box(box):
+    n, k, target = box
+    classes = _box_census(n, k)
+    assert norm_class_counts(n, k).counts == {q: len(pts) for q, pts in classes.items()}
+    assert list(map(tuple, _materialize(n, k, target).tolist())) == classes.get(target, [])
+
+
+def _dict_census(n, k):
+    """The convolution on Python ints, one dict entry per norm."""
+    acc = {0: 1}
+    for _ in range(n):
+        nxt: Counter = Counter()
+        for q, c in acc.items():
+            for v in range(k + 1):
+                nxt[q + v * v] += c
+        acc = nxt
+    acc[0] -= 1
+    acc[n * k * k] -= 1
+    return {q: c for q, c in acc.items() if c > 0}
+
+
+# limbs hold 62 - bit_length(k+1) bits: 60 for k = 1, 59 for k = 3 and 58
+# for k = 10, so (k+1)^n needs a second limb at n = 60, 30 and 17 and a
+# third at n = 120, 59 and 34
+@pytest.mark.parametrize("n, k", [(59, 1), (60, 1), (61, 1), (119, 1), (120, 1),
+                                  (29, 3), (30, 3), (58, 3), (59, 3),
+                                  (16, 10), (17, 10), (33, 10), (34, 10)])
+def test_census_across_limb_boundaries(n, k):
+    assert norm_class_counts(n, k).counts == _dict_census(n, k)
+
+
+def test_census_pins():
+    table = norm_class_counts(2, 44)
+    assert table.counts == {q: len(pts) for q, pts in _box_census(2, 44).items()}
+    assert table.best() == (1105, 8)
+    table = norm_class_counts(2, 1000)
+    assert table.best() == (801125, 32)
+    assert (len(table.counts), sum(table.counts.values())) == (299847, 1001**2 - 2)
+    assert table.counts[1] == 2 and table.counts[999**2 + 1000**2] == 2
+    best_norm, best_count = norm_class_counts(200, 10).best()
+    assert best_norm == 6989
+    assert best_count == int(
+        "16304550801684439217385530430434331862096062003165744575729150840452151039036841170376"
+        "015739962285689397194871300817391350887946711037332004878988846619876601396853538502083"
+        "873130359881196720637416083106400")
 
 
 def test_best_class_tie_breaks_to_smaller_norm():
@@ -81,9 +152,54 @@ def test_sphere_set_validation():
         SphereSet(2, 1, 1, ((0, 2),))        # outside the box
     with pytest.raises(ValueError):
         SphereSet(2, 1, 1, ((1, 1),))        # norm 2, not 1
-    # construction sorts and freezes
+    with pytest.raises(ValueError):
+        SphereSet(2, 1, 1, ((0, -1),))       # negative entry
+    with pytest.raises(ValueError):
+        SphereSet(2, 1, 1, ((0, 1, 0),))     # wrong dimension
+    with pytest.raises(ValueError):
+        SphereSet(2, 1, 1, ((0, 1), (1,)))   # ragged
+    with pytest.raises(ValueError):
+        SphereSet(3, 2, 5, np.array([[0, 1, 2], [2, 2, 2]]))  # off the sphere, as an array
+    # construction sorts and freezes; duplicates stay, as before
     y = SphereSet(2, 1, 1, ((1, 0), (0, 1)))
     assert y.points == ((0, 1), (1, 0))
+    assert SphereSet(2, 1, 1, [[1, 0], (0, 1), (1, 0)]).points == ((0, 1), (1, 0), (1, 0))
+    # an array of rows is stored as tuples of Python ints
+    y = SphereSet(3, 2, 5, np.array([[2, 1, 0], [0, 1, 2]]))
+    assert y.points == ((0, 1, 2), (2, 1, 0)) and type(y.points[0][0]) is int
+    # sorted tuples are kept as they are
+    pts = ((0, 1, 2), (0, 2, 1))
+    assert SphereSet(3, 2, 5, pts).points is pts
+
+
+def test_point_set_canonical_input_is_kept():
+    pts = ((0, 1), (0, 2), (4, 0))
+    assert PointSet(5, 2, pts).points is pts
+    y = best_sphere_set(3, 2)
+    assert embed_mod_p(y, 7).points is y.points
+
+
+@pytest.mark.parametrize("points, expected", [
+    (((0, 2), (0, 1)), ((0, 1), (0, 2))),                 # unsorted
+    (((0, 1), (0, 1), (1, 1)), ((0, 1), (1, 1))),         # duplicated
+    (((-1, 0), (0, 1)), ((0, 1), (4, 0))),                # negative
+    (((5, 7), (0, 2)), ((0, 2),)),                        # >= p, equal mod p
+    (([0, 1], [1, 0]), ((0, 1), (1, 0))),                 # lists, not tuples
+    ([(0, 1), (1, 0)], ((0, 1), (1, 0))),                 # a list, not a tuple
+    (((0, 2**70 * 5 + 1),), ((0, 1),)),                   # past int64
+])
+def test_point_set_canonicalises_as_before(points, expected):
+    a = PointSet(5, 2, points)
+    assert a.points == expected
+    assert a.points == tuple(sorted({tuple(c % 5 for c in pt) for pt in points}))
+    assert all(type(pt) is tuple for pt in a.points)
+
+
+def test_point_set_still_checks_dimensions():
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        PointSet(5, 2, ((0, 1), (0, 1, 2)))
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        PointSet(5, 2, ((0, 1, 2),))
 
 
 def test_embed_mod_p():
