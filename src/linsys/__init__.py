@@ -16,26 +16,18 @@ from .bounds import (
 )
 from .dominance import (
     Dominance,
-    DominanceReport,
     LowerBoundReport,
     ReductionStep,
     ReductionTrace,
-    StandardForm,
     dominance_of,
-    dominant_reduce,
-    dominant_subsystems,
     lower_bound_strong,
     lower_bound_weak,
     reduction_sequence,
-    render_standard,
-    standard_form,
 )
 from .eqsys import (
     FpSystem,
     ZEquation,
     ZSystem,
-    is_balanced,
-    lift_centered,
     parse_system,
     reduce_mod_p,
     render_system,
@@ -57,8 +49,6 @@ from .oracle import (
     PointSet,
     SearchResult,
     build_colored_subcollection,
-    classify_semishape_W,
-    enumerate_semishapes,
     extendable_pairs,
     is_multicolored_free,
     is_strongly_free,
@@ -84,19 +74,16 @@ __all__ = [
     "BoundReport", "bound_small_p", "c_tilde", "count_theta",
     "g_value", "lambda_min", "optimize_allocation", "parallelogram_upper",
     "star_inequality", "upper_bound_strong", "wshape_upper",
-    "Dominance", "DominanceReport", "LowerBoundReport", "ReductionStep",
-    "ReductionTrace", "StandardForm", "dominance_of", "dominant_reduce",
-    "dominant_subsystems", "lower_bound_strong", "lower_bound_weak",
-    "reduction_sequence", "render_standard", "standard_form",
-    "FpSystem", "ZEquation", "ZSystem", "is_balanced", "lift_centered",
+    "Dominance", "LowerBoundReport", "ReductionStep", "ReductionTrace",
+    "dominance_of", "lower_bound_strong", "lower_bound_weak", "reduction_sequence",
+    "FpSystem", "ZEquation", "ZSystem",
     "parse_system", "reduce_mod_p", "render_system", "subsystem",
     "GuardExceeded", "ParseError",
     "NormClassTable", "SphereSet", "best_sphere_set", "embed_mod_p",
     "norm_class_counts", "pigeonhole_bound", "smallest_valid_dimension",
     "verify_construction",
     "Matching", "PointSet", "SearchResult", "build_colored_subcollection",
-    "classify_semishape_W", "enumerate_semishapes", "extendable_pairs",
-    "is_multicolored_free", "is_strongly_free", "is_weakly_free",
+    "extendable_pairs", "is_multicolored_free", "is_strongly_free", "is_weakly_free",
     "iter_solutions", "max_strongly_free", "max_weakly_free", "space_points",
     "SystemHypergraph", "SystemParameters", "build_hypergraph",
     "hypergraph_report", "is_irreducible", "parameters",

@@ -150,19 +150,19 @@ def criterion_05(**_) -> CriterionResult:
 
 # -- 6 ----------------------------------------------------------------------
 
-def _run_c6(workers: int):
+def _run_c6():
     out = []
     for p in (3, 5):
         t = reduce_mod_p(builtin("SW"), p)
         for n in (1, 2):
-            res = max_strongly_free(t, n, workers=workers)
+            res = max_strongly_free(t, n)
             out.append((p, n, res.value, res.witness.points, res.exhaustive))
     return out
 
 
-def criterion_06(workers: int = 1, **_) -> CriterionResult:
+def criterion_06(**_) -> CriterionResult:
     def body() -> str:
-        for p, n, value, witness, exhaustive in _run_c6(workers):
+        for p, n, value, witness, exhaustive in _run_c6():
             assert exhaustive, f"search p={p} n={n} not exhaustive"
             assert value == 1, f"max strongly free for W system p={p} n={n}: {value} != 1"
             assert witness == (((0,) * n),), f"witness {witness}"
@@ -173,17 +173,17 @@ def criterion_06(workers: int = 1, **_) -> CriterionResult:
 
 # -- 7 ----------------------------------------------------------------------
 
-def _run_c7(workers: int):
+def _run_c7():
     t = reduce_mod_p(builtin("S3AP"), 3)
-    return [(n, max_strongly_free(t, n, workers=workers)) for n in (1, 2)]
+    return [(n, max_strongly_free(t, n)) for n in (1, 2)]
 
 
-def criterion_07(workers: int = 1, **_) -> CriterionResult:
+def criterion_07(**_) -> CriterionResult:
     def body() -> str:
         lam = bounds.lambda_min(1, 1 / 3, 2).value
         expected = {1: 2, 2: 4}  # frozen: exhaustive search over F_3 and F_3^2
         outs = []
-        for n, res in _run_c7(workers):
+        for n, res in _run_c7():
             assert res.exhaustive
             assert res.value == expected[n], f"n={n}: {res.value} != {expected[n]}"
             assert res.value <= lam**n, f"n={n}: {res.value} > {lam**n:.4f}"
@@ -351,16 +351,12 @@ def criterion_12(seed: int = 20260815, **_) -> CriterionResult:
 
 def criterion_13(seed: int = 20260815, **_) -> CriterionResult:
     def body() -> str:
-        runs6 = [_run_c6(w) for w in (1, 4, 8)]
-        assert runs6[0] == runs6[1] == runs6[2], "criterion 6 results differ across workers"
-        runs7 = [[(n, r.value, r.witness.points) for n, r in _run_c7(w)] for w in (1, 4, 8)]
-        assert runs7[0] == runs7[1] == runs7[2], "criterion 7 results differ across workers"
-        a = _run_c12(seed)
-        b = _run_c12(seed)
-        assert a == b, "criterion 12 outputs differ between repeated runs"
-        return "criteria 6, 7, 12 reproduce identical values and witnesses (workers 1/4/8)"
+        assert _run_c6() == _run_c6(), "criterion 6 results differ between repeated runs"
+        assert _run_c7() == _run_c7(), "criterion 7 results differ between repeated runs"
+        assert _run_c12(seed) == _run_c12(seed), "criterion 12 outputs differ between repeated runs"
+        return "criteria 6, 7, 12 reproduce identical values and witnesses on a repeated run"
 
-    return _checked(13, "schedule independence", body)
+    return _checked(13, "repeated-run determinism", body)
 
 
 ALL = (
@@ -370,10 +366,10 @@ ALL = (
 )
 
 
-def run_all(seed: int = 20260815, workers: int = 1, echo: Callable[[str], None] = print) -> list[CriterionResult]:
+def run_all(seed: int = 20260815, echo: Callable[[str], None] = print) -> list[CriterionResult]:
     results = []
     for fn in ALL:
-        res = fn(seed=seed, workers=workers)
+        res = fn(seed=seed)
         echo(res.line())
         results.append(res)
     return results

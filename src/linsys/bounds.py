@@ -31,9 +31,7 @@ therefore solve sum_i c_i*alpha_i(l) = L for l, by Newton steps again
 any exponent, and the group of least multiplicity takes what is left.
 
 Every report's ``value`` is a true evaluation of G at a feasible point, so
-it is automatically a valid upper bound for the corresponding infimum;
-``certified()`` adds the stored absolute tolerance on top for callers who
-want explicit upward rounding.
+it is automatically a valid upper bound for the corresponding infimum.
 """
 from __future__ import annotations
 
@@ -62,10 +60,6 @@ class BoundReport:
     optimizer: object          # u in (0,1], an (alpha, beta) pair, an allocation tuple, or None
     tolerance: float           # absolute slack: true optimum lies in [value - tolerance, value]
     method: str
-
-    def certified(self) -> float:
-        """Explicitly upward-rounded value (still a valid upper bound)."""
-        return self.value + self.tolerance
 
 
 def g_value(m: int, alpha, h: int, u: float) -> float:

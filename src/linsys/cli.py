@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 bad input (parse/validation), 2 a requested
-verification failed.  All subcommands print either JSON (--format json)
-or plain text with the same numbers; nothing is written anywhere except
-stdout/stderr and an optional --out file.
+Exit codes: 0 success, 1 bad input (usage, parse or validation), 2 a
+requested verification failed.  All subcommands print either JSON
+(--format json) or plain text with the same numbers; nothing is written
+anywhere except stdout/stderr and an optional --out file.
 """
 from __future__ import annotations
 
@@ -12,12 +12,11 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import bounds, structure
 from .acceptance import run_all
@@ -47,21 +46,21 @@ class VerificationFailure(Exception):
     """A requested check came out false; the CLI exits with code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad usage with ParseError, so that it exits 1 like any other
+    bad input instead of argparse's 2, the code of a failed verification."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 @dataclasses.dataclass
 class RunConfig:
     p: Optional[int] = None
     n: Optional[int] = None
     format: str = "text"
     seed: int = 20260815
-    workers: int = 1
     out: Optional[str] = None
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("LINSYS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_system(name_or_path: str) -> ZSystem:
@@ -222,9 +221,13 @@ def _trace_report(trace) -> dict[str, Any]:
     }
 
 
+def _p_at_most_b_tilde_note(p: int, b_tilde: int) -> str:
+    return f"p = {p} does not exceed b~ = {b_tilde}; no strong lower bound derived"
+
+
 def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
     s = _load_system(args.system)
-    trace = reduction_sequence(s, args.strategy, workers=cfg.workers)
+    trace = reduction_sequence(s, args.strategy)
     if trace is None:
         _emit({"initial": render_system(s), "terminated": False,
                "note": "no reduction sequence reaches the one-variable empty system"}, cfg)
@@ -248,13 +251,15 @@ def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_lower_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
     s = _load_system(args.system)
     report: dict[str, Any] = {"p": cfg.p}
-    trace = reduction_sequence(s, args.strategy, workers=cfg.workers)
-    if trace is not None and trace.terminated:
+    trace = reduction_sequence(s, args.strategy)
+    report["strong"] = None
+    if trace is None or not trace.terminated:
+        report["strong_note"] = "no terminating dominant reduction; no strong lower bound derived"
+    elif cfg.p <= trace.b_tilde:
+        report["strong_note"] = _p_at_most_b_tilde_note(cfg.p, trace.b_tilde)
+    else:
         strong = lower_bound_strong(trace, cfg.p, epsilon=Fraction(args.epsilon))
         report["strong"] = dataclasses.asdict(strong)
-    else:
-        report["strong"] = None
-        report["strong_note"] = "no terminating dominant reduction; no strong lower bound derived"
     weak = lower_bound_weak(s, cfg.p)
     if weak is not None:
         report["weak"] = dataclasses.asdict(weak)
@@ -319,9 +324,17 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _gate_exact(report: dict[str, Any], checks: list[tuple[str, bool]], key: str,
-                res: SearchResult, upper: float, name: str) -> None:
-    """Report an exact maximum and check it against ``upper``; a search cut
-    off by its node budget reports null and is not checked."""
+                search: Callable[[FpSystem, int], SearchResult], t: FpSystem, n: int,
+                upper: float, name: str) -> None:
+    """Report the exact maximum ``search(t, n)`` and check it against
+    ``upper``; a search refused by the compile guard or cut off by its node
+    budget reports null and is not checked."""
+    try:
+        res = search(t, n)
+    except GuardExceeded as exc:
+        report[key] = None
+        report[f"{key}_note"] = f"search refused: {exc}; not checked"
+        return
     if res.exhaustive:
         report[key] = res.value
         checks.append((name, res.value <= upper * (1 + 1e-9)))
@@ -348,13 +361,12 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
     }
     checks: list[tuple[str, bool]] = []
 
-    trace = reduction_sequence(s, "greedy", workers=cfg.workers)
+    trace = reduction_sequence(s, "greedy")
     if trace is not None and trace.terminated:
         report["reduction_steps"] = len(trace.steps)
         report["b_tilde"] = trace.b_tilde
         if p <= trace.b_tilde:
-            report["lower_strong_note"] = (f"p = {p} does not exceed b~ = {trace.b_tilde}; "
-                                           "no strong lower bound or sphere set derived")
+            report["lower_strong_note"] = _p_at_most_b_tilde_note(p, trace.b_tilde)
         else:
             strong_low = lower_bound_strong(trace, p, epsilon=Fraction(args.epsilon))
             report["lower_strong"] = dataclasses.asdict(strong_low)
@@ -382,7 +394,7 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
             upper = bounds.upper_bound_strong(t, cfg.n)
             report["upper_strong"] = upper
             if p ** cfg.n <= 81:
-                _gate_exact(report, checks, "exact_strong", max_strongly_free(t, cfg.n), upper,
+                _gate_exact(report, checks, "exact_strong", max_strongly_free, t, cfg.n, upper,
                             "exact strong maximum within upper bound")
                 if report.get("lower_strong"):
                     report["lower_strong_note"] = (
@@ -392,7 +404,7 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
             wupper = bounds.wshape_upper(p, cfg.n)
             report["upper_weak"] = wupper
             if p ** cfg.n <= 81:
-                _gate_exact(report, checks, "exact_weak", max_weakly_free(t, cfg.n), wupper,
+                _gate_exact(report, checks, "exact_weak", max_weakly_free, t, cfg.n, wupper,
                             "exact weak maximum within W-shape upper bound")
 
     report["checks"] = [{"name": name, "ok": ok} for name, ok in checks]
@@ -405,7 +417,7 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace, cfg: RunConfig) -> int:
-    results = run_all(seed=cfg.seed, workers=cfg.workers)
+    results = run_all(seed=cfg.seed)
     bad = [r for r in results if not r.ok]
     print(f"{len(results) - len(bad)}/{len(results)} criteria passed")
     if bad:
@@ -419,13 +431,13 @@ def cmd_selftest(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The whole parser, built once per process: parse_args leaves it
     unchanged and returns a fresh namespace each call."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="linsys",
         description="Bounds, reductions, constructions and brute-force checks "
                     "for solution-free sets of balanced linear systems over F_p^n.")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, p=False, n=False, system=False, workers=False):
+    def common(sp, p=False, n=False, system=False):
         sp.add_argument("--format", choices=("json", "text"), default="text")
         sp.add_argument("--out", help="also write the report to this file")
         if system:
@@ -436,9 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--p", type=int, required=True, help="prime modulus")
         if n:
             sp.add_argument("--n", type=int, required=True, help="dimension")
-        if workers:
-            sp.add_argument("--workers", type=int, default=None,
-                            help="accepted and ignored; everything runs on one thread")
 
     sp = sub.add_parser("analyze", help="hypergraph, parameters, star inequality")
     common(sp, system=True)
@@ -474,12 +483,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_upper)
 
     sp = sub.add_parser("reduce", help="dominant reduction trace")
-    common(sp, system=True, workers=True)
+    common(sp, system=True)
     sp.add_argument("--strategy", choices=("greedy", "exhaustive"), default="greedy")
     sp.set_defaults(func=cmd_reduce)
 
     sp = sub.add_parser("lower-bound", help="dominant lower-bound reports")
-    common(sp, p=True, system=True, workers=True)
+    common(sp, p=True, system=True)
     sp.add_argument("--epsilon", default="1/16", help="slack in the strong bound, a fraction in (0,1)")
     sp.add_argument("--strategy", choices=("greedy", "exhaustive"), default="greedy")
     sp.set_defaults(func=cmd_lower_bound)
@@ -493,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_behrend)
 
     sp = sub.add_parser("search", help="exact maximum free-set search at desk scale")
-    common(sp, p=True, n=True, workers=True)
+    common(sp, p=True, n=True)
     sp.add_argument("--system", default="SW",
                     help="path or built-in name (default SW)")
     sp.add_argument("--kind", choices=("strong", "weak"), required=True)
@@ -509,13 +518,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("certify", help="run the full chain and gate on verifications")
-    common(sp, p=True, system=True, workers=True)
+    common(sp, p=True, system=True)
     sp.add_argument("--n", type=int, help="dimension for bounds, searches and sphere sets")
     sp.add_argument("--epsilon", default="1/16")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("selftest", help="run the acceptance criteria")
-    common(sp, workers=True)
+    common(sp)
     sp.add_argument("--seed", type=int, default=20260815)
     sp.set_defaults(func=cmd_selftest)
 
@@ -523,16 +532,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        p=getattr(args, "p", None),
-        n=getattr(args, "n", None),
-        format=getattr(args, "format", "text"),
-        seed=getattr(args, "seed", 20260815),
-        workers=getattr(args, "workers", None) or _default_workers(),
-        out=getattr(args, "out", None),
-    )
     try:
+        args = _build_parser().parse_args(argv)
+        cfg = RunConfig(
+            p=getattr(args, "p", None),
+            n=getattr(args, "n", None),
+            format=getattr(args, "format", "text"),
+            seed=getattr(args, "seed", 20260815),
+            out=getattr(args, "out", None),
+        )
         return args.func(args, cfg)
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from typing import Optional
 from .arith import is_prime
 from .eqsys import ZEquation, ZSystem, subsystem
 from .errors import GuardExceeded
-from .structure import build_hypergraph, is_irreducible
+from .structure import build_hypergraph
 
 #: reductions the exhaustive strategy may perform (about 0.1 ms each)
 EXHAUSTIVE_REDUCTION_CAP = 100_000
@@ -36,23 +36,6 @@ class Dominance:
 
     indices: tuple[int, ...]
     coefficient: int
-
-
-@dataclass(frozen=True)
-class StandardForm:
-    """b'_j x_j = sum of b'_i x_i with all shown coefficients positive."""
-
-    index: int                              # 0-based dominant variable
-    coefficient: int                        # b'_j > 0
-    rhs: tuple[tuple[int, int], ...]        # ((position, coefficient), ...) ascending
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    table: tuple[Optional[Dominance], ...]
-    dominant_equations: tuple[int, ...]                     # 0-based equation indices
-    irreducible_subsystems: tuple[tuple[tuple[int, ...], int], ...]
-    subset_enumeration_complete: bool
 
 
 @dataclass(frozen=True)
@@ -114,65 +97,9 @@ def dominance_of(eq: ZEquation) -> Optional[Dominance]:
     return None
 
 
-def standard_form(eq: ZEquation) -> StandardForm:
-    """Standard form of a dominant equation; two-sided ties pick the
-    smaller index as the dominant variable."""
-    dom = dominance_of(eq)
-    if dom is None:
-        raise ValueError("equation is not dominant")
-    j = min(dom.indices)
-    sign = 1 if eq.coeffs[j] > 0 else -1
-    rhs = tuple((i, -sign * c) for i, c in enumerate(eq.coeffs) if i != j and c != 0)
-    sf = StandardForm(j, sign * eq.coeffs[j], rhs)
-    assert sf.coefficient == sum(c for _, c in sf.rhs), "balance lost in standard form"
-    return sf
-
-
-def render_standard(sf: StandardForm, names: tuple[str, ...]) -> str:
-    def term(i: int, c: int) -> str:
-        return names[i] if c == 1 else f"{c}{names[i]}"
-
-    right = " + ".join(term(i, c) for i, c in sf.rhs)
-    return f"{term(sf.index, sf.coefficient)} = {right}"
-
-
 def _subsets(indices: tuple[int, ...]):
     for size in range(1, len(indices) + 1):
         yield from itertools.combinations(indices, size)
-
-
-def dominant_subsystems(s: ZSystem) -> DominanceReport:
-    """Per-equation dominance table, the maximal dominant subsystem, and
-    which dominant subsystems are irreducible in the original r variables.
-
-    All nonempty subsets are inspected when at most 16 equations are
-    dominant; beyond that only singletons and the maximal subsystem are,
-    and the completeness flag turns off.
-    """
-    table = []
-    for eq in s.equations:
-        if not eq.is_balanced:
-            raise ValueError("system must be balanced")
-        table.append(dominance_of(eq))
-    dom = tuple(i for i, d in enumerate(table) if d is not None)
-    if not dom:
-        return DominanceReport(tuple(table), (), (), True)
-    complete = len(dom) <= 16
-    if complete:
-        candidates = list(_subsets(dom))
-    else:
-        candidates = [(i,) for i in dom]
-        if len(dom) > 1:
-            candidates.append(dom)
-    irreducible = []
-    for subset in candidates:
-        sub = subsystem(s, subset)
-        ok, _ = is_irreducible(build_hypergraph(sub))
-        if ok:
-            coeff = max(table[i].coefficient for i in subset)
-            irreducible.append((tuple(subset), coeff))
-    irreducible.sort(key=lambda t: (len(t[0]), t[0]))
-    return DominanceReport(tuple(table), dom, tuple(irreducible), complete)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +187,6 @@ def _reduce_detailed(s: ZSystem, sub: tuple[int, ...]) -> tuple[ZSystem, tuple[t
         assert len(nz) >= 2, "balanced equation collapsed to a single term"
         new_eqs.append(ZEquation(tuple(row)))
     return ZSystem(new_r, tuple(new_eqs), tuple(new_names)), tuple(merge_map), coefficient
-
-
-def dominant_reduce(s: ZSystem, sub: tuple[int, ...] | list[int]) -> ZSystem:
-    """Contract the connected components of the dominant subsystem ``sub``
-    (0-based equation indices) and drop the 0 = 0 rows that result."""
-    reduced, _, _ = _reduce_detailed(s, tuple(sub))
-    return reduced
 
 
 def _is_terminal(s: ZSystem) -> bool:
@@ -382,9 +302,7 @@ def _exhaustive_steps(s: ZSystem) -> Optional[tuple[ReductionStep, ...]]:
     return found[2]
 
 
-def reduction_sequence(
-    s: ZSystem, strategy: str = "greedy", workers: int = 1
-) -> Optional[ReductionTrace]:
+def reduction_sequence(s: ZSystem, strategy: str = "greedy") -> Optional[ReductionTrace]:
     """A sequence of dominant reductions ending at the one-variable empty
     system, or None when no such sequence exists.
 
@@ -394,7 +312,7 @@ def reduction_sequence(
     existence pass for b* and then iterative deepening on the number of
     steps.  It raises GuardExceeded after EXHAUSTIVE_REDUCTION_CAP
     reductions, or up front when the subsets of the first step alone
-    would pass that cap.  ``workers`` is accepted and ignored.
+    would pass that cap.
     """
     for eq in s.equations:
         if not eq.is_balanced:

@@ -284,11 +284,6 @@ def render_system(s: ZSystem | FpSystem) -> str:
 # ---------------------------------------------------------------------------
 # predicates and reductions
 
-def is_balanced(s: ZSystem) -> bool:
-    """True when every equation's coefficients sum to zero."""
-    return all(eq.is_balanced for eq in s.equations)
-
-
 def reduce_mod_p(s: ZSystem, p: int) -> FpSystem:
     """Least nonnegative residues of every coefficient; p must be prime."""
     if not is_prime(p):
@@ -301,19 +296,6 @@ def reduce_mod_p(s: ZSystem, p: int) -> FpSystem:
             if c != 0 and c % p == 0:
                 vanished.append((l, i))
     return FpSystem(p, s.r, tuple(rows), s.names, tuple(vanished))
-
-
-def lift_centered(t: FpSystem) -> ZSystem:
-    """Lift residues to the centered range (-p/2, p/2].
-
-    Only valid when no row vanished entirely mod p (an all-zero row is not
-    a legal ZEquation); reducing the lift mod p gives back ``t``.
-    """
-    eqs = []
-    for row in t.rows:
-        lifted = tuple(c if c <= t.p // 2 else c - t.p for c in row)
-        eqs.append(ZEquation(lifted))
-    return ZSystem(t.r, tuple(eqs), t.names)
 
 
 def subsystem(s: ZSystem, indices: tuple[int, ...] | list[int]) -> ZSystem:

@@ -298,14 +298,6 @@ def _dim_of(s) -> int:
     return 1
 
 
-def enumerate_semishapes(t: FpSystem, sets, limit: Optional[int] = None) -> Iterator[tuple[Point, ...]]:
-    """All solutions of t with x_i drawn from sets[i] (or one set for all
-    positions), in lexicographic order, optionally capped at ``limit``."""
-    cols = _as_point_lists(t, sets)
-    it = iter_solutions(t.rows, cols, t.p)
-    return itertools.islice(it, limit) if limit is not None else it
-
-
 def is_strongly_free(t: FpSystem, a) -> bool:
     """No solution within ``a`` except the constant ones."""
     cols = _as_point_lists(t, [a] * t.r if not isinstance(a, PointSet) else a)
@@ -471,19 +463,18 @@ def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]
     return SearchResult(len(best), witness, nodes, not truncated)
 
 
-def max_strongly_free(t: FpSystem, n: int, workers: Optional[int] = None, node_budget: Optional[int] = None) -> SearchResult:
+def max_strongly_free(t: FpSystem, n: int, node_budget: Optional[int] = None) -> SearchResult:
     """Maximum size of a strongly free subset of F_p^n with the
     lexicographically least maximum witness.
 
     The search visits at most ``node_budget`` >= 1 sets (default
     DEFAULT_NODE_BUDGET); when it stops early the result is the best set
-    found, with exhaustive=False.  ``workers`` is accepted and ignored: the
-    search is one deterministic depth-first pass.
+    found, with exhaustive=False.
     """
     return _search_max_free(t, n, weak=False, node_budget=node_budget)
 
 
-def max_weakly_free(t: FpSystem, n: int, workers: Optional[int] = None, node_budget: Optional[int] = None) -> SearchResult:
+def max_weakly_free(t: FpSystem, n: int, node_budget: Optional[int] = None) -> SearchResult:
     """Like max_strongly_free but forbidding only pairwise-distinct
     solutions; p^n < r short-circuits to the whole space."""
     return _search_max_free(t, n, weak=True, node_budget=node_budget)
@@ -499,44 +490,6 @@ def is_multicolored_free(t: FpSystem, m: Matching) -> bool:
     cols = [list(m.column(i)) for i in range(t.r)]
     found = set(iter_solutions(t.rows, cols, t.p))
     return found == set(m.rows)
-
-
-def classify_semishape_W(x: Sequence[Point], p: int) -> str:
-    """Class of a W-system solution by its coincidence structure.
-
-    The number of distinct entries determines the class: 5 distinct is
-    nondegenerate; 4 forces x1=x4 or x2=x5 (a 4-term progression with one
-    repeated label); 3 forces a 3-term progression configuration; 2 forces
-    x1=x3=x5, x2=x4; 1 is a constant.  (For p = 3 the extra coincidence
-    x1=x4, x2=x5 with three values occurs; it is still a 3-term
-    progression configuration, which is why classification goes by
-    coincidence count, not by a fixed label list.)
-    """
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    pts = [tuple(c % p for c in pt) for pt in x]
-    if len(pts) != 5:
-        raise ValueError("need a 5-tuple")
-    dim = len(pts[0])
-    if any(len(pt) != dim for pt in pts):
-        raise ValueError("point dimension mismatch")
-    for row in builtin("SW").coefficient_rows():
-        for d in range(dim):
-            if sum(c * pt[d] for c, pt in zip(row, pts)) % p:
-                raise ValueError("not a solution of the W system")
-    x1, x2, x3, x4, x5 = pts
-    k = len(set(pts))
-    if k == 1:
-        return "singleton"
-    if k == 2:
-        assert x1 == x3 == x5 and x2 == x4, "unexpected two-point labelling"
-        return "two-point"
-    if k == 3:
-        return "3AP"
-    if k == 4:
-        assert x1 == x4 or x2 == x5, "unexpected 4AP labelling"
-        return "4AP"
-    return "nondegenerate"
 
 
 def extendable_pairs(t: FpSystem, sets, i: int, j: int) -> set[tuple[Point, Point]]:

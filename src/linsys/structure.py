@@ -26,11 +26,6 @@ class SystemHypergraph:
     def L(self) -> int:
         return len(self.edges)
 
-    @property
-    def is_empty(self) -> bool:
-        """Flag for the degenerate no-equation system."""
-        return not self.edges
-
 
 @dataclass(frozen=True)
 class SystemParameters:

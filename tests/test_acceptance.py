@@ -38,11 +38,11 @@ def test_criterion_05_composition_count_envelope():
 
 
 def test_criterion_06_w_system_strong_maxima():
-    _check(acceptance.criterion_06, workers=1)
+    _check(acceptance.criterion_06)
 
 
 def test_criterion_07_progression_strong_maxima():
-    _check(acceptance.criterion_07, workers=1)
+    _check(acceptance.criterion_07)
 
 
 def test_criterion_08_reduction_trace_and_lower_bound():

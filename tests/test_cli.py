@@ -90,8 +90,22 @@ def test_lambda_subcommand(capsys):
 
 
 def test_lambda_missing_argument_exits(capsys):
-    with pytest.raises(SystemExit):
-        main(["lambda", "--m", "1", "--alpha", "0.5"])
+    code, out, err = run(capsys, "lambda", "--m", "1", "--alpha", "0.5")
+    assert code == 1 and out == ""
+    assert err == "error: the following arguments are required: --h\n"
+
+
+def test_usage_errors_exit_1_with_one_line(capsys):
+    code, out, err = run(capsys, "search", "--system", "S3AP", "--p", "3", "--n", "2",
+                         "--kind", "strong", "--threads", "2")
+    assert code == 1 and out == ""
+    assert err == "error: unrecognized arguments: --threads 2\n"
+    code, out, err = run(capsys, "upper", "--system", "SW", "--p", "three", "--n", "2")
+    assert code == 1 and err.startswith("error: argument --p: invalid int value")
+    assert err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda", "--help"])
+    assert exc.value.code == 0
     capsys.readouterr()
 
 
@@ -206,6 +220,16 @@ def test_lower_bound_s3(capsys):
     assert code == 0
     assert rep["strong"]["base"] == pytest.approx(1.875)
     assert rep["strong"]["floor_term"] == 2 and rep["strong"]["asymptotic"] is True
+    assert rep["weak"]["base"] == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("strategy, b_tilde", [("greedy", 4), ("exhaustive", 3)])
+def test_lower_bound_with_p_at_most_b_tilde_keeps_the_weak_base(capsys, strategy, b_tilde):
+    code, rep, err = run_json(capsys, "lower-bound", "--system", "S2", "--p", "3",
+                              "--strategy", strategy)
+    assert code == 0
+    assert rep["strong"] is None
+    assert rep["strong_note"] == f"p = 3 does not exceed b~ = {b_tilde}; no strong lower bound derived"
     assert rep["weak"]["base"] == pytest.approx(1.5)
 
 
@@ -358,6 +382,14 @@ def test_certify_with_p_at_most_b_tilde_omits_the_strong_bound(capsys):
     assert rep["lower_weak"]["b"] == 2
 
 
+def test_certify_skips_an_exact_search_refused_by_the_compile_guard(capsys):
+    code, rep, err = run_json(capsys, "certify", "--system", "STAR6", "--p", "5", "--n", "2")
+    assert code == 0 and rep["verified"] is True
+    assert rep["exact_strong"] is None and "exceeds the guard" in rep["exact_strong_note"]
+    assert rep["upper_strong"] > 0 and rep["lower_strong"]["b"] == 2
+    assert all("exact" not in c["name"] for c in rep["checks"])
+
+
 @pytest.mark.parametrize("name, p", [("S1", 19), ("S2", 5)])
 def test_upper_where_the_allocation_rounds_below_zero(capsys, name, p):
     code, rep, err = run_json(capsys, "upper", "--system", name, "--p", str(p), "--n", "4")
@@ -403,13 +435,11 @@ def test_certify_spp_reports_notes_only(capsys):
 # edges of the bound subcommands: exit 0, 1 or 2, never a traceback
 
 def _exit_code(argv):
-    """main's exit code; argparse's refusals exit 2 through SystemExit."""
+    """main's exit code; usage errors return 1 like other bad input, so no
+    argv here makes main raise SystemExit."""
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert "Traceback" not in out.getvalue() + err.getvalue()
     return code
 
@@ -445,12 +475,43 @@ _analyze_argv = st.builds(
     lambda name, p: ["analyze", "--system", name, "--p", str(p)],
     _system_names, st.integers(min_value=1, max_value=32),
 )
+# desk scale: every example below runs in about a second at most
+_small_p = st.sampled_from([2, 3, 5]).map(str)
+_small_n = st.integers(min_value=-1, max_value=2).map(str)
+_strategies = st.sampled_from(["greedy", "exhaustive"])
+_reduce_argv = st.builds(
+    lambda name, strategy: ["reduce", "--system", name, "--strategy", strategy],
+    _system_names, _strategies,
+)
+_lower_bound_argv = st.builds(
+    lambda name, p, strategy: ["lower-bound", "--system", name, "--p", p, "--strategy", strategy],
+    _system_names, _small_p, _strategies,
+)
+_search_argv = st.builds(
+    lambda name, p, n, kind, budget: ["search", "--system", name, "--p", p, "--n", n,
+                                      "--kind", kind, "--node-budget", str(budget)],
+    _system_names, _small_p, _small_n, st.sampled_from(["strong", "weak"]),
+    st.integers(min_value=-1, max_value=20_000),
+)
+_certify_argv = st.builds(
+    lambda name, p, n: ["certify", "--system", name, "--p", p, "--n", n],
+    _system_names, _small_p, _small_n,
+)
+_behrend_argv = st.builds(
+    lambda n, k, p: ["behrend", "--n", str(n), "--k", str(k)] + (["--materialize", "--p", p] if p else []),
+    st.integers(min_value=-1, max_value=6), st.integers(min_value=-1, max_value=4),
+    st.one_of(st.none(), _small_p),
+)
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.one_of(_lambda_argv, _ctilde_argv, _upper_argv, _analyze_argv))
+@given(st.one_of(_lambda_argv, _ctilde_argv, _upper_argv, _analyze_argv, _reduce_argv,
+                 _lower_bound_argv, _search_argv, _certify_argv, _behrend_argv))
 def test_bound_subcommands_exit_cleanly(argv):
-    assert _exit_code(argv) in (0, 1, 2)
+    code = _exit_code(argv)
+    assert code in (0, 1, 2)
+    if argv[0] == "lower-bound" and argv[2] != "STAR0":  # STAR0 is no built-in
+        assert code == 0
 
 
 def test_lambda_refuses_nan_and_a_zero_denominator(capsys):

@@ -9,8 +9,6 @@ from linsys.oracle import (
     compile_system,
     PointSet,
     build_colored_subcollection,
-    classify_semishape_W,
-    enumerate_semishapes,
     extendable_pairs,
     is_multicolored_free,
     is_strongly_free,
@@ -128,26 +126,19 @@ def test_iter_solutions_all_zero_row_ignored():
 
 def test_s3ap_line_has_nine_semishapes():
     t = s3ap(3)
-    sols = list(enumerate_semishapes(t, [space_points(3, 1)] * 3))
-    assert len(sols) == 9
+    sols = list(iter_solutions(t.rows, [space_points(3, 1)] * 3, t.p))
+    assert len(sols) == 9 and sols[0] == ((0,), (0,), (0,))
     constants = [s for s in sols if len(set(s)) == 1]
     assert len(constants) == 3
     assert all(len(set(s)) == 3 for s in sols if s not in constants)
     assert sols == sorted(sols)
 
 
-def test_enumerate_semishapes_limit():
-    t = s3ap(3)
-    sols = list(enumerate_semishapes(t, [space_points(3, 1)] * 3, limit=4))
-    assert len(sols) == 4
-    assert sols[0] == (((0,), (0,), (0,)))
-
-
 def test_w_system_singleton_and_pair_semishapes():
     t = sw(5)
-    only = list(enumerate_semishapes(t, [[(2,)]] * 5))
+    only = list(iter_solutions(t.rows, [[(2,)]] * 5, t.p))
     assert only == [((2,), (2,), (2,), (2,), (2,))]
-    pair = set(enumerate_semishapes(t, [[(1,), (3,)]] * 5))
+    pair = set(iter_solutions(t.rows, [[(1,), (3,)]] * 5, t.p))
     assert ((1,), (3,), (1,), (3,), (1,)) in pair  # x1=x3=x5, x2=x4
 
 
@@ -216,21 +207,13 @@ def test_max_weakly_free_matches_brute_force():
 
 def test_budgeted_search_is_truncated_and_deterministic():
     t = s3ap(3)
-    runs = [max_strongly_free(t, 2, workers=w, node_budget=3) for w in (1, 2, 8)]
+    runs = [max_strongly_free(t, 2, node_budget=3) for _ in range(3)]
     assert all(not r.exhaustive for r in runs)
     assert len({r.value for r in runs}) == 1
     assert len({r.witness.points for r in runs}) == 1
     assert len({r.nodes_explored for r in runs}) == 1
     # a budgeted value never exceeds the exact maximum
     assert runs[0].value <= max_strongly_free(t, 2).value
-
-
-def test_search_worker_invariance_exact_mode():
-    t = s3ap(3)
-    base = max_strongly_free(t, 2)
-    for w in (2, 4):
-        r = max_strongly_free(t, 2, workers=w)
-        assert (r.value, r.witness.points) == (base.value, base.witness.points)
 
 
 def test_cap_set_in_f3_cubed():
@@ -288,31 +271,6 @@ def test_multicolored_free_arity_check():
     m = Matching((((0,), (1,), (2,)),))
     with pytest.raises(ValueError):
         is_multicolored_free(sw(3), m)
-
-
-def test_classify_semishape_w_by_coincidences():
-    assert classify_semishape_W([(2,)] * 5, 5) == "singleton"
-    assert classify_semishape_W([(0,), (1,), (0,), (1,), (0,)], 3) == "two-point"
-    assert classify_semishape_W([(0,), (0,), (1,), (1,), (2,)], 5) == "3AP"
-    # p = 3 coincidence x1=x4, x2=x5 still reads as a 3-term progression
-    assert classify_semishape_W([(0,), (1,), (2,), (0,), (1,)], 3) == "3AP"
-    assert classify_semishape_W([(0,), (4,), (3,), (0,), (6,)], 7) == "4AP"
-    assert classify_semishape_W([(0,), (1,), (2,), (3,), (4,)], 7) == "nondegenerate"
-    # vector points work the same way
-    assert classify_semishape_W(
-        [(0, 0), (1, 1), (2, 2), (0, 0), (1, 1)], 3
-    ) == "3AP"
-
-
-def test_classify_semishape_w_validation():
-    with pytest.raises(ValueError):
-        classify_semishape_W([(0,)] * 4, 5)                 # wrong length
-    with pytest.raises(ValueError):
-        classify_semishape_W([(0,)] * 5, 4)                 # p not prime
-    with pytest.raises(ValueError):
-        classify_semishape_W([(0,), (0,), (0,), (0,), (1,)], 3)  # not a solution
-    with pytest.raises(ValueError):
-        classify_semishape_W([(0,), (0, 0), (0,), (0,), (0,)], 3)
 
 
 def test_extendable_pairs_full_line():

@@ -18,7 +18,6 @@ from linsys.dominance import (
 from linsys.eqsys import ZEquation, ZSystem, parse_system, reduce_mod_p, render_system
 from linsys.lattice import norm_class_counts
 from linsys.oracle import (
-    classify_semishape_W,
     is_strongly_free,
     is_weakly_free,
     iter_solutions,
@@ -212,27 +211,6 @@ def test_norm_census_matches_enumeration(n, k):
         q = sum(c * c for c in pt)
         census[q] = census.get(q, 0) + 1
     assert norm_class_counts(n, k).counts == census
-
-
-# ---------------------------------------------------------------------------
-# the five-variable classifier is total on derived solutions
-
-@given(
-    st.sampled_from([3, 5, 7]),
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=0, max_value=6),
-)
-def test_classifier_total_on_generated_solutions(p, a, b, c):
-    x1, x2, x3 = a % p, b % p, c % p
-    x4 = (x2 + x3 - x1) % p
-    x5 = (2 * x3 - x1) % p
-    pts = [(x1,), (x2,), (x3,), (x4,), (x5,)]
-    label = classify_semishape_W(pts, p)
-    assert label in {"singleton", "two-point", "3AP", "4AP", "nondegenerate"}
-    k = len(set(pts))
-    assert (label == "singleton") == (k == 1)
-    assert (label == "nondegenerate") == (k == 5)
 
 
 @given(st.sampled_from([3, 5, 7]), st.integers(min_value=1, max_value=6))
