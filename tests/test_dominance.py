@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from linsys import dominance
@@ -31,12 +33,22 @@ def test_dominance_of_requires_balance():
         dominance_of(ZEquation((1, 1)))
 
 
-def test_dominance_tables_of_builtins():
+def test_dominant_subsystems_s2():
     table = [dominance_of(eq) for eq in builtin("S2").equations]
+    assert [i for i, d in enumerate(table) if d is not None] == [0, 2]
     assert table[1] is None
     assert table[0].coefficient == 4 and table[2].coefficient == 2
-    assert [dominance_of(eq) is not None for eq in builtin("SW").equations] == [False, True]
+    # the maximal dominant subsystem is the pair, reduced at coefficient 4
+    step = reduction_sequence(builtin("S2"), "greedy").steps[0]
+    assert step.subsystem == (0, 2) and step.coefficient == 4
+
+
+def test_dominant_subsystems_sw_and_spp():
+    table = [dominance_of(eq) for eq in builtin("SW").equations]
+    assert [d is not None for d in table] == [False, True]
+    assert table[1].indices == (2,)  # 2x3 = x1 + x5
     assert [dominance_of(eq) for eq in builtin("SPP").equations] == [None, None]
+    assert reduction_sequence(builtin("SPP"), "greedy") is None
 
 
 def test_greedy_reduction_s3_frozen_trace():
@@ -70,9 +82,18 @@ def test_greedy_vs_exhaustive_s2():
     assert [e.coeffs for e in best.steps[1].result.equations] == [(1, -3, 1, 1)]
 
 
-def test_exhaustive_is_deterministic():
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
+def test_exhaustive_is_worker_count_invariant(workers):
+    # the search keeps no state between calls, so concurrent callers agree
     s2 = builtin("S2")
-    assert reduction_sequence(s2, "exhaustive") == reduction_sequence(s2, "exhaustive")
+    serial = reduction_sequence(s2, "exhaustive")
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        traces = list(pool.map(lambda _: reduction_sequence(s2, "exhaustive"), range(workers)))
+    assert serial.b_tilde == 3
+    assert [st.subsystem for st in serial.steps] == [(2,), (1,), (0,)]
+    assert all(tr == serial for tr in traces)
+    assert all([st.merge_map for st in tr.steps] == [st.merge_map for st in serial.steps]
+               for tr in traces)
 
 
 def _counted_reductions(monkeypatch):
