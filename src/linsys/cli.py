@@ -275,18 +275,17 @@ def cmd_behrend(args: argparse.Namespace, cfg: RunConfig) -> int:
     radius_sq, count = table.best()
     report: dict[str, Any] = {
         "n": args.n, "k": args.k,
-        "classes": {str(q): c for q, c in table.counts.items()},
+        "classes": table.counts,
         "best_norm_sq": radius_sq,
         "best_count": count,
         "pigeonhole_bound": float(pigeonhole_bound(args.n, args.k)),
     }
     if args.materialize:
         sphere = best_sphere_set(args.n, args.k)
-        pts = sphere.points
         if cfg.p is not None:
-            pts = embed_mod_p(sphere, cfg.p).points
+            embed_mod_p(sphere, cfg.p)  # refuses p not prime or p <= k; keeps the rows
             report["p"] = cfg.p
-        report["points"] = [",".join(map(str, pt)) for pt in pts]
+        report["points"] = sphere.point_strings()
     _emit(report, cfg)
     return 0
 

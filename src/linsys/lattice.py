@@ -1,14 +1,22 @@
 """Sphere sets inside the integer box {0,…,k}^n.
 
-Counting is a coordinate-by-coordinate convolution over the squared-norm
-distribution, so the largest norm class can be located exactly even when
-the box itself is far too big to enumerate.  The counts reach (k+1)^n, so
-they are held in int64 limbs, each as wide as the sum of k+1 of them
-allows, with carries propagated once per coordinate.  Materialization is
-a separate, guarded step: a level-by-level walk in numpy that extends
-only the prefixes whose remaining squared norm the other coordinates can
-still reach, so it meets no dead ends and yields the class in
-lexicographic order.
+The census of squared norms is the coefficient list of P^n, where
+P(x) = Σ_{v≤k} x^{v²}, so the largest norm class can be located exactly
+even when the box itself is far too big to enumerate.  Two exact methods
+compute it, chosen by the input size.  Below n = 8k it is a
+coordinate-by-coordinate convolution: the counts reach (k+1)^n, so they are
+held in int64 limbs, each as wide as the sum of k+1 of them allows, with
+carries propagated once per coordinate.  From n = 8k on it is J.C.P.
+Miller's recurrence for the powers of a polynomial (Knuth, TAOCP vol. 2,
+§4.7): n k³ steps on Python ints instead of n convolutions over limbs that
+grow with n.  The two cost the same near n = 8k.  Before either allocates
+anything, the table's memory is estimated and a census past CENSUS_GUARD
+bytes is refused.
+
+Materialization is a separate, guarded step: a level-by-level walk in numpy
+that extends only the prefixes whose remaining squared norm the other
+coordinates can still reach, so it meets no dead ends and yields the class
+in lexicographic order, as int64 rows that are checked once and kept.
 
 On a sphere no integer solutions of a dominant equation exist except the
 constant ones (strict convexity of the Euclidean norm), which is what
@@ -18,6 +26,7 @@ the largest step coefficient's reach (k = floor((p-1)/b)).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -26,9 +35,11 @@ import numpy as np
 
 from .eqsys import ZSystem
 from .errors import GuardExceeded
-from .oracle import Point, PointSet, integer_rows, iter_solutions, lex_leads
+from .oracle import Point, PointSet, Rows, integer_rows, iter_solutions, lex_leads
 
 MATERIALIZE_GUARD = 2**24
+#: bytes a census table may take, as _census_bytes estimates them
+CENSUS_GUARD = 2**28
 
 
 @dataclass(frozen=True)
@@ -47,53 +58,120 @@ class NormClassTable:
         return best_norm, self.counts[best_norm]
 
 
-@dataclass(frozen=True)
 class SphereSet:
     """Points of {0..k}^n on the sphere of squared radius ``radius_sq``,
-    sorted.  ``points`` may also be given as an integer array of rows; it
-    is stored as a tuple of tuples either way."""
+    sorted.  ``points`` is a collection of n-tuples or an integer array of
+    rows.  It is checked once, as int64 rows (box, norm, order), and kept
+    as Rows: ``rows`` is the array and ``points`` the tuples of Python
+    ints, built on first use unless sorted tuples were given."""
 
-    n: int
-    k: int
-    radius_sq: int
-    points: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        pts = self.points
-        if not isinstance(pts, (tuple, np.ndarray)):
-            pts = tuple(pts)
-        arr = integer_rows(pts, self.n)
-        if arr is None or (arr.size and (arr.min() < 0 or arr.max() > self.k)):
+    def __init__(self, n: int, k: int, radius_sq: int,
+                 points: Iterable[Point] | np.ndarray) -> None:
+        self.n, self.k, self.radius_sq = n, k, radius_sq
+        if not isinstance(points, (tuple, np.ndarray)):
+            points = tuple(points)
+        arr = integer_rows(points, n)
+        if arr is None or (arr.size and (arr.min() < 0 or arr.max() > k)):
             raise ValueError("points must lie in the box")
-        wide = arr.astype(object) if self.n * self.k ** 2 >= 2**63 else arr  # exact norms
-        if ((wide * wide).sum(axis=1) != self.radius_sq).any():
+        wide = arr.astype(object) if n * k ** 2 >= 2**63 else arr  # exact norms
+        if ((wide * wide).sum(axis=1) != radius_sq).any():
             raise ValueError("point off the sphere")
-        in_order = bool((lex_leads(arr) >= 0).all())
-        if in_order and isinstance(pts, tuple) and set(map(type, pts)) <= {tuple}:
-            return  # already sorted tuples: keep them
-        if not in_order:
-            arr = arr[np.lexsort(arr.T[::-1])]
-        object.__setattr__(self, "points", _tuples(arr))
+        if not (lex_leads(arr) >= 0).all():
+            self._rows = Rows(arr[np.lexsort(arr.T[::-1])])
+        elif isinstance(points, tuple) and set(map(type, points)) <= {tuple}:
+            self._rows = Rows(arr, points)  # already sorted tuples: keep them
+        else:
+            self._rows = Rows(arr)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows.array
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return self._rows.points
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._rows)
 
     def __iter__(self):
         return iter(self.points)
 
+    def point_strings(self) -> list[str]:
+        """The points as comma-joined entries, the way reports print them:
+        formatted through a table of the k+1 entry strings, 4,096 rows at a
+        time, without building the tuples."""
+        entries = np.array([str(v) for v in range(self.k + 1)])
+        out: list[str] = []
+        for start in range(0, len(self.rows), 4096):
+            out.extend(map(",".join, entries[self.rows[start:start + 4096]].tolist()))
+        return out
+
+
+def _census_bytes(n: int, k: int) -> int:
+    """The census table's memory, estimated before anything is allocated:
+    n k² + 1 classes, each a count below (k+1)^n held up to four times
+    over (the two arrays of int64 limbs, then the Python int), plus about
+    100 bytes for its int object, list slot and dict entry."""
+    return (n * k * k + 1) * (4 * math.ceil(n * math.log2(k + 1) / 8) + 100)
+
 
 def norm_class_counts(n: int, k: int) -> NormClassTable:
-    """Exact counts by n-fold convolution of the one-coordinate squared
-    values {0², 1², …, k²}.  The first two coordinates are one bincount of
-    the (k+1)² pairwise sums; each further coordinate adds the k+1 shifted
-    copies of the running census.  A count below (k+1)^i after i
-    coordinates is held in int64 limbs of 62 - bit_length(k+1) bits, so
+    """Exact counts of the squared norms over {0..k}^n, the two corners
+    left out: the coefficients of P^n with P(x) = Σ_{v≤k} x^{v²}, by
+    _power_recurrence when n >= 8k and by _limb_convolution below.
+    Measured, the recurrence overtakes the limbs at about n = 8.5k for
+    k = 4, 9k for k = 5, 12k for k = 6 and 11k for k = 10 (earlier for
+    k <= 3 and for k = 20), and is about 4× faster at n = 200, k = 10.  A
+    census whose table _census_bytes puts past CENSUS_GUARD is refused
+    before either method allocates anything.
+    """
+    if n < 2 or k < 1:
+        raise ValueError("need n >= 2 and k >= 1")
+    need = _census_bytes(n, k)
+    if need > CENSUS_GUARD:
+        raise GuardExceeded(f"a census of {n * k * k + 1} norm classes with counts below (k+1)^n "
+                            f"needs about {need} bytes, past the census guard ({CENSUS_GUARD})")
+    vals = _power_recurrence(n, k) if n >= 8 * k else _limb_convolution(n, k)
+    vals[0] -= 1
+    vals[-1] -= 1
+    counts = {q: c for q, c in enumerate(vals) if c > 0}
+    return NormClassTable(n, k, counts)
+
+
+def _power_recurrence(n: int, k: int) -> list[int]:
+    """The coefficients q_0 … q_{n k²} of Q = P^n by J.C.P. Miller's
+    recurrence.  P·Q' = n·P'·Q gives, coefficient by coefficient,
+    m q_m = Σ_{v=1..k} ((n+1) v² - m) q_{m-v²} with q_0 = 1; it is summed
+    as (n+1)·Σ v² q_{m-v²} - m·Σ q_{m-v²}, on Python ints, and every
+    division by m is exact.
+    """
+    top = n * k * k
+    squares = [v * v for v in range(1, k + 1)]
+    q = [0] * (top + 1)
+    q[0] = 1
+    for m in range(1, top + 1):
+        weighted = plain = 0
+        for sq in squares:
+            if sq > m:
+                break
+            c = q[m - sq]
+            weighted += sq * c
+            plain += c
+        q[m] = ((n + 1) * weighted - m * plain) // m
+    return q
+
+
+def _limb_convolution(n: int, k: int) -> list[int]:
+    """The coefficients of P^n by n-fold convolution of the one-coordinate
+    squared values {0², 1², …, k²}.  The first two coordinates are one
+    bincount of the (k+1)² pairwise sums; each further coordinate adds the
+    k+1 shifted copies of the running census.  A count below (k+1)^i after
+    i coordinates is held in int64 limbs of 62 - bit_length(k+1) bits, so
     k+1 of them add without overflow; only the limbs in use are touched,
     carries are propagated once per coordinate, and the Python integers
     are built once at the end.
     """
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
     kk = k * k
     bits = 62 - (k + 1).bit_length()
     mask = (1 << bits) - 1
@@ -118,10 +196,7 @@ def norm_class_counts(n: int, k: int) -> NormClassTable:
     vals = acc[used - 1].tolist()
     for j in range(used - 2, -1, -1):
         vals = [hi << bits | lo for hi, lo in zip(vals, acc[j].tolist())]
-    vals[0] -= 1
-    vals[top] -= 1
-    counts = {q: c for q, c in enumerate(vals) if c > 0}
-    return NormClassTable(n, k, counts)
+    return vals
 
 
 def pigeonhole_bound(n: int, k: int) -> Fraction:
@@ -169,15 +244,6 @@ def _materialize(n: int, k: int, target: int) -> np.ndarray:
     return pts
 
 
-def _tuples(arr: np.ndarray) -> tuple[Point, ...]:
-    """Rows as tuples of Python ints, built a chunk at a time so that no
-    list of lists for the whole array is ever alive."""
-    out: list[Point] = []
-    for start in range(0, len(arr), 4096):
-        out.extend(map(tuple, arr[start:start + 4096].tolist()))
-    return tuple(out)
-
-
 def best_sphere_set(n: int, k: int) -> SphereSet:
     """Materialize the largest norm class (smallest norm on ties) by the
     reach-guided walk of _materialize: numpy work O(n k r²) for the reach
@@ -191,17 +257,17 @@ def best_sphere_set(n: int, k: int) -> SphereSet:
                             f"({MATERIALIZE_GUARD}); norm_class_counts still works")
     table = norm_class_counts(n, k)
     radius_sq, count = table.best()
-    points = _materialize(n, k, radius_sq)
-    assert len(points) == count, "materialized class disagrees with the DP census"
-    return SphereSet(n, k, radius_sq, points)
+    rows = _materialize(n, k, radius_sq)
+    assert len(rows) == count, "materialized class disagrees with the census"
+    return SphereSet(n, k, radius_sq, rows)
 
 
 def embed_mod_p(y: SphereSet, p: int) -> PointSet:
     """Entrywise inclusion {0,…,k} ⊂ F_p (requires p > k, so entries are
-    already reduced)."""
+    already reduced): the point set shares y's rows and their tuples."""
     if p <= y.k:
         raise ValueError(f"p={p} must exceed the box bound k={y.k}")
-    return PointSet(p, y.n, y.points)
+    return PointSet(p, y.n, y._rows)
 
 
 def verify_construction(s: ZSystem, y: Union[SphereSet, Iterable[Point]], guard: int = 10**8) -> bool:

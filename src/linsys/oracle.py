@@ -67,42 +67,83 @@ def lex_leads(arr: np.ndarray) -> np.ndarray:
     return diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
 
 
-@dataclass(frozen=True)
+class Rows:
+    """Points as a read-only int64 array, one point a row, and the same
+    points as tuples of Python ints, built on first use a chunk of rows at a
+    time so that no list of lists for the whole array is ever alive.  Sets
+    made from one Rows share both."""
+
+    __slots__ = ("array", "_points")
+
+    def __init__(self, array: np.ndarray, points: Optional[tuple[Point, ...]] = None) -> None:
+        array = array.view()
+        array.flags.writeable = False
+        self.array, self._points = array, points
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        if self._points is None:
+            out: list[Point] = []
+            for start in range(0, len(self.array), 4096):
+                out.extend(map(tuple, self.array[start:start + 4096].tolist()))
+            self._points = tuple(out)
+        return self._points
+
+
 class PointSet:
     """A canonical subset of F_p^n: entries reduced mod p, sorted, deduped.
 
-    A tuple of n-tuples that is already canonical (entries in [0, p),
-    strictly increasing) is checked with numpy and kept as it is; any
-    other input is normalised point by point.
+    ``points`` is a collection of n-tuples or a Rows.  A tuple of n-tuples
+    or a Rows that is already canonical (entries in [0, p), strictly
+    increasing) is checked with numpy and kept as it is, a Rows with the
+    tuples it shares; any other input is normalised point by point.
     """
 
-    p: int
-    n: int
-    points: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
-        if self.n < 1:
+    def __init__(self, p: int, n: int, points: Sequence[Point] | Rows) -> None:
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        if self._canonical():
+        self.p, self.n = p, n
+        if isinstance(points, Rows):
+            if self._canonical(points.array):
+                self._points: tuple[Point, ...] | Rows = points
+                return
+            points = points.points
+        elif type(points) is tuple and set(map(type, points)) <= {tuple} \
+                and self._canonical(integer_rows(points, n)):
+            self._points = points
             return
-        norm = sorted({tuple(c % self.p for c in pt) for pt in self.points})
+        norm = sorted({tuple(c % p for c in pt) for pt in points})
         for pt in norm:
-            if len(pt) != self.n:
+            if len(pt) != n:
                 raise ValueError("point dimension mismatch")
-        object.__setattr__(self, "points", tuple(norm))
+        self._points = tuple(norm)
 
-    def _canonical(self) -> bool:
-        pts = self.points
-        if type(pts) is not tuple or not set(map(type, pts)) <= {tuple}:
-            return False
-        arr = integer_rows(pts, self.n)
-        return (arr is not None and (not arr.size or (arr.min() >= 0 and arr.max() < self.p))
+    def _canonical(self, arr: Optional[np.ndarray]) -> bool:
+        return (arr is not None and arr.shape[1:] == (self.n,)
+                and (not arr.size or (arr.min() >= 0 and arr.max() < self.p))
                 and bool((lex_leads(arr) > 0).all()))
 
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return self._points.points if isinstance(self._points, Rows) else self._points
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, PointSet)
+                and (self.p, self.n, self.points) == (other.p, other.n, other.points))
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.n, self.points))
+
+    def __repr__(self) -> str:
+        return f"PointSet(p={self.p}, n={self.n}, points={self.points!r})"
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._points)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)

@@ -17,6 +17,7 @@ import linsys.dominance
 import linsys.oracle
 from linsys.cli import _build_parser, main
 from linsys.eqsys import reduce_mod_p
+from linsys.lattice import best_sphere_set, embed_mod_p
 from linsys.oracle import PointSet, is_strongly_free
 from linsys.systems import builtin
 
@@ -252,6 +253,32 @@ def test_behrend_census_and_embedding(capsys):
     assert rep["pigeonhole_bound"] == pytest.approx(2.25)
     assert rep["classes"]["5"] == 6
     assert len(rep["points"]) == 6 and "0,1,2" in rep["points"]
+
+
+@pytest.mark.parametrize("n, k, p", [(10, 3, 7), (3, 12, 13)])
+def test_behrend_points_are_the_embedded_sphere_set(capsys, n, k, p):
+    code, rep, err = run_json(capsys, "behrend", "--n", str(n), "--k", str(k),
+                              "--materialize", "--p", str(p))
+    assert code == 0
+    want = embed_mod_p(best_sphere_set(n, k), p).points
+    assert rep["points"] == [",".join(map(str, pt)) for pt in want]
+
+
+def test_behrend_prints_points_without_building_tuples(capsys, monkeypatch):
+    monkeypatch.setattr(linsys.oracle.Rows, "points", property(lambda rows: pytest.fail("tuples built")))
+    code, rep, err = run_json(capsys, "behrend", "--n", "10", "--k", "3", "--materialize", "--p", "7")
+    assert code == 0 and len(rep["points"]) == 40830
+
+
+def test_behrend_refuses_a_bad_p_in_one_line(capsys):
+    for p, message in (("4", "p=4 is not prime"), ("3", "p=3 must exceed the box bound k=3")):
+        code, out, err = run(capsys, "behrend", "--n", "5", "--k", "3", "--materialize", "--p", p)
+        assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
+def test_behrend_refuses_a_census_past_its_guard(capsys):
+    code, out, err = run(capsys, "behrend", "--n", "2", "--k", "1000000")
+    assert code == 1 and out == "" and err.count("\n") == 1 and "census guard" in err
 
 
 def test_search_strong(capsys):
@@ -497,10 +524,15 @@ _certify_argv = st.builds(
     lambda name, p, n: ["certify", "--system", name, "--p", p, "--n", n],
     _system_names, _small_p, _small_n,
 )
-_behrend_argv = st.builds(
-    lambda n, k, p: ["behrend", "--n", str(n), "--k", str(k)] + (["--materialize", "--p", p] if p else []),
-    st.integers(min_value=-1, max_value=6), st.integers(min_value=-1, max_value=4),
-    st.one_of(st.none(), _small_p),
+_behrend_argv = st.one_of(
+    # n >= 8k takes the census by recurrence
+    st.builds(lambda n, k: ["behrend", "--n", str(n), "--k", str(k)],
+              st.integers(min_value=-1, max_value=40), st.integers(min_value=-1, max_value=4)),
+    # (k+1)^n <= 5^9: sphere sets of at most 46,116 points
+    st.builds(lambda n, k, p: ["behrend", "--n", str(n), "--k", str(k), "--materialize"]
+              + (["--p", p] if p else []),
+              st.integers(min_value=-1, max_value=9), st.integers(min_value=-1, max_value=4),
+              st.one_of(st.none(), st.sampled_from([2, 3, 4, 5, 7]).map(str))),
 )
 
 

@@ -11,7 +11,9 @@ from linsys.errors import GuardExceeded
 from linsys.eqsys import parse_system, reduce_mod_p
 from linsys.lattice import (
     SphereSet,
+    _limb_convolution,
     _materialize,
+    _power_recurrence,
     best_sphere_set,
     embed_mod_p,
     norm_class_counts,
@@ -66,8 +68,9 @@ def test_census_and_classes_match_the_box(box):
     assert list(map(tuple, _materialize(n, k, target).tolist())) == classes.get(target, [])
 
 
-def _dict_census(n, k):
-    """The convolution on Python ints, one dict entry per norm."""
+def _dict_power(n, k):
+    """The coefficients of (Σ_{v≤k} x^{v²})^n, as a list, by the
+    convolution on Python ints with one dict entry per norm."""
     acc = {0: 1}
     for _ in range(n):
         nxt: Counter = Counter()
@@ -75,19 +78,33 @@ def _dict_census(n, k):
             for v in range(k + 1):
                 nxt[q + v * v] += c
         acc = nxt
-    acc[0] -= 1
-    acc[n * k * k] -= 1
-    return {q: c for q, c in acc.items() if c > 0}
+    return [acc.get(q, 0) for q in range(n * k * k + 1)]
 
 
 # limbs hold 62 - bit_length(k+1) bits: 60 for k = 1, 59 for k = 3 and 58
 # for k = 10, so (k+1)^n needs a second limb at n = 60, 30 and 17 and a
-# third at n = 120, 59 and 34
+# third at n = 120, 59 and 34; norm_class_counts takes the recurrence for
+# the k = 1 and k = 3 cases, so the limb routine is called directly
 @pytest.mark.parametrize("n, k", [(59, 1), (60, 1), (61, 1), (119, 1), (120, 1),
                                   (29, 3), (30, 3), (58, 3), (59, 3),
                                   (16, 10), (17, 10), (33, 10), (34, 10)])
 def test_census_across_limb_boundaries(n, k):
-    assert norm_class_counts(n, k).counts == _dict_census(n, k)
+    assert _limb_convolution(n, k) == _dict_power(n, k)
+
+
+def test_census_methods_agree_across_the_rule():
+    # norm_class_counts switches from the limbs to the recurrence at n = 8k
+    cases = [(n, k) for k in range(1, 7) for n in range(2, 41)] + [(80, 10), (100, 10)]
+    for n, k in cases:
+        assert _power_recurrence(n, k) == _limb_convolution(n, k), (n, k)
+
+
+def test_census_guard_refuses_before_allocating():
+    for n, k in [(2, 4095), (2, 10**6), (10**4, 10)]:
+        with pytest.raises(GuardExceeded, match="census guard"):
+            norm_class_counts(n, k)
+    with pytest.raises(GuardExceeded, match="census guard"):
+        best_sphere_set(2, 4095)  # admitted by the 2^24 materialization guard
 
 
 def test_census_pins():
@@ -135,6 +152,9 @@ def test_norm_class_counts_validation():
 def test_best_sphere_set_materializes_census():
     y = best_sphere_set(2, 1)
     assert y.radius_sq == 1 and y.points == ((0, 1), (1, 0))
+    y = best_sphere_set(10, 3)
+    assert len(y) == 40830 and y.rows.shape == (40830, 10) and not y.rows.flags.writeable
+    assert y.rows.tolist() == [list(pt) for pt in y.points]
     y = best_sphere_set(3, 1)
     assert y.radius_sq == 1 and len(y) == 3
     y = best_sphere_set(3, 2)
