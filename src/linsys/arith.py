@@ -31,3 +31,12 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def power_exceeds(base: int, exp: int, limit: int) -> bool:
+    """Whether base**exp > limit for integers base, exp, limit >= 0.  The
+    power is built only when exp < limit.bit_length(); past that, base >= 2
+    gives base**exp >= 2**exp > limit, however large exp is."""
+    if base >= 2 and exp >= limit.bit_length():
+        return True
+    return base**exp > limit

@@ -20,6 +20,7 @@ from typing import Any, Callable, Optional
 
 from . import bounds, structure
 from .acceptance import run_all
+from .arith import power_exceeds
 from .dominance import (
     lower_bound_strong,
     lower_bound_weak,
@@ -27,7 +28,14 @@ from .dominance import (
 )
 from .eqsys import FpSystem, ZSystem, parse_system, reduce_mod_p, render_system
 from .errors import GuardExceeded, ParseError
-from .lattice import best_sphere_set, embed_mod_p, norm_class_counts, pigeonhole_bound, verify_construction
+from .lattice import (
+    MATERIALIZE_GUARD,
+    best_sphere_set,
+    embed_mod_p,
+    norm_class_counts,
+    pigeonhole_bound,
+    verify_construction,
+)
 from .oracle import (
     DEFAULT_NODE_BUDGET,
     Matching,
@@ -52,15 +60,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ParseError(message)
-
-
-@dataclasses.dataclass
-class RunConfig:
-    p: Optional[int] = None
-    n: Optional[int] = None
-    format: str = "text"
-    seed: int = 20260815
-    out: Optional[str] = None
 
 
 def _load_system(name_or_path: str) -> ZSystem:
@@ -91,9 +90,9 @@ def _jsonable(obj: Any) -> Any:
     return str(obj)
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
+def _emit(report: dict, args: argparse.Namespace) -> None:
     data = _jsonable(report)
-    if cfg.format == "json":
+    if args.format == "json":
         text = json.dumps(data, indent=2)
     else:
         lines = []
@@ -106,8 +105,8 @@ def _emit(report: dict, cfg: RunConfig) -> None:
             else:
                 lines.append(f"{key}: {value}")
         text = "\n".join(lines)
-    if cfg.out:
-        Path(cfg.out).write_text(text + "\n")
+    if args.out:
+        Path(args.out).write_text(text + "\n")
     print(text)
 
 
@@ -132,7 +131,7 @@ def _read_points(path: str, n: Optional[int] = None) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     s = _load_system(args.system)
     if not all(eq.is_balanced for eq in s.equations):
         raise ParseError("system is not balanced (every row must sum to zero)")
@@ -142,61 +141,61 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     holds, margin = bounds.star_inequality(params)
     report["star"] = holds
     report["star_margin"] = margin
-    if cfg.p is not None:
-        t = reduce_mod_p(s, cfg.p)
-        report["p"] = cfg.p
+    if args.p is not None:
+        t = reduce_mod_p(s, args.p)
+        report["p"] = args.p
         if t.support_changed:
             report["support_changed"] = True
-            print(f"warning: some coefficients vanish mod {cfg.p}; "
+            print(f"warning: some coefficients vanish mod {args.p}; "
                   f"the mod-p hypergraph differs from the integer one", file=sys.stderr)
         if holds and report["irreducible"]:
-            base = bounds.c_tilde(params.r1, params.r2, params.L, params.m_max, cfg.p)
+            base = bounds.c_tilde(params.r1, params.r2, params.L, params.m_max, args.p)
             report["ctilde"] = base.value
             report["ctilde_tolerance"] = base.tolerance
-            report["ctilde_over_p"] = base.value / cfg.p
-    _emit(report, cfg)
+            report["ctilde_over_p"] = base.value / args.p
+    _emit(report, args)
     return 0
 
 
-def cmd_lambda(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_lambda(args: argparse.Namespace) -> int:
     alpha = Fraction(args.alpha) if args.rational else float(args.alpha)
     rep = bounds.lambda_min(args.m, float(alpha), args.h)
     _emit({"value": rep.value, "optimizer": rep.optimizer,
-           "tolerance": rep.tolerance, "method": rep.method}, cfg)
+           "tolerance": rep.tolerance, "method": rep.method}, args)
     return 0
 
 
-def cmd_ctilde(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_ctilde(args: argparse.Namespace) -> int:
     rep = bounds.c_tilde(args.r1, args.r2, args.L, args.m, args.d)
     _emit({"value": rep.value, "optimizer": rep.optimizer,
            "tolerance": rep.tolerance, "method": rep.method,
-           "over_d": rep.value / args.d}, cfg)
+           "over_d": rep.value / args.d}, args)
     return 0
 
 
-def cmd_star(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_star(args: argparse.Namespace) -> int:
     holds, margin = bounds.star_inequality((args.r1, args.r2, args.L))
-    _emit({"holds": holds, "margin": margin}, cfg)
+    _emit({"holds": holds, "margin": margin}, args)
     return 0
 
 
-def cmd_upper(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_upper(args: argparse.Namespace) -> int:
     s = _load_system(args.system)
-    t = reduce_mod_p(s, cfg.p)
+    t = reduce_mod_p(s, args.p)
     params = structure.parameters(structure.build_hypergraph(t))
     holds, margin = bounds.star_inequality(params)
-    report: dict[str, Any] = {"p": cfg.p, "n": cfg.n, "star": holds, "star_margin": margin}
+    report: dict[str, Any] = {"p": args.p, "n": args.n, "star": holds, "star_margin": margin}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         alloc = bounds.optimize_allocation(t)
         report["base"] = alloc.value
-        report["base_over_p"] = alloc.value / cfg.p
+        report["base_over_p"] = alloc.value / args.p
         report["allocation"] = alloc.optimizer
-        report["upper"] = bounds.upper_bound_strong(t, cfg.n, alloc)  # inf (null) past the float range
-        report["log_upper"] = cfg.n * math.log(alloc.value)
+        report["upper"] = bounds.upper_bound_strong(t, args.n, alloc)  # inf (null) past the float range
+        report["log_upper"] = args.n * math.log(alloc.value)
     for w in caught:
         report.setdefault("warnings", []).append(str(w.message))
-    _emit(report, cfg)
+    _emit(report, args)
     return 0
 
 
@@ -225,15 +224,15 @@ def _p_at_most_b_tilde_note(p: int, b_tilde: int) -> str:
     return f"p = {p} does not exceed b~ = {b_tilde}; no strong lower bound derived"
 
 
-def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_reduce(args: argparse.Namespace) -> int:
     s = _load_system(args.system)
     trace = reduction_sequence(s, args.strategy)
     if trace is None:
         _emit({"initial": render_system(s), "terminated": False,
-               "note": "no reduction sequence reaches the one-variable empty system"}, cfg)
+               "note": "no reduction sequence reaches the one-variable empty system"}, args)
         return 0
-    if cfg.format == "json":
-        _emit(_trace_report(trace), cfg)
+    if args.format == "json":
+        _emit(_trace_report(trace), args)
         return 0
     print(render_system(trace.initial))
     for i, step in enumerate(trace.steps, start=1):
@@ -248,62 +247,66 @@ def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_lower_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_lower_bound(args: argparse.Namespace) -> int:
     s = _load_system(args.system)
-    report: dict[str, Any] = {"p": cfg.p}
+    report: dict[str, Any] = {"p": args.p}
     trace = reduction_sequence(s, args.strategy)
     report["strong"] = None
     if trace is None or not trace.terminated:
         report["strong_note"] = "no terminating dominant reduction; no strong lower bound derived"
-    elif cfg.p <= trace.b_tilde:
-        report["strong_note"] = _p_at_most_b_tilde_note(cfg.p, trace.b_tilde)
+    elif args.p <= trace.b_tilde:
+        report["strong_note"] = _p_at_most_b_tilde_note(args.p, trace.b_tilde)
     else:
-        strong = lower_bound_strong(trace, cfg.p, epsilon=Fraction(args.epsilon))
+        strong = lower_bound_strong(trace, args.p, epsilon=Fraction(args.epsilon))
         report["strong"] = dataclasses.asdict(strong)
-    weak = lower_bound_weak(s, cfg.p)
+    weak = lower_bound_weak(s, args.p)
     if weak is not None:
         report["weak"] = dataclasses.asdict(weak)
     else:
         report["weak"] = None
         report["weak_note"] = "no dominant equation with coefficient in [2, p); no weak lower bound derived"
-    _emit(report, cfg)
+    _emit(report, args)
     return 0
 
 
-def cmd_behrend(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_behrend(args: argparse.Namespace) -> int:
     table = norm_class_counts(args.n, args.k)
     radius_sq, count = table.best()
+    try:
+        bound = float(pigeonhole_bound(args.n, args.k))
+    except OverflowError:
+        bound = math.inf  # null in JSON, as upper reports a bound past the float range
     report: dict[str, Any] = {
         "n": args.n, "k": args.k,
         "classes": table.counts,
         "best_norm_sq": radius_sq,
         "best_count": count,
-        "pigeonhole_bound": float(pigeonhole_bound(args.n, args.k)),
+        "pigeonhole_bound": bound,
     }
     if args.materialize:
         sphere = best_sphere_set(args.n, args.k)
-        if cfg.p is not None:
-            embed_mod_p(sphere, cfg.p)  # refuses p not prime or p <= k; keeps the rows
-            report["p"] = cfg.p
+        if args.p is not None:
+            embed_mod_p(sphere, args.p)  # refuses p not prime or p <= k; keeps the rows
+            report["p"] = args.p
         report["points"] = sphere.point_strings()
-    _emit(report, cfg)
+    _emit(report, args)
     return 0
 
 
-def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_search(args: argparse.Namespace) -> int:
     s = _load_system(args.system)
-    t = reduce_mod_p(s, cfg.p)
+    t = reduce_mod_p(s, args.p)
     fn = max_strongly_free if args.kind == "strong" else max_weakly_free
-    res = fn(t, cfg.n, node_budget=args.node_budget)
-    _emit({"kind": args.kind, "p": cfg.p, "n": cfg.n, "value": res.value,
+    res = fn(t, args.n, node_budget=args.node_budget)
+    _emit({"kind": args.kind, "p": args.p, "n": args.n, "value": res.value,
            "witness": [",".join(map(str, pt)) for pt in res.witness],
-           "nodes_explored": res.nodes_explored, "exhaustive": res.exhaustive}, cfg)
+           "nodes_explored": res.nodes_explored, "exhaustive": res.exhaustive}, args)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     s = _load_system(args.system)
-    t = reduce_mod_p(s, cfg.p)
+    t = reduce_mod_p(s, args.p)
     if args.kind == "multicolor":
         flat = _read_points(args.set)
         width = len(flat[0])
@@ -314,9 +317,9 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         holds = is_multicolored_free(t, Matching(rows))
     else:
         pts = _read_points(args.set)
-        a = PointSet(cfg.p, len(pts[0]), tuple(pts))
+        a = PointSet(args.p, len(pts[0]), tuple(pts))
         holds = is_strongly_free(t, a) if args.kind == "strong" else is_weakly_free(t, a)
-    _emit({"kind": args.kind, "holds": holds}, cfg)
+    _emit({"kind": args.kind, "holds": holds}, args)
     if not holds:
         raise VerificationFailure(f"{args.kind} freeness does not hold")
     return 0
@@ -343,18 +346,18 @@ def _gate_exact(report: dict[str, Any], checks: list[tuple[str, bool]], key: str
                                  f"with a free set of {res.value} points; not checked")
 
 
-def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.n is not None and cfg.n < 1:
+def cmd_certify(args: argparse.Namespace) -> int:
+    if args.n is not None and args.n < 1:
         raise ValueError("dimension must be >= 1")
     s = _load_system(args.system)
-    p = cfg.p
+    p = args.p
     t = reduce_mod_p(s, p)
     graph = structure.build_hypergraph(t)
     params = structure.parameters(graph)
     irreducible, _ = structure.is_irreducible(graph)
     holds, margin = bounds.star_inequality(params)
     report: dict[str, Any] = {
-        "system": render_system(s), "p": p, "n": cfg.n,
+        "system": render_system(s), "p": p, "n": args.n,
         "parameters": params.as_tuple(), "star": holds, "star_margin": margin,
         "irreducible": irreducible,
     }
@@ -370,8 +373,8 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
             strong_low = lower_bound_strong(trace, p, epsilon=Fraction(args.epsilon))
             report["lower_strong"] = dataclasses.asdict(strong_low)
             k = (p - 1) // trace.b_tilde
-            if cfg.n is not None and cfg.n >= 2 and (k + 1) ** cfg.n <= 2**24:
-                sphere = best_sphere_set(cfg.n, k)
+            if args.n is not None and args.n >= 2 and not power_exceeds(k + 1, args.n, MATERIALIZE_GUARD):
+                sphere = best_sphere_set(args.n, k)
                 report["sphere"] = {"k": k, "radius_sq": sphere.radius_sq, "size": len(sphere)}
                 ok_sphere = verify_construction(s, sphere)
                 checks.append(("sphere set has only constant solutions", ok_sphere))
@@ -388,35 +391,35 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
         report["lower_weak"] = None
         report["weak_note"] = "no dominant equation; no weak lower bound derived"
 
-    if cfg.n is not None:
+    if args.n is not None:
         if holds and irreducible:
-            upper = bounds.upper_bound_strong(t, cfg.n)
+            upper = bounds.upper_bound_strong(t, args.n)
             report["upper_strong"] = upper
-            if p ** cfg.n <= 81:
-                _gate_exact(report, checks, "exact_strong", max_strongly_free, t, cfg.n, upper,
+            if not power_exceeds(p, args.n, 81):
+                _gate_exact(report, checks, "exact_strong", max_strongly_free, t, args.n, upper,
                             "exact strong maximum within upper bound")
                 if report.get("lower_strong"):
                     report["lower_strong_note"] = (
                         "lower bound is asymptotic (holds for all large n); "
                         "not gated at this n")
         if t.rows == reduce_mod_p(builtin("SW"), p).rows:
-            wupper = bounds.wshape_upper(p, cfg.n)
+            wupper = bounds.wshape_upper(p, args.n)
             report["upper_weak"] = wupper
-            if p ** cfg.n <= 81:
-                _gate_exact(report, checks, "exact_weak", max_weakly_free, t, cfg.n, wupper,
+            if not power_exceeds(p, args.n, 81):
+                _gate_exact(report, checks, "exact_weak", max_weakly_free, t, args.n, wupper,
                             "exact weak maximum within W-shape upper bound")
 
     report["checks"] = [{"name": name, "ok": ok} for name, ok in checks]
     failed = [name for name, ok in checks if not ok]
     report["verified"] = not failed
-    _emit(report, cfg)
+    _emit(report, args)
     if failed:
         raise VerificationFailure("; ".join(failed))
     return 0
 
 
-def cmd_selftest(args: argparse.Namespace, cfg: RunConfig) -> int:
-    results = run_all(seed=cfg.seed)
+def cmd_selftest(args: argparse.Namespace) -> int:
+    results = run_all(seed=args.seed)
     bad = [r for r in results if not r.ok]
     print(f"{len(results) - len(bad)}/{len(results)} criteria passed")
     if bad:
@@ -533,14 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = RunConfig(
-            p=getattr(args, "p", None),
-            n=getattr(args, "n", None),
-            format=getattr(args, "format", "text"),
-            seed=getattr(args, "seed", 20260815),
-            out=getattr(args, "out", None),
-        )
-        return args.func(args, cfg)
+        return args.func(args)
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2

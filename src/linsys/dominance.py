@@ -98,8 +98,12 @@ def dominance_of(eq: ZEquation) -> Optional[Dominance]:
 
 
 def _subsets(indices: tuple[int, ...]):
-    for size in range(1, len(indices) + 1):
-        yield from itertools.combinations(indices, size)
+    """Every nonempty subset of the ascending ``indices``, in ascending
+    tuple order: (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)."""
+    for i, first in enumerate(indices):
+        yield (first,)
+        for rest in _subsets(indices[i + 1:]):
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -201,105 +205,60 @@ def _exhaustive_steps(s: ZSystem) -> Optional[tuple[ReductionStep, ...]]:
     """Steps of the chain minimizing (b~, #steps, lexicographic encoding),
     or None when no chain reaches the terminal system.
 
-    b* is the smallest cap under which some chain of subsets with
-    coefficients <= cap reaches the terminal system.  Caps are tried in
-    ascending order by a depth-first existence pass that stops at the
-    first terminating chain and memoises only dead states; after a failed
-    pass the next cap is the smallest coefficient above the last that the
-    pass met.  At b* every terminating chain has b~ = b*, and the least
-    (steps, encoding) is found by iterative deepening: the step bound
-    grows 1, 2, … under a memo keyed on (state, bound), and the first bound
-    under which a chain terminates gives the answer, since (steps,
-    encoding) is ordered by the first subset and then by the best suffix.
-    Two chains reach equal systems exactly when they induce the same
-    partition of the original variables.
+    One breadth-first pass per cap, caps ascending, over the chains whose
+    coefficients are all <= cap; after a pass that never meets the terminal
+    system, the next cap is the smallest dominant coefficient above the cap
+    that the pass met, so the first cap that terminates is b~.  A pass
+    expands each state once, layers keep their states in found order and
+    subsets come in ascending tuple order, so states are found in (#steps,
+    encoding) order of their least chains, and the first chain to meet the
+    terminal system is the least.  Two chains reach equal systems exactly
+    when they induce the same partition of the original variables.
 
-    Every reduction counts against EXHAUSTIVE_REDUCTION_CAP.  Deepening
-    reduces every allowed subset of the input at least once, so when those
-    2^|allowed| - 1 subsets alone exceed what is left of the cap, the
-    search is refused before it starts.
+    Every reduction counts against EXHAUSTIVE_REDUCTION_CAP, and a pass
+    whose first step alone has more subsets than the reductions left is
+    refused before it reduces any.
     """
-    reductions = 0
-
-    def reduce(state: ZSystem, subset: tuple[int, ...]):
-        nonlocal reductions
-        reductions += 1
-        if reductions > EXHAUSTIVE_REDUCTION_CAP:
-            raise GuardExceeded(f"exhaustive reduction stopped after "
-                                f"{EXHAUSTIVE_REDUCTION_CAP} reductions")
-        return _reduce_detailed(state, subset)
-
-    def allowed(state: ZSystem, cap: int) -> tuple[tuple[int, ...], Optional[int]]:
-        """Dominant equations with coefficient <= cap, and the smallest
-        dominant coefficient above cap (None if there is none)."""
-        within, above = [], None
-        for i, eq in enumerate(state.equations):
-            d = dominance_of(eq)
-            if d is None:
-                continue
-            if d.coefficient <= cap:
-                within.append(i)
-            elif above is None or d.coefficient < above:
-                above = d.coefficient
-        return tuple(within), above
-
-    cap = 0
+    if _is_terminal(s):
+        return ()
+    reductions = cap = 0
     while True:
-        dead: set[ZSystem] = set()
+        seen = {s}
+        layer: list[tuple[ZSystem, tuple[ReductionStep, ...]]] = [(s, ())]
         next_cap: Optional[int] = None
-
-        def reaches(state: ZSystem) -> bool:
-            nonlocal next_cap
-            if _is_terminal(state):
-                return True
-            if state in dead:
-                return False
-            within, above = allowed(state, cap)
-            if above is not None and (next_cap is None or above < next_cap):
-                next_cap = above
-            if any(reaches(reduce(state, subset)[0]) for subset in _subsets(within)):
-                return True
-            dead.add(state)
-            return False
-
-        if reaches(s):
-            break
+        while layer:
+            next_layer = []
+            for state, chain in layer:
+                within = []
+                for i, eq in enumerate(state.equations):
+                    d = dominance_of(eq)
+                    if d is None:
+                        continue
+                    if d.coefficient <= cap:
+                        within.append(i)
+                    elif next_cap is None or d.coefficient < next_cap:
+                        next_cap = d.coefficient
+                first_step = 2 ** len(within) - 1
+                if not chain and first_step > EXHAUSTIVE_REDUCTION_CAP - reductions:
+                    raise GuardExceeded(f"exhaustive reduction would exceed {EXHAUSTIVE_REDUCTION_CAP} "
+                                        f"reductions: its first step alone has {first_step} subsets")
+                for subset in _subsets(tuple(within)):
+                    reductions += 1
+                    if reductions > EXHAUSTIVE_REDUCTION_CAP:
+                        raise GuardExceeded(f"exhaustive reduction stopped after "
+                                            f"{EXHAUSTIVE_REDUCTION_CAP} reductions")
+                    reduced, merge_map, coeff = _reduce_detailed(state, subset)
+                    if reduced in seen:
+                        continue
+                    seen.add(reduced)
+                    steps = chain + (ReductionStep(subset, coeff, merge_map, reduced),)
+                    if _is_terminal(reduced):
+                        return steps
+                    next_layer.append((reduced, steps))
+            layer = next_layer
         if next_cap is None:
             return None
         cap = next_cap
-
-    subsets_at_root = 2 ** len(allowed(s, cap)[0]) - 1
-    if subsets_at_root > EXHAUSTIVE_REDUCTION_CAP - reductions:
-        raise GuardExceeded(f"exhaustive reduction would exceed {EXHAUSTIVE_REDUCTION_CAP} "
-                            f"reductions: its first step alone has {subsets_at_root} subsets")
-
-    memo: dict[tuple[ZSystem, int], Optional[tuple]] = {}
-
-    def best(state: ZSystem, bound: int) -> Optional[tuple]:
-        """(#steps, encoding, steps) of the best chain from ``state`` with
-        at most ``bound`` steps."""
-        if _is_terminal(state):
-            return (0, (), ())
-        if bound == 0 or state in dead:
-            return None
-        if (state, bound) in memo:
-            return memo[state, bound]
-        found = None
-        for subset in _subsets(allowed(state, cap)[0]):
-            reduced, merge_map, coeff = reduce(state, subset)
-            rest = best(reduced, bound - 1)
-            if rest is None:
-                continue
-            key = (rest[0] + 1, (subset,) + rest[1])
-            if found is None or key < found[:2]:
-                found = key + ((ReductionStep(subset, coeff, merge_map, reduced),) + rest[2],)
-        memo[state, bound] = found
-        return found
-
-    bound = 1
-    while (found := best(s, bound)) is None:
-        bound += 1
-    return found[2]
 
 
 def reduction_sequence(s: ZSystem, strategy: str = "greedy") -> Optional[ReductionTrace]:
@@ -308,11 +267,12 @@ def reduction_sequence(s: ZSystem, strategy: str = "greedy") -> Optional[Reducti
 
     greedy: always reduce by the maximal dominant subsystem (all dominant
     equations at once).  exhaustive: the trace minimizing (b~, #steps,
-    lexicographic step encoding) over all subsystem choices, found by an
-    existence pass for b* and then iterative deepening on the number of
-    steps.  It raises GuardExceeded after EXHAUSTIVE_REDUCTION_CAP
-    reductions, or up front when the subsets of the first step alone
-    would pass that cap.
+    lexicographic step encoding) over all subsystem choices, found by one
+    breadth-first pass per coefficient cap, caps ascending.  Each pass meets
+    states in (#steps, encoding) order, so the first chain it finds to the
+    terminal system is the least.  It raises GuardExceeded after
+    EXHAUSTIVE_REDUCTION_CAP reductions, or when a pass starts whose first
+    step alone has more subsets than the reductions left.
     """
     for eq in s.equations:
         if not eq.is_balanced:

@@ -33,6 +33,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from .arith import power_exceeds
 from .eqsys import ZSystem
 from .errors import GuardExceeded
 from .oracle import Point, PointSet, Rows, integer_rows, iter_solutions, lex_leads
@@ -252,8 +253,8 @@ def best_sphere_set(n: int, k: int) -> SphereSet:
     Enumeration is guarded at (k+1)^n <= 2^24; the counts themselves stay
     available through norm_class_counts for any size.
     """
-    if (k + 1) ** n > MATERIALIZE_GUARD:
-        raise GuardExceeded(f"(k+1)^n = {(k + 1) ** n} points exceed the materialization guard "
+    if power_exceeds(k + 1, n, MATERIALIZE_GUARD):
+        raise GuardExceeded(f"(k+1)^n = {k + 1}^{n} points exceed the materialization guard "
                             f"({MATERIALIZE_GUARD}); norm_class_counts still works")
     table = norm_class_counts(n, k)
     radius_sq, count = table.best()

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import is_prime, power_exceeds
 from .eqsys import FpSystem, reduce_mod_p
 from .errors import GuardExceeded
 from .systems import builtin
@@ -395,13 +395,12 @@ def compile_system(t: FpSystem, n: int, weak: bool, guard: int = COMPILE_GUARD) 
     if n < 1:
         raise ValueError("dimension must be >= 1")
     p, r = t.p, t.r
-    size = p**n
     pinned = sorted(_pin_rows(t.rows, r, p), key=lambda pin: pin[1])
     free = [c for c in range(r) if c not in {col for _, col in pinned}]
-    count = p ** (n * len(free))
-    if count * r > guard or size > guard:
-        raise GuardExceeded(f"compiling {count} solutions over {size} points exceeds the guard "
-                            f"({guard} table entries)")
+    if power_exceeds(p, n * len(free), guard // r) or power_exceeds(p, n, guard):
+        raise GuardExceeded(f"compiling {p}^{n * len(free)} solutions over {p}^{n} points "
+                            f"exceeds the guard ({guard} table entries)")
+    size, count = p**n, p ** (n * len(free))
 
     vals = np.array(list(itertools.product(range(p), repeat=len(free))), dtype=np.int64)
     vals = vals.reshape(p ** len(free), len(free))
@@ -466,7 +465,7 @@ def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]
     if node_budget is not None and node_budget < 1:
         raise ValueError("node budget must be >= 1")
     p = t.p
-    if weak and p**n < t.r:
+    if weak and not power_exceeds(p, n, t.r - 1):
         # fewer points than positions: no tuple can have r distinct entries
         pts = space_points(p, n)
         return SearchResult(len(pts), PointSet(p, n, pts), 0, True)

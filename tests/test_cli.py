@@ -194,7 +194,7 @@ def test_reduce_stuck_system_notes(capsys):
 
 
 def test_reduce_exhaustive_past_the_reduction_cap_is_one_line(capsys, monkeypatch):
-    # STAR11 takes 2,058 reductions, 2,047 of them at its first step
+    # STAR11's first step has 2,047 subsets, so it is refused before any is reduced
     monkeypatch.setattr(linsys.dominance, "EXHAUSTIVE_REDUCTION_CAP", 1000)
     code, out, err = run(capsys, "reduce", "--system", "STAR11", "--strategy", "exhaustive")
     assert code == 1 and out == ""
@@ -274,6 +274,14 @@ def test_behrend_refuses_a_bad_p_in_one_line(capsys):
     for p, message in (("4", "p=4 is not prime"), ("3", "p=3 must exceed the box bound k=3")):
         code, out, err = run(capsys, "behrend", "--n", "5", "--k", "3", "--materialize", "--p", p)
         assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
+def test_behrend_reports_a_pigeonhole_bound_past_the_float_range_as_null(capsys):
+    code, rep, err = run_json(capsys, "behrend", "--n", "1000", "--k", "1")
+    assert code == 0 and rep["pigeonhole_bound"] == pytest.approx(2.0**1000 / 1000)
+    code, rep, err = run_json(capsys, "behrend", "--n", "1100", "--k", "1")
+    assert code == 0 and rep["pigeonhole_bound"] is None
+    assert rep["best_norm_sq"] == 550 and rep["best_count"] == math.comb(1100, 550)
 
 
 def test_behrend_refuses_a_census_past_its_guard(capsys):
@@ -415,6 +423,25 @@ def test_certify_skips_an_exact_search_refused_by_the_compile_guard(capsys):
     assert rep["exact_strong"] is None and "exceeds the guard" in rep["exact_strong_note"]
     assert rep["upper_strong"] > 0 and rep["lower_strong"]["b"] == 2
     assert all("exact" not in c["name"] for c in rep["checks"])
+
+
+def test_certify_at_a_huge_n_decides_its_guards_without_the_powers(capsys):
+    start = time.monotonic()
+    code, rep, err = run_json(capsys, "certify", "--system", "S3AP", "--p", "7", "--n", "100000000")
+    assert time.monotonic() - start < 1
+    assert code == 0 and rep["verified"] is True
+    assert rep["upper_strong"] is None  # inf past the float range
+    assert not [key for key in rep if key.startswith(("exact", "sphere"))]
+
+
+@pytest.mark.parametrize("system, kind", [("S3AP", "strong"), ("SW", "weak")])
+def test_search_at_a_huge_n_is_refused_in_one_line(capsys, system, kind):
+    start = time.monotonic()
+    code, out, err = run(capsys, "search", "--system", system, "--p", "3", "--n", "100000000",
+                         "--kind", kind)
+    assert time.monotonic() - start < 1
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "points exceeds the guard" in err and "3^100000000" in err
 
 
 @pytest.mark.parametrize("name, p", [("S1", 19), ("S2", 5)])

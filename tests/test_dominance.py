@@ -1,3 +1,4 @@
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -104,18 +105,18 @@ def _counted_reductions(monkeypatch):
 
 
 def test_exhaustive_guard(monkeypatch):
-    # STAR11 takes 2,058 reductions: 11 to find b* = 2, then the 2,047
-    # subsets of its first step, which are refused before any is reduced
-    monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 1000)
+    # STAR11's first step has 2,047 subsets: the pass at cap 2 is refused
+    # before it reduces any of them unless the cap leaves room for all
     calls = _counted_reductions(monkeypatch)
-    with pytest.raises(GuardExceeded, match="would exceed 1000 reductions"):
-        reduction_sequence(builtin("STAR11"), "exhaustive")
-    assert len(calls) == 11
-    monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 2057)
-    with pytest.raises(GuardExceeded, match="first step alone has 2047 subsets"):
-        reduction_sequence(builtin("STAR11"), "exhaustive")
-    monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 2058)
+    for cap in (1000, 2046):
+        monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", cap)
+        with pytest.raises(GuardExceeded, match=f"would exceed {cap} reductions: "
+                                                 "its first step alone has 2047 subsets"):
+            reduction_sequence(builtin("STAR11"), "exhaustive")
+        assert calls == []
+    monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 2047)
     assert reduction_sequence(builtin("STAR11"), "exhaustive").b_tilde == 2
+    assert len(calls) == 11
     # a search that fails at every cap runs into the cap on the way
     monkeypatch.setattr(dominance, "EXHAUSTIVE_REDUCTION_CAP", 23)
     with pytest.raises(GuardExceeded, match="stopped after 23 reductions"):
@@ -128,18 +129,29 @@ def test_exhaustive_star17_is_refused_up_front(monkeypatch):
     calls = _counted_reductions(monkeypatch)
     with pytest.raises(GuardExceeded, match="131071 subsets"):
         reduction_sequence(builtin("STAR17"), "exhaustive")
-    assert len(calls) == 17
+    assert calls == []
 
 
-@pytest.mark.parametrize("k, reductions", [(8, 263), (9, 520), (10, 1033), (11, 2058), (12, 4107)])
-def test_exhaustive_star_pins(monkeypatch, k, reductions):
-    # k single steps find b* = 2; deepening then reduces the 2^k - 1
-    # subsets of the first step, of which all k equations at once is the
-    # only one that terminates
+@pytest.mark.parametrize("k, deepening", [(8, 263), (9, 520), (10, 1033), (11, 2058),
+                                           (12, 4107), (16, 65551)])
+def test_exhaustive_star_pins(monkeypatch, k, deepening):
+    # the pass at cap 2 reduces (0,), (0, 1), ..., (0, ..., k-1) in tuple
+    # order, and the k-th, all k equations at once, terminates; STAR16's
+    # 65,535 subsets at the first step stay under the up-front refusal.
+    # ``deepening`` is the 2^k + k - 1 reductions that iterative deepening
+    # on the step bound took, which the breadth-first pass must not exceed
     calls = _counted_reductions(monkeypatch)
     tr = reduction_sequence(builtin(f"STAR{k}"), "exhaustive")
-    assert (tr.b_tilde, len(tr.steps), len(calls)) == (2, 1, reductions)
+    assert (tr.b_tilde, len(tr.steps), len(calls)) == (2, 1, k)
+    assert len(calls) <= deepening
     assert tr.steps[0].subsystem == tuple(range(k))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_subsets_are_every_nonempty_subset_in_tuple_order(k):
+    indices = tuple(range(0, 2 * k, 2))
+    combos = [c for size in range(1, k + 1) for c in itertools.combinations(indices, size)]
+    assert list(dominance._subsets(indices)) == sorted(combos)
 
 
 # (b~, steps, subsystems) of the exhaustive trace, frozen from the

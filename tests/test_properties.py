@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linsys.arith import power_exceeds
 from linsys.bounds import _allocate, count_theta, lambda_min
 from linsys.dominance import (
     ReductionStep,
@@ -433,3 +434,17 @@ def test_iter_solutions_matches_a_filter_over_all_tuples(problem, distinct):
     rows, sets, modulus = problem
     got = list(iter_solutions(rows, sets, modulus, distinct=distinct))
     assert got == _brute_force_solutions(rows, sets, modulus, distinct)
+
+
+# ---------------------------------------------------------------------------
+# power_exceeds decides base**exp > limit, building the power only when it is small
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 40), st.integers(0, 200), st.integers(0, 10**40))
+def test_power_exceeds_matches_the_power(base, exp, limit):
+    assert power_exceeds(base, exp, limit) == (base**exp > limit)
+
+
+def test_power_exceeds_without_the_power():
+    assert power_exceeds(2, 10**12, 2**24) and power_exceeds(7, 10**12, 81)
+    assert not power_exceeds(1, 10**12, 1) and not power_exceeds(0, 10**12, 0)
