@@ -31,6 +31,7 @@ from .errors import GuardExceeded, ParseError
 from .lattice import (
     MATERIALIZE_GUARD,
     best_sphere_set,
+    check_modulus,
     embed_mod_p,
     norm_class_counts,
     pigeonhole_bound,
@@ -110,7 +111,8 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     print(text)
 
 
-def _read_points(path: str, n: Optional[int] = None) -> list[tuple[int, ...]]:
+def _read_points(path: str) -> list[tuple[int, ...]]:
+    """The rows of integers in ``path``, all as wide as the first."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -120,8 +122,9 @@ def _read_points(path: str, n: Optional[int] = None) -> list[tuple[int, ...]]:
             entries = tuple(int(tok) for tok in line.replace(",", " ").split())
         except ValueError:
             raise ParseError(f"line {lineno}: not a row of integers")
-        if n is not None and len(entries) != n:
-            raise ParseError(f"line {lineno}: expected {n} columns, got {len(entries)}")
+        if rows and len(entries) != len(rows[0]):
+            raise ParseError(f"line {lineno}: expected {len(rows[0])} columns like the first row, "
+                             f"got {len(entries)}")
         rows.append(entries)
     if not rows:
         raise ParseError(f"{path}: no point rows found")
@@ -270,6 +273,8 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_behrend(args: argparse.Namespace) -> int:
+    if args.materialize and args.p is not None:
+        check_modulus(args.p, args.k)  # the materialized rows are then their own embedding
     table = norm_class_counts(args.n, args.k)
     radius_sq, count = table.best()
     try:
@@ -286,7 +291,6 @@ def cmd_behrend(args: argparse.Namespace) -> int:
     if args.materialize:
         sphere = best_sphere_set(args.n, args.k)
         if args.p is not None:
-            embed_mod_p(sphere, args.p)  # refuses p not prime or p <= k; keeps the rows
             report["p"] = args.p
         report["points"] = sphere.point_strings()
     _emit(report, args)
@@ -500,7 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--materialize", action="store_true")
-    sp.add_argument("--p", type=int, help="embed the materialized points into F_p^n")
+    sp.add_argument("--p", type=int, help="check that the materialized points embed into F_p^n: "
+                                           "a prime above k")
     sp.set_defaults(func=cmd_behrend)
 
     sp = sub.add_parser("search", help="exact maximum free-set search at desk scale")

@@ -3,40 +3,44 @@
 The census of squared norms is the coefficient list of P^n, where
 P(x) = Σ_{v≤k} x^{v²}, so the largest norm class can be located exactly
 even when the box itself is far too big to enumerate.  Two exact methods
-compute it, chosen by the input size.  Below n = 8k it is a
+compute it, chosen by the input size.  Below n = min(8k, 96) it is a
 coordinate-by-coordinate convolution: the counts reach (k+1)^n, so they are
 held in int64 limbs, each as wide as the sum of k+1 of them allows, with
-carries propagated once per coordinate.  From n = 8k on it is J.C.P.
+carries propagated once per coordinate.  From there on it is J.C.P.
 Miller's recurrence for the powers of a polynomial (Knuth, TAOCP vol. 2,
 §4.7): n k³ steps on Python ints instead of n convolutions over limbs that
-grow with n.  The two cost the same near n = 8k.  Before either allocates
-anything, the table's memory is estimated and a census past CENSUS_GUARD
-bytes is refused.
+grow with n.  The two cost about the same at the switch.  Before either
+allocates anything, the table's memory is estimated and a census past
+CENSUS_GUARD bytes is refused.
 
 Materialization is a separate, guarded step: a level-by-level walk in numpy
 that extends only the prefixes whose remaining squared norm the other
 coordinates can still reach, so it meets no dead ends and yields the class
-in lexicographic order, as int64 rows that are checked once and kept.
+in lexicographic order, as int64 rows that are checked once and kept;
+a SphereSet builds the points as tuples only when they are asked for.
 
 On a sphere no integer solutions of a dominant equation exist except the
 constant ones (strict convexity of the Euclidean norm), which is what
 verify_construction checks by brute force, and entrywise inclusion into
 F_p^n preserves solutions both ways once p exceeds the box bound times
-the largest step coefficient's reach (k = floor((p-1)/b)).
+the largest step coefficient's reach (k = floor((p-1)/b)).  Then the
+rows are their own embedding: embed_mod_p only checks p and hands the
+points to a PointSet.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from functools import cached_property
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .arith import power_exceeds
+from .arith import is_prime, power_exceeds
 from .eqsys import ZSystem
 from .errors import GuardExceeded
-from .oracle import Point, PointSet, Rows, integer_rows, iter_solutions, lex_leads
+from .oracle import Point, PointSet, iter_solutions
 
 MATERIALIZE_GUARD = 2**24
 #: bytes a census table may take, as _census_bytes estimates them
@@ -59,41 +63,58 @@ class NormClassTable:
         return best_norm, self.counts[best_norm]
 
 
+def integer_rows(points: Sequence[Point], n: int) -> Optional[np.ndarray]:
+    """The points as an (len(points), n) int64 array, or None when some
+    point is not n integers that fit in int64."""
+    try:
+        arr = np.asarray(points) if len(points) else np.zeros((0, n), dtype=np.int64)
+    except (ValueError, OverflowError):  # ragged rows
+        return None
+    if arr.dtype.kind != "i" or arr.shape != (len(points), n):
+        return None
+    return arr.astype(np.int64, copy=False)
+
+
+def lex_leads(arr: np.ndarray) -> np.ndarray:
+    """Per pair of consecutive rows, the first nonzero entry of their
+    difference (0 for equal rows): all >= 0 means sorted in lexicographic
+    order."""
+    if len(arr) < 2:
+        return np.zeros(0, dtype=np.int64)
+    diff = arr[1:] - arr[:-1]
+    return diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
+
+
 class SphereSet:
     """Points of {0..k}^n on the sphere of squared radius ``radius_sq``,
     sorted.  ``points`` is a collection of n-tuples or an integer array of
     rows.  It is checked once, as int64 rows (box, norm, order), and kept
-    as Rows: ``rows`` is the array and ``points`` the tuples of Python
-    ints, built on first use unless sorted tuples were given."""
+    in ``rows``, read-only; ``points``, the rows as tuples of Python ints,
+    is built on first use a chunk of rows at a time, so that no list of
+    lists for the whole array is ever alive."""
 
     def __init__(self, n: int, k: int, radius_sq: int,
                  points: Iterable[Point] | np.ndarray) -> None:
         self.n, self.k, self.radius_sq = n, k, radius_sq
-        if not isinstance(points, (tuple, np.ndarray)):
-            points = tuple(points)
-        arr = integer_rows(points, n)
+        arr = integer_rows(points if isinstance(points, np.ndarray) else tuple(points), n)
         if arr is None or (arr.size and (arr.min() < 0 or arr.max() > k)):
             raise ValueError("points must lie in the box")
         wide = arr.astype(object) if n * k ** 2 >= 2**63 else arr  # exact norms
         if ((wide * wide).sum(axis=1) != radius_sq).any():
             raise ValueError("point off the sphere")
-        if not (lex_leads(arr) >= 0).all():
-            self._rows = Rows(arr[np.lexsort(arr.T[::-1])])
-        elif isinstance(points, tuple) and set(map(type, points)) <= {tuple}:
-            self._rows = Rows(arr, points)  # already sorted tuples: keep them
-        else:
-            self._rows = Rows(arr)
+        arr = arr[np.lexsort(arr.T[::-1])] if (lex_leads(arr) < 0).any() else arr.view()
+        arr.flags.writeable = False
+        self.rows = arr
 
-    @property
-    def rows(self) -> np.ndarray:
-        return self._rows.array
-
-    @property
+    @cached_property
     def points(self) -> tuple[Point, ...]:
-        return self._rows.points
+        out: list[Point] = []
+        for start in range(0, len(self.rows), 4096):
+            out.extend(map(tuple, self.rows[start:start + 4096].tolist()))
+        return tuple(out)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.points)
@@ -120,12 +141,13 @@ def _census_bytes(n: int, k: int) -> int:
 def norm_class_counts(n: int, k: int) -> NormClassTable:
     """Exact counts of the squared norms over {0..k}^n, the two corners
     left out: the coefficients of P^n with P(x) = Σ_{v≤k} x^{v²}, by
-    _power_recurrence when n >= 8k and by _limb_convolution below.
+    _power_recurrence when n >= min(8k, 96) and by _limb_convolution below.
     Measured, the recurrence overtakes the limbs at about n = 8.5k for
-    k = 4, 9k for k = 5, 12k for k = 6 and 11k for k = 10 (earlier for
-    k <= 3 and for k = 20), and is about 4× faster at n = 200, k = 10.  A
-    census whose table _census_bytes puts past CENSUS_GUARD is refused
-    before either method allocates anything.
+    k = 4, 9k for k = 5, 12k for k = 6, 11k for k = 10 and n = 108 for
+    k = 12, then at n = 84-92 for k = 16 to 34, where the limbs' cost
+    grows with the limb count; it is about 4× faster at n = 200, k = 10
+    and 10× at n = 271, k = 34.  A census whose table _census_bytes puts
+    past CENSUS_GUARD is refused before either method allocates anything.
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
@@ -133,7 +155,7 @@ def norm_class_counts(n: int, k: int) -> NormClassTable:
     if need > CENSUS_GUARD:
         raise GuardExceeded(f"a census of {n * k * k + 1} norm classes with counts below (k+1)^n "
                             f"needs about {need} bytes, past the census guard ({CENSUS_GUARD})")
-    vals = _power_recurrence(n, k) if n >= 8 * k else _limb_convolution(n, k)
+    vals = _power_recurrence(n, k) if n >= min(8 * k, 96) else _limb_convolution(n, k)
     vals[0] -= 1
     vals[-1] -= 1
     counts = {q: c for q, c in enumerate(vals) if c > 0}
@@ -263,12 +285,20 @@ def best_sphere_set(n: int, k: int) -> SphereSet:
     return SphereSet(n, k, radius_sq, rows)
 
 
+def check_modulus(p: int, k: int) -> None:
+    """Refuse a modulus that cannot take {0,…,k} entrywise: p must exceed
+    the box bound k and be prime."""
+    if p <= k:
+        raise ValueError(f"p={p} must exceed the box bound k={k}")
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+
+
 def embed_mod_p(y: SphereSet, p: int) -> PointSet:
-    """Entrywise inclusion {0,…,k} ⊂ F_p (requires p > k, so entries are
-    already reduced): the point set shares y's rows and their tuples."""
-    if p <= y.k:
-        raise ValueError(f"p={p} must exceed the box bound k={y.k}")
-    return PointSet(p, y.n, y._rows)
+    """Entrywise inclusion {0,…,k} ⊂ F_p (requires a prime p > k, so the
+    entries are already reduced and the points keep their order)."""
+    check_modulus(p, y.k)
+    return PointSet(p, y.n, y.points)
 
 
 def verify_construction(s: ZSystem, y: Union[SphereSet, Iterable[Point]], guard: int = 10**8) -> bool:

@@ -12,11 +12,11 @@ product of the free positions' set sizes bounds the work (guarded at 1e8).
 
 Search for maximum free sets first compiles the system over F_p^n: the same
 row reduction mod p gives every solution at once, and the supports a free set
-must avoid become bitmasks of point indices.  It then fixes the zero
-vector into every nonempty candidate (balanced systems are translation
-invariant, and among maximum witnesses one contains 0; its sorted sequence
-starts with the globally smallest point, so the lexicographically least
-maximum witness contains 0) and runs one include-first depth-first pass
+must avoid become bitmasks of point indices.  It accepts only systems
+balanced mod p, which are translation invariant, so among maximum witnesses
+one contains 0; its sorted sequence starts with the globally smallest point,
+so the lexicographically least maximum witness contains 0.  The search fixes
+0 into every nonempty candidate and runs one include-first depth-first pass
 over ascending point indices, keeping a mask of the points that may still
 join.  A branch dies when even all of those could not beat the record, so
 the first maximum set found is the lexicographically least one.
@@ -45,105 +45,27 @@ DEFAULT_NODE_BUDGET = 2_000_000
 Point = tuple[int, ...]
 
 
-def integer_rows(points: Sequence[Point], n: int) -> Optional[np.ndarray]:
-    """The points as an (len(points), n) int64 array, or None when some
-    point is not n integers that fit in int64."""
-    try:
-        arr = np.asarray(points) if len(points) else np.zeros((0, n), dtype=np.int64)
-    except (ValueError, OverflowError):  # ragged rows
-        return None
-    if arr.dtype.kind != "i" or arr.shape != (len(points), n):
-        return None
-    return arr.astype(np.int64, copy=False)
-
-
-def lex_leads(arr: np.ndarray) -> np.ndarray:
-    """Per pair of consecutive rows, the first nonzero entry of their
-    difference (0 for equal rows): all > 0 means strictly increasing in
-    lexicographic order, all >= 0 means sorted."""
-    if len(arr) < 2:
-        return np.zeros(0, dtype=np.int64)
-    diff = arr[1:] - arr[:-1]
-    return diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
-
-
-class Rows:
-    """Points as a read-only int64 array, one point a row, and the same
-    points as tuples of Python ints, built on first use a chunk of rows at a
-    time so that no list of lists for the whole array is ever alive.  Sets
-    made from one Rows share both."""
-
-    __slots__ = ("array", "_points")
-
-    def __init__(self, array: np.ndarray, points: Optional[tuple[Point, ...]] = None) -> None:
-        array = array.view()
-        array.flags.writeable = False
-        self.array, self._points = array, points
-
-    def __len__(self) -> int:
-        return len(self.array)
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        if self._points is None:
-            out: list[Point] = []
-            for start in range(0, len(self.array), 4096):
-                out.extend(map(tuple, self.array[start:start + 4096].tolist()))
-            self._points = tuple(out)
-        return self._points
-
-
+@dataclass(frozen=True)
 class PointSet:
-    """A canonical subset of F_p^n: entries reduced mod p, sorted, deduped.
+    """A canonical subset of F_p^n: entries reduced mod p, sorted, deduped."""
 
-    ``points`` is a collection of n-tuples or a Rows.  A tuple of n-tuples
-    or a Rows that is already canonical (entries in [0, p), strictly
-    increasing) is checked with numpy and kept as it is, a Rows with the
-    tuples it shares; any other input is normalised point by point.
-    """
+    p: int
+    n: int
+    points: tuple[Point, ...]
 
-    def __init__(self, p: int, n: int, points: Sequence[Point] | Rows) -> None:
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        if n < 1:
+    def __post_init__(self) -> None:
+        if not is_prime(self.p):
+            raise ValueError(f"p={self.p} is not prime")
+        if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        self.p, self.n = p, n
-        if isinstance(points, Rows):
-            if self._canonical(points.array):
-                self._points: tuple[Point, ...] | Rows = points
-                return
-            points = points.points
-        elif type(points) is tuple and set(map(type, points)) <= {tuple} \
-                and self._canonical(integer_rows(points, n)):
-            self._points = points
-            return
-        norm = sorted({tuple(c % p for c in pt) for pt in points})
+        norm = sorted({tuple(c % self.p for c in pt) for pt in self.points})
         for pt in norm:
-            if len(pt) != n:
+            if len(pt) != self.n:
                 raise ValueError("point dimension mismatch")
-        self._points = tuple(norm)
-
-    def _canonical(self, arr: Optional[np.ndarray]) -> bool:
-        return (arr is not None and arr.shape[1:] == (self.n,)
-                and (not arr.size or (arr.min() >= 0 and arr.max() < self.p))
-                and bool((lex_leads(arr) > 0).all()))
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return self._points.points if isinstance(self._points, Rows) else self._points
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, PointSet)
-                and (self.p, self.n, self.points) == (other.p, other.n, other.points))
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.n, self.points))
-
-    def __repr__(self) -> str:
-        return f"PointSet(p={self.p}, n={self.n}, points={self.points!r})"
+        object.__setattr__(self, "points", tuple(norm))
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self.points)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
@@ -324,25 +246,19 @@ def iter_solutions(
     yield from rec(0)
 
 
-def _as_point_lists(t: FpSystem, sets) -> list[list[Point]]:
-    if isinstance(sets, PointSet):
-        return [list(sets.points)] * t.r
-    sets = list(sets)
-    if len(sets) != t.r:
-        raise ValueError(f"expected {t.r} candidate sets, got {len(sets)}")
-    return [list(PointSet(t.p, _dim_of(s), tuple(s)).points) if not isinstance(s, PointSet) else list(s.points) for s in sets]
-
-
-def _dim_of(s) -> int:
-    for pt in s:
-        return len(pt)
-    return 1
+def _canonical_points(p: int, a) -> tuple[Point, ...]:
+    """The points of ``a``, a PointSet or any collection of points (its
+    dimension read off its first point), reduced mod p, sorted, deduped."""
+    if isinstance(a, PointSet):
+        return a.points
+    a = tuple(a)
+    return PointSet(p, len(a[0]) if a else 1, a).points
 
 
 def is_strongly_free(t: FpSystem, a) -> bool:
     """No solution within ``a`` except the constant ones."""
-    cols = _as_point_lists(t, [a] * t.r if not isinstance(a, PointSet) else a)
-    for sol in iter_solutions(t.rows, cols, t.p):
+    pts = _canonical_points(t.p, a)
+    for sol in iter_solutions(t.rows, [pts] * t.r, t.p):
         if any(pt != sol[0] for pt in sol):
             return False
     return True
@@ -350,10 +266,10 @@ def is_strongly_free(t: FpSystem, a) -> bool:
 
 def is_weakly_free(t: FpSystem, a) -> bool:
     """No solution within ``a`` whose r entries are pairwise distinct."""
-    cols = _as_point_lists(t, [a] * t.r if not isinstance(a, PointSet) else a)
-    if len(cols[0]) < t.r:  # r distinct entries cannot fit
+    pts = _canonical_points(t.p, a)
+    if len(pts) < t.r:  # r distinct entries cannot fit
         return True
-    for _ in iter_solutions(t.rows, cols, t.p, distinct=True):
+    for _ in iter_solutions(t.rows, [pts] * t.r, t.p, distinct=True):
         return False
     return True
 
@@ -464,6 +380,8 @@ def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]
         raise ValueError("dimension must be >= 1")
     if node_budget is not None and node_budget < 1:
         raise ValueError("node budget must be >= 1")
+    if not t.is_balanced:  # the zero vector in every set needs translation invariance
+        raise ValueError(f"system is not balanced mod {t.p}: the search needs every row to sum to 0 mod {t.p}")
     p = t.p
     if weak and not power_exceeds(p, n, t.r - 1):
         # fewer points than positions: no tuple can have r distinct entries
@@ -505,7 +423,7 @@ def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]
 
 def max_strongly_free(t: FpSystem, n: int, node_budget: Optional[int] = None) -> SearchResult:
     """Maximum size of a strongly free subset of F_p^n with the
-    lexicographically least maximum witness.
+    lexicographically least maximum witness; t must be balanced mod p.
 
     The search visits at most ``node_budget`` >= 1 sets (default
     DEFAULT_NODE_BUDGET); when it stops early the result is the best set
@@ -537,7 +455,9 @@ def extendable_pairs(t: FpSystem, sets, i: int, j: int) -> set[tuple[Point, Poin
     (0-based positions)."""
     if not 0 <= i < t.r or not 0 <= j < t.r or i == j:
         raise ValueError("positions must be distinct and in range")
-    cols = _as_point_lists(t, sets)
+    cols = [_canonical_points(t.p, s) for s in sets]
+    if len(cols) != t.r:
+        raise ValueError(f"expected {t.r} candidate sets, got {len(cols)}")
     return {(sol[i], sol[j]) for sol in iter_solutions(t.rows, cols, t.p)}
 
 

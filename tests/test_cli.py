@@ -17,7 +17,7 @@ import linsys.dominance
 import linsys.oracle
 from linsys.cli import _build_parser, main
 from linsys.eqsys import reduce_mod_p
-from linsys.lattice import best_sphere_set, embed_mod_p
+from linsys.lattice import SphereSet, best_sphere_set, embed_mod_p
 from linsys.oracle import PointSet, is_strongly_free
 from linsys.systems import builtin
 
@@ -265,7 +265,7 @@ def test_behrend_points_are_the_embedded_sphere_set(capsys, n, k, p):
 
 
 def test_behrend_prints_points_without_building_tuples(capsys, monkeypatch):
-    monkeypatch.setattr(linsys.oracle.Rows, "points", property(lambda rows: pytest.fail("tuples built")))
+    monkeypatch.setattr(SphereSet, "points", property(lambda y: pytest.fail("tuples built")))
     code, rep, err = run_json(capsys, "behrend", "--n", "10", "--k", "3", "--materialize", "--p", "7")
     assert code == 0 and len(rep["points"]) == 40830
 
@@ -326,6 +326,18 @@ def test_search_rejects_a_budget_below_one(capsys, budget):
     assert err == "error: node budget must be >= 1\n"
 
 
+def test_search_refuses_a_system_not_balanced_mod_p_in_one_line(capsys, tmp_path):
+    path = tmp_path / "system.lineq"
+    path.write_text("x1 + 3x2 + 3x3 = 0\n")
+    argv = ("search", "--system", str(path), "--p", "5", "--n", "1", "--kind", "weak")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: system is not balanced mod 5")
+    path.write_text("x1 + x2 + 3x3 = 0\n")  # balanced mod 5, not over Z
+    code, rep, err = run_json(capsys, *argv)
+    assert code == 0 and rep["exhaustive"] is True
+
+
 def test_search_past_the_compile_guard_is_input_error(capsys):
     code, out, err = run(capsys, "search", "--kind", "weak", "--p", "3", "--n", "5")
     assert code == 1 and "guard" in err
@@ -372,6 +384,17 @@ def test_verify_multicolor_bad_width(capsys, tmp_path):
         "--set", str(path),
     )
     assert code == 1 and "columns" in err
+
+
+def test_verify_refuses_a_ragged_file_naming_its_line(capsys, tmp_path):
+    path = tmp_path / "rows.csv"
+    for kind, text, line, want, got in (("multicolor", "1 1 2 2 3\n4 4 0 0 1 7\n", 2, 5, 6),
+                                        ("strong", "# points\n0 1\n2\n", 3, 2, 1)):
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "--system", "SW", "--p", "5", "--kind", kind,
+                             "--set", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: line {line}: expected {want} columns like the first row, got {got}\n"
 
 
 # ---------------------------------------------------------------------------

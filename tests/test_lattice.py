@@ -93,8 +93,8 @@ def test_census_across_limb_boundaries(n, k):
 
 
 def test_census_methods_agree_across_the_rule():
-    # norm_class_counts switches from the limbs to the recurrence at n = 8k
-    cases = [(n, k) for k in range(1, 7) for n in range(2, 41)] + [(80, 10), (100, 10)]
+    # norm_class_counts switches from the limbs to the recurrence at n = min(8k, 96)
+    cases = [(n, k) for k in range(1, 7) for n in range(2, 41)] + [(80, 10), (100, 10), (95, 16), (96, 16)]
     for n, k in cases:
         assert _power_recurrence(n, k) == _limb_convolution(n, k), (n, k)
 
@@ -187,16 +187,8 @@ def test_sphere_set_validation():
     # an array of rows is stored as tuples of Python ints
     y = SphereSet(3, 2, 5, np.array([[2, 1, 0], [0, 1, 2]]))
     assert y.points == ((0, 1, 2), (2, 1, 0)) and type(y.points[0][0]) is int
-    # sorted tuples are kept as they are
     pts = ((0, 1, 2), (0, 2, 1))
-    assert SphereSet(3, 2, 5, pts).points is pts
-
-
-def test_point_set_canonical_input_is_kept():
-    pts = ((0, 1), (0, 2), (4, 0))
-    assert PointSet(5, 2, pts).points is pts
-    y = best_sphere_set(3, 2)
-    assert embed_mod_p(y, 7).points is y.points
+    assert SphereSet(3, 2, 5, pts).points == pts
 
 
 @pytest.mark.parametrize("points, expected", [

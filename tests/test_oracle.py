@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from linsys.eqsys import reduce_mod_p
+from linsys.eqsys import parse_system, reduce_mod_p
 from linsys.errors import GuardExceeded
 from linsys.oracle import (
     Matching,
@@ -252,6 +252,28 @@ def test_compile_guard_fails_fast():
 def test_search_dimension_validation():
     with pytest.raises(ValueError):
         max_strongly_free(s3ap(3), 0)
+
+
+def test_search_refuses_a_system_not_balanced_mod_p():
+    t = reduce_mod_p(parse_system("x1 + 3x2 + 3x3 = 0"), 5)
+    for search in (max_strongly_free, max_weakly_free):
+        with pytest.raises(ValueError, match="not balanced mod 5"):
+            search(t, 1)
+    # a search that put 0 into every set stopped at {0, 1}, yet this is weakly free
+    assert is_weakly_free(t, [(1,), (2,), (3,), (4,)])
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_search_on_a_system_balanced_only_mod_p_matches_brute_force(weak):
+    t = reduce_mod_p(parse_system("x1 + x2 + 3x3 = 0"), 5)  # coefficients sum to 5
+    free = is_weakly_free if weak else is_strongly_free
+    pts = space_points(5, 1)
+    # combinations come in lexicographic order: the first free one of the
+    # largest size is the lexicographically least maximum witness
+    brute = next(sub for size in range(len(pts), 0, -1)
+                 for sub in itertools.combinations(pts, size) if free(t, sub))
+    r = (max_weakly_free if weak else max_strongly_free)(t, 1)
+    assert r.exhaustive and r.value == len(brute) and r.witness.points == brute
 
 
 # ---------------------------------------------------------------------------
