@@ -9,6 +9,7 @@ before the library code existed, and are asserted here as constants.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -246,9 +247,10 @@ def criterion_10(**_) -> CriterionResult:
         outs = []
         for p in (3, 5, 7):
             k = (p - 1) // 2
-            box = [pt for pt in space_points(k + 1, 2)]  # {0..k}^2 as plain tuples
-            over_z = set(iter_solutions(rows, [box] * s.r, None))
-            over_p = set(iter_solutions(rows, [box] * s.r, p))
+            box = space_points(k + 1, 2)  # {0..k}^2 as plain tuples
+            over_z = [tup for tup in itertools.product(box, repeat=s.r)
+                      if not any(sum(c * x[d] for c, x in zip(row, tup)) for row in rows for d in range(2))]
+            over_p = list(iter_solutions(rows, [box] * s.r, p))
             assert over_z == over_p, (
                 f"p={p}: {len(over_z)} integer vs {len(over_p)} mod-p solutions differ")
             outs.append(f"p={p}:{len(over_z)}")

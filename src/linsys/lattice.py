@@ -21,7 +21,7 @@ a SphereSet builds the points as tuples only when they are asked for.
 
 On a sphere no integer solutions of a dominant equation exist except the
 constant ones (strict convexity of the Euclidean norm), which is what
-verify_construction checks by brute force, and entrywise inclusion into
+verify_construction checks exhaustively, and entrywise inclusion into
 F_p^n preserves solutions both ways once p exceeds the box bound times
 the largest step coefficient's reach (k = floor((p-1)/b)).  Then the
 rows are their own embedding: embed_mod_p only checks p and hands the
@@ -29,6 +29,7 @@ points to a PointSet.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,19 +303,20 @@ def embed_mod_p(y: SphereSet, p: int) -> PointSet:
 
 
 def verify_construction(s: ZSystem, y: Union[SphereSet, Iterable[Point]], guard: int = 10**8) -> bool:
-    """Every integer solution of s with entries drawn from y is constant.
-
-    Accepts a SphereSet or any plain collection of integer points; the
-    work is bounded by (#points)^(free positions) <= guard.
-    """
+    """Every integer solution of s with entries drawn from y (a SphereSet or
+    any collection of integer points) is constant; the work is bounded by
+    (#points)^(free positions) <= guard.  Checked mod the least prime P above
+    max(2, largest row Σ|a_i|)·max(1, largest |entry|): a row's value at a
+    tuple from y lies strictly between -P and P, so it vanishes mod P only
+    when it vanishes, and distinct points stay distinct mod P."""
     points = list(y.points if isinstance(y, SphereSet) else (tuple(pt) for pt in y))
     if not points:
         return True
-    cols = [points] * s.r
-    for sol in iter_solutions(s.coefficient_rows(), cols, None, guard=guard):
-        if any(pt != sol[0] for pt in sol):
-            return False
-    return True
+    rows = s.coefficient_rows()
+    bound = max([2, *(sum(map(abs, row)) for row in rows)]) * max([1, *(abs(c) for pt in points for c in pt)])
+    prime = next(q for q in itertools.count(bound + 1) if is_prime(q))
+    cols = [[tuple(c % prime for c in pt) for pt in points]] * s.r
+    return all(len(set(sol)) == 1 for sol in iter_solutions(rows, cols, prime, guard=guard))
 
 
 def smallest_valid_dimension(k: int, epsilon: Union[float, Fraction], limit: int = 10**6) -> int:

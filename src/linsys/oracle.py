@@ -1,18 +1,18 @@
 """Ground-truth enumeration and exact search over small point sets.
 
-The workhorse is a depth-first solution iterator over given candidate
-sets, one per variable position.  The equations are first row-reduced,
-each pivot on the rightmost column it can take (mod p with inverses, over
-Z fraction-free), so that every independent equation ends at its own
-variable and zero rows drop out.  At that position the equation pins the
-value (back-substitution): over F_p by a modular inverse, over Z by exact
-division.  Only r - rank positions stay free; they are enumerated in
-ascending order, so solutions stream out in lexicographic order and the
-product of the free positions' set sizes bounds the work (guarded at 1e8).
+One engine lists the solutions of a system with x_i drawn from candidate
+sets.  It row-reduces the rows mod p once, each pivot on the rightmost
+column it can take, so that every independent row pins the entry at its own
+position from the entries left of it.  A frontier of partial tuples then
+grows breadth-first in numpy, one position at a time: a free position
+multiplies it by its set, a pinned one computes its entry and keeps the
+tuples whose entry lies in the set.  Worked in chunks, depth first, it stays
+bounded in memory and yields the solutions in lexicographic order; the
+product of the free positions' set sizes bounds its entries (guarded at 1e8).
 
 Search for maximum free sets first compiles the system over F_p^n: the same
-row reduction mod p gives every solution at once, and the supports a free set
-must avoid become bitmasks of point indices.  It accepts only systems
+engine run over all of F_p^n gives every solution, and the supports a free
+set must avoid become bitmasks of point indices.  It accepts only systems
 balanced mod p, which are translation invariant, so among maximum witnesses
 one contains 0; its sorted sequence starts with the globally smallest point,
 so the lexicographically least maximum witness contains 0.  The search fixes
@@ -36,11 +36,14 @@ from .eqsys import FpSystem, reduce_mod_p
 from .errors import GuardExceeded
 from .systems import builtin
 
+#: largest product of the free positions' set sizes an enumeration takes on
 ENUMERATION_GUARD = 10**8
 #: largest solution table (solutions times r) and point count a search compiles
 COMPILE_GUARD = 4_000_000
 #: sets a search visits before it stops with exhaustive=False
 DEFAULT_NODE_BUDGET = 2_000_000
+#: frontier entries (positions times tuples) a free position extends at once
+_CHUNK = 1 << 16
 
 Point = tuple[int, ...]
 
@@ -93,11 +96,8 @@ class Matching:
         arity = len(rows[0])
         if any(len(row) != arity for row in rows):
             raise ValueError("rows must share one arity")
-        dim = len(rows[0][0])
-        for row in rows:
-            for pt in row:
-                if len(pt) != dim:
-                    raise ValueError("point dimension mismatch")
+        if any(len(pt) != len(rows[0][0]) for row in rows for pt in row):
+            raise ValueError("point dimension mismatch")
         for col in range(arity):
             entries = [row[col] for row in rows]
             if len(set(entries)) != len(entries):
@@ -113,6 +113,15 @@ class Matching:
 
     def column(self, i: int) -> tuple[Point, ...]:
         return tuple(sorted(row[i] for row in self.rows))
+
+    def mod(self, p: int) -> Matching:
+        """The same rows with entries reduced mod p; refuses a column whose
+        entries differ but repeat a point mod p."""
+        rows = tuple(tuple(tuple(c % p for c in pt) for pt in row) for row in self.rows)
+        try:
+            return Matching(rows)
+        except ValueError as exc:
+            raise ValueError(f"{exc} mod {p}") from None
 
 
 @dataclass(frozen=True)
@@ -131,119 +140,125 @@ def space_points(p: int, n: int) -> tuple[Point, ...]:
 # ---------------------------------------------------------------------------
 # core enumeration
 
-def _pin_rows(rows: Sequence[Sequence[int]], r: int, modulus: Optional[int]) -> list[tuple[tuple[int, ...], int]]:
-    """Row-reduce so that each remaining row's last nonzero column is its
-    own pivot: (row, pivot) pairs, pivots distinct, zero rows dropped.
-
-    Columns are taken from the right; a row picked as pivot of column c has
-    no entry right of c, and c is cleared from the rows not yet picked.
-    Mod p each pivot is scaled to 1; over Z the elimination is fraction-free
-    and every row is divided by the gcd of its entries.  Either way the rows
-    have the same solutions as the input.
-    """
+def _pin_rows(rows: Sequence[Sequence[int]], r: int, p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Row-reduce mod p so that each remaining row's last nonzero column is
+    its own pivot, scaled to 1: (row, pivot) pairs, pivots distinct, zero
+    rows dropped.  Columns are taken from the right; a row picked as pivot of
+    column c has no entry right of c, and c is cleared from the rows not yet
+    picked, so the rows have the same solutions mod p as the input."""
     mat = []
     for row in rows:
         if len(row) != r:
             raise ValueError("row width must equal the number of sets")
-        mat.append([c % modulus for c in row] if modulus is not None else list(row))
+        mat.append([c % p for c in row])
     pinned = []
     for col in reversed(range(r)):
         pick = next((i for i, row in enumerate(mat) if row[col]), None)
         if pick is None:
             continue
         piv = mat.pop(pick)
-        if modulus is not None:
-            inv = pow(piv[col], -1, modulus)
-            piv = [c * inv % modulus for c in piv]
+        inv = pow(piv[col], -1, p)
+        piv = [c * inv % p for c in piv]
         for i, row in enumerate(mat):
-            f = row[col]
-            if not f:
-                continue
-            if modulus is not None:
-                mat[i] = [(a - f * b) % modulus for a, b in zip(row, piv)]
-            else:
-                new = [piv[col] * a - f * b for a, b in zip(row, piv)]
-                g = math.gcd(*new)
-                mat[i] = [c // g for c in new] if g > 1 else new
+            if row[col]:
+                mat[i] = [(a - row[col] * b) % p for a, b in zip(row, piv)]
         pinned.append((tuple(piv), col))
     return pinned
 
 
-def iter_solutions(
-    rows: Sequence[Sequence[int]],
-    sets: Sequence[Iterable[Point]],
-    modulus: Optional[int] = None,
-    *,
-    distinct: bool = False,
-    guard: int = ENUMERATION_GUARD,
-) -> Iterator[tuple[Point, ...]]:
-    """Stream all tuples (x_1..x_r), x_i from sets[i], solving every row.
-
-    modulus None means exact integer arithmetic.  ``distinct`` keeps only
-    pairwise-distinct tuples (pruned along the prefix).  Solutions come out
-    in lexicographic order.
-    """
+def _solution_table(rows: Sequence[Sequence[int]], sets: Sequence[Sequence[Point]], p: int,
+                    distinct: bool = False, guard: int = ENUMERATION_GUARD) -> Iterator[np.ndarray]:
+    """The solutions mod p with x_i from sets[i] in lexicographic order, as
+    nonempty chunks of rows of indices into the distinct set objects laid
+    end to end in order of first appearance.  Each set is a sorted sequence
+    (or array) of distinct points with entries in [0, p).  ``distinct`` keeps
+    tuples with pairwise distinct entries only.  ``guard`` bounds the
+    product of the free positions' set sizes before any work."""
     r = len(sets)
-    srt = [sorted({tuple(pt) for pt in s}) for s in sets]
-    lookup = [set(s) for s in srt]
-    if any(not s for s in srt):
+    pins = {col: row for row, col in _pin_rows(rows, r, p)}
+    if any(len(s) == 0 for s in sets):
         return
-    dim = len(srt[0][0])
-    for s in srt:
-        if any(len(pt) != dim for pt in s):
-            raise ValueError("point dimension mismatch")
-    # pinned position -> its row and the earlier positions the row uses
-    pins = {col: (row, [i for i in range(col) if row[i]]) for row, col in _pin_rows(rows, r, modulus)}
-
-    work = 1
-    for v in range(r):
-        if v not in pins:
-            work *= len(srt[v])
+    work = math.prod(len(s) for v, s in enumerate(sets) if v not in pins)
     if work > guard:
-        raise GuardExceeded(f"enumeration would take ~{work} nodes (> {guard})")
+        raise GuardExceeded(f"enumeration would take ~{work} frontier entries (> {guard})")
 
-    x: list[Optional[Point]] = [None] * r
+    uniq = {id(s): s for s in sets}
+    start = dict(zip(uniq, itertools.accumulate((len(s) for s in uniq.values()), initial=0)))
+    dim = len(sets[0][0])
+    # point keys and products of entries stay below 2^63, or Python ints are used
+    dtype = object if power_exceeds(p, max(dim, 2), (1 << 63) - 1) else np.int64
+    try:
+        flat = np.concatenate([np.array(s, dtype=dtype).reshape(len(s), -1) for s in uniq.values()])
+    except OverflowError:
+        raise ValueError(f"point entries must lie in [0, {p})") from None
+    except ValueError:
+        raise ValueError("point dimension mismatch") from None
+    if flat.min() < 0 or flat.max() >= p:
+        raise ValueError(f"point entries must lie in [0, {p})")
+    keys = flat @ np.array([p ** (dim - 1 - d) for d in range(dim)], dtype=dtype)
+    # membership in a set: a table over all p^dim keys when that is small next
+    # to the points, else a binary search in the set's sorted keys
+    tables = {}
+    if not power_exceeds(p, dim, _CHUNK + 16 * len(flat)):
+        for lo, s in zip(start.values(), uniq.values()):
+            tables[lo] = np.full(p**dim, -1, dtype=np.int64)
+            tables[lo][keys[lo:lo + len(s)]] = np.arange(lo, lo + len(s))
+    # pinned position -> its terms: (earlier position, all points times minus its coefficient)
+    terms = {v: [(i, (p - c) * flat % p) for i, c in enumerate(row[:v]) if c] for v, row in pins.items()}
 
-    def pinned_value(v: int) -> Optional[Point]:
-        """x_v from the earlier entries, or None when over Z it is not an integer."""
-        row, uses = pins[v]
-        rest = [0] * dim
-        for i in uses:
-            c, xi = row[i], x[i]
-            for d in range(dim):
-                rest[d] += c * xi[d]
-        if modulus is not None:  # the pivot is 1
-            return tuple(-rv % modulus for rv in rest)
-        vals = []
-        for rv in rest:
-            q, rem = divmod(-rv, row[v])
-            if rem:
-                return None
-            vals.append(q)
-        return tuple(vals)
+    # the frontier holds one row of set indices per position, one column per tuple
+    stack = [(np.zeros((r, 1), dtype=np.int64), 0)]
+    while stack:
+        front, v = stack.pop()
+        while front.shape[1] and v < r:
+            lo, size = start[id(sets[v])], len(sets[v])
+            if v in pins:
+                value = np.zeros((front.shape[1], dim), dtype)
+                for i, term in terms[v]:
+                    value += term.take(front[i], axis=0)
+                value %= p
+                key = value[:, 0]
+                for d in range(1, dim):
+                    key = key * p + value[:, d]
+                if tables:
+                    at = tables[lo].take(key)
+                    hit = at >= 0
+                else:
+                    own = keys[lo:lo + size]
+                    at = np.minimum(own.searchsorted(key), size - 1)
+                    hit = own.take(at) == key
+                    at += lo
+                if not hit.all():
+                    front, at = front.compress(hit, axis=1), at.compress(hit)
+                front[v] = at
+            else:
+                step = max(1, _CHUNK // (r * size))
+                if front.shape[1] > step:  # the rest waits at this position, after this chunk
+                    stack.append((front[:, step:], v))
+                    front = front[:, :step]
+                count = front.shape[1]
+                grown = np.empty((r, count * size), dtype=np.int64)  # rows past v are not read yet
+                grown[:v] = front[:v].repeat(size, axis=1)
+                grown[v].reshape(count, size)[:] = np.arange(lo, lo + size)
+                front = grown
+            if distinct and v:
+                entry = keys.take(front[v])
+                front = front.compress(np.logical_and.reduce([keys.take(front[i]) != entry for i in range(v)]), axis=1)
+            v += 1
+        if front.shape[1]:
+            yield front.T
 
-    def rec(v: int) -> Iterator[tuple[Point, ...]]:
-        if v == r:
-            yield tuple(x)  # type: ignore[arg-type]
-            return
-        if v in pins:
-            cand = pinned_value(v)
-            if cand is None or cand not in lookup[v]:
-                return
-            if distinct and cand in x[:v]:
-                return
-            x[v] = cand
-            yield from rec(v + 1)
-            x[v] = None
-        else:
-            for cand in srt[v]:
-                if distinct and cand in x[:v]:
-                    continue
-                x[v] = cand
-                yield from rec(v + 1)
-            x[v] = None
 
-    yield from rec(0)
+def iter_solutions(rows: Sequence[Sequence[int]], sets: Sequence[Iterable[Point]], p: int, *,
+                   distinct: bool = False, guard: int = ENUMERATION_GUARD) -> Iterator[tuple[Point, ...]]:
+    """Stream all tuples (x_1..x_r), x_i from sets[i], solving every row
+    mod p, in lexicographic order; entries must lie in [0, p).
+    ``distinct`` keeps only tuples with pairwise distinct entries."""
+    by_id = {key: sorted({tuple(pt) for pt in s}) for key, s in {id(s): s for s in sets}.items()}
+    flat = [pt for s in by_id.values() for pt in s]
+    for chunk in _solution_table(rows, [by_id[id(s)] for s in sets], p, distinct, guard):
+        for idx in chunk.tolist():
+            yield tuple(flat[i] for i in idx)
 
 
 def _canonical_points(p: int, a) -> tuple[Point, ...]:
@@ -258,20 +273,13 @@ def _canonical_points(p: int, a) -> tuple[Point, ...]:
 def is_strongly_free(t: FpSystem, a) -> bool:
     """No solution within ``a`` except the constant ones."""
     pts = _canonical_points(t.p, a)
-    for sol in iter_solutions(t.rows, [pts] * t.r, t.p):
-        if any(pt != sol[0] for pt in sol):
-            return False
-    return True
+    return not any((chunk != chunk[:, :1]).any() for chunk in _solution_table(t.rows, [pts] * t.r, t.p))
 
 
 def is_weakly_free(t: FpSystem, a) -> bool:
     """No solution within ``a`` whose r entries are pairwise distinct."""
-    pts = _canonical_points(t.p, a)
-    if len(pts) < t.r:  # r distinct entries cannot fit
-        return True
-    for _ in iter_solutions(t.rows, [pts] * t.r, t.p, distinct=True):
-        return False
-    return True
+    pts = _canonical_points(t.p, a)  # fewer than r points hold no r distinct entries
+    return len(pts) < t.r or next(_solution_table(t.rows, [pts] * t.r, t.p, distinct=True), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -303,37 +311,30 @@ class CompiledSystem:
 def compile_system(t: FpSystem, n: int, weak: bool, guard: int = COMPILE_GUARD) -> CompiledSystem:
     """Enumerate every solution of t over F_p^n once and file its support.
 
-    Row reduction mod p leaves p^(r - rank) scalar solutions; a solution
-    over F_p^n picks one of them per coordinate, so there are
-    p^(n (r - rank)) of them.  ``guard`` bounds that count times r (the
-    entries of the solution table) and p^n, and is checked before any work.
+    The solution engine runs over all of F_p^n, whose points it indexes in
+    lexicographic order.  Row reduction mod p leaves r - rank free
+    positions, so there are p^(n (r - rank)) solutions.  ``guard`` bounds
+    that count times r (the entries of the solution table) and p^n, and is
+    checked before any work.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     p, r = t.p, t.r
-    pinned = sorted(_pin_rows(t.rows, r, p), key=lambda pin: pin[1])
-    free = [c for c in range(r) if c not in {col for _, col in pinned}]
-    if power_exceeds(p, n * len(free), guard // r) or power_exceeds(p, n, guard):
-        raise GuardExceeded(f"compiling {p}^{n * len(free)} solutions over {p}^{n} points "
+    free = r - len(_pin_rows(t.rows, r, p))
+    if power_exceeds(p, n * free, guard // r) or power_exceeds(p, n, guard):
+        raise GuardExceeded(f"compiling {p}^{n * free} solutions over {p}^{n} points "
                             f"exceeds the guard ({guard} table entries)")
-    size, count = p**n, p ** (n * len(free))
+    size, count = p**n, p ** (n * free)
 
-    vals = np.array(list(itertools.product(range(p), repeat=len(free))), dtype=np.int64)
-    vals = vals.reshape(p ** len(free), len(free))
-    scalar = np.zeros((len(vals), r), dtype=np.int64)
-    scalar[:, free] = vals
-    for row, col in pinned:  # each pinned column from the columns left of it
-        scalar[:, col] = -(scalar @ np.array(row, dtype=np.int64)) % p
-    table = scalar
-    for _ in range(n - 1):  # one more coordinate, less significant in the lex index
-        table = (table[:, None, :] * p + scalar[None, :, :]).reshape(-1, r)
+    space = np.indices((p,) * n).reshape(n, size).T
+    table = np.concatenate([np.empty((0, r), dtype=np.int64), *_solution_table(t.rows, [space] * r, p, distinct=weak)])
 
     table = np.sort(table, axis=1)
-    repeats = table[:, 1:] == table[:, :-1]
-    distinct = r - repeats.sum(axis=1)
-    table = table[distinct == r] if weak else table[distinct >= 2]
-    if not weak:  # blank out repeated entries so that equal supports become equal rows
-        table[:, 1:][repeats[distinct >= 2]] = -1
+    if not weak:  # drop the constant solutions, and blank out repeated entries so that equal supports become equal rows
+        repeats = table[:, 1:] == table[:, :-1]
+        support = ~repeats.all(axis=1)
+        table = table[support]
+        table[:, 1:][repeats[support]] = -1
         table = np.sort(table, axis=1)
     table = table[np.lexsort(table.T[::-1])]
     first = np.ones(len(table), dtype=bool)
@@ -365,14 +366,6 @@ def _forbidden(node: list, members: list[int], end: int) -> int:
             if child is not None:
                 xs |= _forbidden(child, members, i)
     return xs
-
-
-def _index_point(i: int, p: int, n: int) -> Point:
-    digits = []
-    for _ in range(n):
-        i, d = divmod(i, p)
-        digits.append(d)
-    return tuple(reversed(digits))
 
 
 def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]) -> SearchResult:
@@ -417,7 +410,7 @@ def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]
         if len(members) > len(best):
             best = members.copy()
         stack.append(allowed)
-    witness = PointSet(p, n, tuple(_index_point(i, p, n) for i in best))
+    witness = PointSet(p, n, tuple(np.array(np.unravel_index(best, (p,) * n)).T.tolist()))
     return SearchResult(len(best), witness, nodes, not truncated)
 
 
@@ -445,9 +438,8 @@ def is_multicolored_free(t: FpSystem, m: Matching) -> bool:
     """The solutions of t with x_i from column i of m are exactly m's rows."""
     if m.arity != t.r:
         raise ValueError(f"matching arity {m.arity} != system arity {t.r}")
-    cols = [list(m.column(i)) for i in range(t.r)]
-    found = set(iter_solutions(t.rows, cols, t.p))
-    return found == set(m.rows)
+    m = m.mod(t.p)
+    return set(iter_solutions(t.rows, [m.column(i) for i in range(t.r)], t.p)) == set(m.rows)
 
 
 def extendable_pairs(t: FpSystem, sets, i: int, j: int) -> set[tuple[Point, Point]]:
@@ -478,16 +470,15 @@ def build_colored_subcollection(m: Matching, p: int, n: int) -> Matching:
         raise ValueError("rows must have arity 5")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
+    m = m.mod(p)
     seen: set[Point] = set()
-    for row in m.rows:
-        a, a2, b, b2, c = [tuple(v % p for v in pt) for pt in row]
+    for a, a2, b, b2, c in m.rows:
         if a != a2 or b != b2:
             raise ValueError("rows must look like (a, a, a', a', a'')")
         if len({a, b, c}) != 3:
             raise ValueError("each progression needs three distinct points")
-        for d in range(len(a)):
-            if (a[d] - 2 * b[d] + c[d]) % p:
-                raise ValueError("row is not a 3-term progression")
+        if any((x - 2 * y + z) % p for x, y, z in zip(a, b, c)):
+            raise ValueError("row is not a 3-term progression")
         if seen & {a, b, c}:
             raise ValueError("progressions must be pairwise disjoint")
         seen |= {a, b, c}

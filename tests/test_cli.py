@@ -376,6 +376,45 @@ def test_verify_multicolor(capsys, tmp_path):
     assert code == 0 and json.loads(out)["holds"] is True
 
 
+@pytest.mark.parametrize("row", ["0,1,2", "3,4,5", "6,-2,-1"])
+def test_verify_multicolor_reduces_its_rows_mod_p(capsys, tmp_path, row):
+    # (3,4,5) and (6,-2,-1) are (0,1,2) mod 3, a 3-AP and the only solution
+    path = tmp_path / "rows.csv"
+    path.write_text(row + "\n")
+    code, out, err = run(
+        capsys, "verify", "--system", "S3AP", "--p", "3", "--kind", "multicolor",
+        "--set", str(path), "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["holds"] is True
+
+
+def test_verify_multicolor_refuses_a_column_repeating_a_point_mod_p(capsys, tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("0,1,2\n3,5,7\n")  # column 1 holds 0 and 3, one point mod 3
+    code, out, err = run(
+        capsys, "verify", "--system", "S3AP", "--p", "3", "--kind", "multicolor",
+        "--set", str(path),
+    )
+    assert code == 1 and out == ""
+    assert err == "error: column 1 repeats a point mod 3\n"
+
+
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+@pytest.mark.parametrize("text, holds", [
+    ("999999,5,1000002,0\n1,2,3,4\n500000,7,8,9\n", True),
+    # (1000002,1000001,0,5), (0,1,2,3), (1,4,4,1) is a 3-AP mod p
+    ("1000002,1000001,0,5\n0,1,2,3\n1,4,4,1\n7,7,7,7\n", False),
+])
+def test_verify_at_a_prime_whose_fourth_power_passes_int64(capsys, tmp_path, kind, text, holds):
+    path = tmp_path / "pts.csv"
+    path.write_text(text)
+    code, out, err = run(
+        capsys, "verify", "--system", "S3AP", "--p", "1000003", "--kind", kind,
+        "--set", str(path), "--format", "json",
+    )
+    assert code == (0 if holds else 2) and json.loads(out)["holds"] is holds
+
+
 def test_verify_multicolor_bad_width(capsys, tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("0,1,0\n")
@@ -446,6 +485,16 @@ def test_certify_skips_an_exact_search_refused_by_the_compile_guard(capsys):
     assert rep["exact_strong"] is None and "exceeds the guard" in rep["exact_strong_note"]
     assert rep["upper_strong"] > 0 and rep["lower_strong"]["b"] == 2
     assert all("exact" not in c["name"] for c in rep["checks"])
+
+
+def test_certify_reports_sphere_checks_refused_by_the_enumeration_guard_as_null(capsys):
+    code, rep, err = run_json(capsys, "certify", "--system", "STAR3", "--p", "13", "--n", "5")
+    assert code == 0 and rep["verified"] is True
+    assert rep["sphere"] == {"k": 6, "radius_sq": 66, "size": 340}
+    assert rep["sphere_check"] is None
+    assert rep["sphere_check_note"] == ("sphere checks refused: enumeration would take "
+                                        "~13363360000 frontier entries (> 100000000); not checked")
+    assert not [c for c in rep["checks"] if "sphere" in c["name"]]
 
 
 def test_certify_at_a_huge_n_decides_its_guards_without_the_powers(capsys):

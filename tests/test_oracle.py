@@ -81,17 +81,6 @@ def test_iter_solutions_pins_last_variable():
     assert ((0,), (1,), (2,)) in sols
 
 
-def test_iter_solutions_exact_integer_mode():
-    rows = [(1, -2, 1)]
-    cols = [[(0,), (1,), (2,), (4,)]] * 3
-    sols = set(iter_solutions(rows, cols, None))
-    # over Z: x + z = 2y with entries from {0,1,2,4}
-    assert ((0,), (1,), (2,)) in sols
-    assert ((0,), (2,), (4,)) in sols
-    assert ((1,), (2,), (4,)) not in sols  # 1+4 = 5 is odd
-    assert all(a[0] + c[0] == 2 * b[0] for a, b, c in sols)
-
-
 def test_iter_solutions_distinct():
     rows = [(1, -2, 1)]
     cols = [[(v,) for v in range(5)]] * 3
@@ -113,6 +102,24 @@ def test_iter_solutions_validation_and_guard():
         list(iter_solutions([(1, -1)], cols5, 3))     # row width 2 != 3
     with pytest.raises(ValueError):
         list(iter_solutions([(1, -2, 1)], [[(0,)], [(0, 0)], [(0,)]], 3))
+
+
+@pytest.mark.parametrize("bad", [(3,), (-1,)])
+def test_iter_solutions_refuses_entries_not_reduced_mod_p(bad):
+    # an unreduced entry would silently miss solutions, so it is refused
+    cols = [[(0,), (1,)], [(0,), bad], [(2,)]]
+    with pytest.raises(ValueError, match=r"in \[0, 3\)"):
+        list(iter_solutions([(1, -2, 1)], cols, 3))
+
+
+@pytest.mark.parametrize("p", [1009, 2**61 - 1])
+def test_iter_solutions_at_a_large_prime(p):
+    # p^2 keys are too many for a lookup table, so a binary search; p^2 > 2^63: Python ints
+    pts = [(0, 1), (1, 2), (2, 3), (p - 1, p - 2)]
+    sols = list(iter_solutions([(1, -2, 1)], [pts] * 3, p))
+    assert sols == [(a, b, c) for a, b, c in itertools.product(pts, repeat=3)
+                    if all((a[d] - 2 * b[d] + c[d]) % p == 0 for d in range(2))]
+    assert len(sols) == 4 + 2  # the constants, and (0,1) (1,2) (2,3) both ways
 
 
 def test_iter_solutions_all_zero_row_ignored():

@@ -17,7 +17,7 @@ from linsys.dominance import (
     reduction_sequence,
 )
 from linsys.eqsys import ZEquation, ZSystem, parse_system, reduce_mod_p, render_system
-from linsys.lattice import norm_class_counts
+from linsys.lattice import norm_class_counts, verify_construction
 from linsys.oracle import (
     is_strongly_free,
     is_weakly_free,
@@ -394,14 +394,10 @@ def test_allocation_matches_coordinate_descent(groups, L, h):
 # iter_solutions pins one variable per independent equation: it lists the
 # same tuples, in the same order, as a filter over all r-tuples
 
-def _brute_force_solutions(rows, sets, modulus, distinct):
+def _brute_force_solutions(rows, sets, p, distinct):
     def solves(tup):
-        for row in rows:
-            for d in range(len(tup[0])):
-                acc = sum(c * x[d] for c, x in zip(row, tup))
-                if (acc % modulus if modulus is not None else acc):
-                    return False
-        return True
+        return not any(sum(c * x[d] for c, x in zip(row, tup)) % p
+                       for row in rows for d in range(len(tup[0])))
 
     columns = [sorted(set(s)) for s in sets]
     return [tup for tup in itertools.product(*columns)
@@ -410,8 +406,8 @@ def _brute_force_solutions(rows, sets, modulus, distinct):
 
 @st.composite
 def solution_problems(draw):
-    """Balanced rows (one may be a combination of two others), candidate
-    sets of 1- or 2-dimensional points, and p or None (over Z)."""
+    """Balanced rows (one may be a combination of two others), a prime p and
+    candidate sets of 1- or 2-dimensional points mod p."""
     r = draw(st.integers(min_value=2, max_value=5))
     rows = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -420,20 +416,34 @@ def solution_problems(draw):
     if len(rows) >= 2 and draw(st.booleans()):
         f = draw(st.integers(min_value=-2, max_value=2))
         rows.append(tuple(a + f * b for a, b in zip(rows[0], rows[1])))
-    modulus = draw(st.sampled_from([None, 2, 3, 5, 7]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
     dim = draw(st.integers(min_value=1, max_value=2))
-    span = range(modulus) if modulus is not None else range(-2, 4)
-    point = st.tuples(*[st.sampled_from(span)] * dim)
+    point = st.tuples(*[st.integers(min_value=0, max_value=p - 1)] * dim)
     sets = [draw(st.lists(point, min_size=1, max_size=5)) for _ in range(r)]
-    return rows, sets, modulus
+    return rows, sets, p
 
 
 @settings(deadline=None, max_examples=300)
 @given(solution_problems(), st.booleans())
 def test_iter_solutions_matches_a_filter_over_all_tuples(problem, distinct):
-    rows, sets, modulus = problem
-    got = list(iter_solutions(rows, sets, modulus, distinct=distinct))
-    assert got == _brute_force_solutions(rows, sets, modulus, distinct)
+    rows, sets, p = problem
+    got = list(iter_solutions(rows, sets, p, distinct=distinct))
+    assert got == _brute_force_solutions(rows, sets, p, distinct)
+
+
+# verify_construction asks its integer question mod a prime above every row
+# value: the answer is the one a filter over all integer tuples gives
+
+@settings(deadline=None, max_examples=200)
+@given(balanced_systems(), st.integers(min_value=1, max_value=2), st.data())
+def test_verify_construction_matches_an_integer_filter(s, dim, data):
+    point = st.tuples(*[st.integers(min_value=-6, max_value=6)] * dim)
+    points = data.draw(st.lists(point, min_size=1, max_size=4 if s.r <= 4 else 3, unique=True))
+    rows = s.coefficient_rows()
+    nonconstant = [tup for tup in itertools.product(points, repeat=s.r)
+                   if len(set(tup)) > 1
+                   and not any(sum(c * x[d] for c, x in zip(row, tup)) for row in rows for d in range(dim))]
+    assert verify_construction(s, points) == (not nonconstant)
 
 
 # ---------------------------------------------------------------------------
