@@ -96,8 +96,11 @@ class Matching:
         arity = len(rows[0])
         if any(len(row) != arity for row in rows):
             raise ValueError("rows must share one arity")
-        if any(len(pt) != len(rows[0][0]) for row in rows for pt in row):
-            raise ValueError("point dimension mismatch")
+        dim = len(rows[0][0])
+        for row in rows:
+            for pt in row:
+                if len(pt) != dim:
+                    raise ValueError("point dimension mismatch")
         for col in range(arity):
             entries = [row[col] for row in rows]
             if len(set(entries)) != len(entries):
@@ -196,13 +199,6 @@ def _solution_table(rows: Sequence[Sequence[int]], sets: Sequence[Sequence[Point
     if flat.min() < 0 or flat.max() >= p:
         raise ValueError(f"point entries must lie in [0, {p})")
     keys = flat @ np.array([p ** (dim - 1 - d) for d in range(dim)], dtype=dtype)
-    # membership in a set: a table over all p^dim keys when that is small next
-    # to the points, else a binary search in the set's sorted keys
-    tables = {}
-    if not power_exceeds(p, dim, _CHUNK + 16 * len(flat)):
-        for lo, s in zip(start.values(), uniq.values()):
-            tables[lo] = np.full(p**dim, -1, dtype=np.int64)
-            tables[lo][keys[lo:lo + len(s)]] = np.arange(lo, lo + len(s))
     # pinned position -> its terms: (earlier position, all points times minus its coefficient)
     terms = {v: [(i, (p - c) * flat % p) for i, c in enumerate(row[:v]) if c] for v, row in pins.items()}
 
@@ -220,14 +216,10 @@ def _solution_table(rows: Sequence[Sequence[int]], sets: Sequence[Sequence[Point
                 key = value[:, 0]
                 for d in range(1, dim):
                     key = key * p + value[:, d]
-                if tables:
-                    at = tables[lo].take(key)
-                    hit = at >= 0
-                else:
-                    own = keys[lo:lo + size]
-                    at = np.minimum(own.searchsorted(key), size - 1)
-                    hit = own.take(at) == key
-                    at += lo
+                own = keys[lo:lo + size]  # the set's keys, sorted as its points are
+                at = np.minimum(own.searchsorted(key), size - 1)
+                hit = own.take(at) == key
+                at += lo
                 if not hit.all():
                     front, at = front.compress(hit, axis=1), at.compress(hit)
                 front[v] = at

@@ -114,7 +114,7 @@ def test_iter_solutions_refuses_entries_not_reduced_mod_p(bad):
 
 @pytest.mark.parametrize("p", [1009, 2**61 - 1])
 def test_iter_solutions_at_a_large_prime(p):
-    # p^2 keys are too many for a lookup table, so a binary search; p^2 > 2^63: Python ints
+    # p = 1009: int64 point keys; p^2 > 2^63: Python-int keys
     pts = [(0, 1), (1, 2), (2, 3), (p - 1, p - 2)]
     sols = list(iter_solutions([(1, -2, 1)], [pts] * 3, p))
     assert sols == [(a, b, c) for a, b, c in itertools.product(pts, repeat=3)
