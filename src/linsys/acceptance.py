@@ -1,7 +1,6 @@
 """The acceptance suite: one function per criterion, each returning a
-pass/fail verdict with a one-line summary.  ``run_all`` prints one line
-per criterion and is what both ``linsys selftest`` and the acceptance
-tests drive.
+pass/fail verdict with a one-line summary.  ``run_all`` runs them all and
+is what both ``linsys selftest`` and the acceptance tests drive.
 
 Expected values marked "frozen" below were computed by independent
 oracles (dense grid scans, brute-force enumeration over small spaces)
@@ -327,11 +326,12 @@ def _run_c12(seed: int):
         tsys = reduce_mod_p(builtin("SW"), p)
         m = Matching(tuple((a, a, b, b, c) for a, b, c in fam))
         cols = [list(m.column(i)) for i in range(5)]
-        for sol in iter_solutions(tsys.rows, cols, p):
-            shapes_checked += 1
+        sols = list(iter_solutions(tsys.rows, cols, p))
+        for sol in sols:
             assert sol[0] == sol[1] and sol[2] == sol[3], (
                 f"p={p} n={n}: product semishape {sol} has x1!=x2 or x3!=x4")
-        pairs = sorted({(sol[0], sol[2]) for sol in iter_solutions(tsys.rows, cols, p)})
+        shapes_checked += len(sols)
+        pairs = sorted({(sol[0], sol[2]) for sol in sols})
         diffs = [tuple((x[d] - y[d]) % p for d in range(n)) for x, y in pairs]
         assert len(set(diffs)) == len(diffs), f"p={p} n={n}: extendable pairs share a difference"
         kept = build_colored_subcollection(m, p, n)
@@ -368,10 +368,5 @@ ALL = (
 )
 
 
-def run_all(seed: int = 20260815, echo: Callable[[str], None] = print) -> list[CriterionResult]:
-    results = []
-    for fn in ALL:
-        res = fn(seed=seed)
-        echo(res.line())
-        results.append(res)
-    return results
+def run_all(seed: int = 20260815) -> list[CriterionResult]:
+    return [fn(seed=seed) for fn in ALL]

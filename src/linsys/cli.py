@@ -22,6 +22,7 @@ from . import bounds, structure
 from .acceptance import run_all
 from .arith import power_exceeds
 from .dominance import (
+    ReductionTrace,
     lower_bound_strong,
     lower_bound_weak,
     reduction_sequence,
@@ -81,7 +82,7 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None  # JSON has no inf or nan
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -91,13 +92,15 @@ def _jsonable(obj: Any) -> Any:
     return str(obj)
 
 
-def _emit(report: dict, args: argparse.Namespace) -> None:
-    data = _jsonable(report)
+def _emit(report: Any, args: argparse.Namespace, text: Optional[str] = None) -> None:
+    """Write ``report``, a dict or a dataclass, to stdout and to ``--out``:
+    as JSON, or as ``text`` when given and one ``key: value`` line per entry
+    otherwise.  The CLI writes stdout nowhere else."""
     if args.format == "json":
-        text = json.dumps(data, indent=2)
-    else:
+        text = json.dumps(_jsonable(report), indent=2)
+    elif text is None:
         lines = []
-        for key, value in data.items():
+        for key, value in _jsonable(report).items():
             if isinstance(value, str) and "\n" in value:
                 lines.append(f"{key}:")
                 lines.extend("  " + ln for ln in value.splitlines())
@@ -109,6 +112,14 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
+
+
+def _epsilon(text: str) -> Fraction:
+    """``--epsilon``, checked while parsing and so before any work."""
+    epsilon = Fraction(text)
+    if not 0 < epsilon < 1:
+        raise argparse.ArgumentTypeError("epsilon must lie in (0, 1)")
+    return epsilon
 
 
 def _read_points(path: str) -> list[tuple[int, ...]]:
@@ -161,18 +172,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_lambda(args: argparse.Namespace) -> int:
-    alpha = Fraction(args.alpha) if args.rational else float(args.alpha)
-    rep = bounds.lambda_min(args.m, float(alpha), args.h)
-    _emit({"value": rep.value, "optimizer": rep.optimizer,
-           "tolerance": rep.tolerance, "method": rep.method}, args)
+    _emit(bounds.lambda_min(args.m, float(Fraction(args.alpha)), args.h), args)
     return 0
 
 
 def cmd_ctilde(args: argparse.Namespace) -> int:
     rep = bounds.c_tilde(args.r1, args.r2, args.L, args.m, args.d)
-    _emit({"value": rep.value, "optimizer": rep.optimizer,
-           "tolerance": rep.tolerance, "method": rep.method,
-           "over_d": rep.value / args.d}, args)
+    _emit({**dataclasses.asdict(rep), "over_d": rep.value / args.d}, args)
     return 0
 
 
@@ -202,7 +208,7 @@ def cmd_upper(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_report(trace) -> dict[str, Any]:
+def _trace_report(trace: ReductionTrace) -> dict[str, Any]:
     steps = []
     for step in trace.steps:
         merged: dict[str, list[str]] = {}
@@ -218,13 +224,22 @@ def _trace_report(trace) -> dict[str, Any]:
     return {
         "initial": render_system(trace.initial),
         "steps": steps,
-        "terminated": trace.terminated,
-        "b_tilde": trace.b_tilde if trace.terminated else None,
+        "terminated": True,
+        "b_tilde": trace.b_tilde,
     }
 
 
-def _p_at_most_b_tilde_note(p: int, b_tilde: int) -> str:
-    return f"p = {p} does not exceed b~ = {b_tilde}; no strong lower bound derived"
+def _trace_text(trace: ReductionTrace) -> str:
+    lines = [render_system(trace.initial)]
+    for i, step in enumerate(trace.steps, start=1):
+        eqs = ", ".join(str(j + 1) for j in step.subsystem)
+        lines += ["", f"-- step {i}: contract equation(s) {eqs} (coefficient {step.coefficient}) -->"]
+        if step.result.L:
+            lines.append(render_system(step.result))
+        else:
+            lines.append(f"(no equations left; variables {', '.join(step.result.names)})")
+    lines += ["", f"terminal: empty system in one variable; b~ = {trace.b_tilde}"]
+    return "\n".join(lines)
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -234,47 +249,38 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         _emit({"initial": render_system(s), "terminated": False,
                "note": "no reduction sequence reaches the one-variable empty system"}, args)
         return 0
-    if args.format == "json":
-        _emit(_trace_report(trace), args)
-        return 0
-    print(render_system(trace.initial))
-    for i, step in enumerate(trace.steps, start=1):
-        eqs = ", ".join(str(j + 1) for j in step.subsystem)
-        print(f"\n-- step {i}: contract equation(s) {eqs} (coefficient {step.coefficient}) -->")
-        if step.result.L:
-            print(render_system(step.result))
-        else:
-            names = ", ".join(step.result.names)
-            print(f"(no equations left; variables {names})")
-    print(f"\nterminal: empty system in one variable; b~ = {trace.b_tilde}")
+    _emit(_trace_report(trace), args, _trace_text(trace) if args.format == "text" else None)
     return 0
+
+
+def _lower_section(s: ZSystem, p: int, trace: Optional[ReductionTrace],
+                   epsilon: Fraction) -> dict[str, Any]:
+    """The strong lower bound from ``trace`` (a terminating reduction of
+    ``s``, or None) and the weak one from ``s``, in that order; a bound not
+    derived is None, followed by a note saying why."""
+    section: dict[str, Any] = {"strong": None}
+    if trace is None:
+        section["strong_note"] = "no terminating dominant reduction; no strong lower bound derived"
+    elif p <= trace.b_tilde:
+        section["strong_note"] = f"p = {p} does not exceed b~ = {trace.b_tilde}; no strong lower bound derived"
+    else:
+        section["strong"] = lower_bound_strong(trace, p, epsilon=epsilon)
+    section["weak"] = lower_bound_weak(s, p)
+    if section["weak"] is None:
+        section["weak_note"] = "no dominant equation with coefficient in [2, p); no weak lower bound derived"
+    return section
 
 
 def cmd_lower_bound(args: argparse.Namespace) -> int:
     s = _load_system(args.system)
-    report: dict[str, Any] = {"p": args.p}
-    trace = reduction_sequence(s, args.strategy)
-    report["strong"] = None
-    if trace is None or not trace.terminated:
-        report["strong_note"] = "no terminating dominant reduction; no strong lower bound derived"
-    elif args.p <= trace.b_tilde:
-        report["strong_note"] = _p_at_most_b_tilde_note(args.p, trace.b_tilde)
-    else:
-        strong = lower_bound_strong(trace, args.p, epsilon=Fraction(args.epsilon))
-        report["strong"] = dataclasses.asdict(strong)
-    weak = lower_bound_weak(s, args.p)
-    if weak is not None:
-        report["weak"] = dataclasses.asdict(weak)
-    else:
-        report["weak"] = None
-        report["weak_note"] = "no dominant equation with coefficient in [2, p); no weak lower bound derived"
-    _emit(report, args)
+    lower = _lower_section(s, args.p, reduction_sequence(s, args.strategy), args.epsilon)
+    _emit({"p": args.p, **lower}, args)
     return 0
 
 
 def cmd_behrend(args: argparse.Namespace) -> int:
-    if args.materialize and args.p is not None:
-        check_modulus(args.p, args.k)  # the materialized rows are then their own embedding
+    if args.p is not None:
+        check_modulus(args.p, args.k)  # so that materialized rows are their own embedding
     table = norm_class_counts(args.n, args.k)
     radius_sq, count = table.best()
     try:
@@ -368,14 +374,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
     checks: list[tuple[str, bool]] = []
 
     trace = reduction_sequence(s, "greedy")
-    if trace is not None and trace.terminated:
+    lower = _lower_section(s, p, trace, args.epsilon)
+    if trace is None:
+        report["reduction_note"] = lower["strong_note"]
+    else:
         report["reduction_steps"] = len(trace.steps)
         report["b_tilde"] = trace.b_tilde
-        if p <= trace.b_tilde:
-            report["lower_strong_note"] = _p_at_most_b_tilde_note(p, trace.b_tilde)
+        if lower["strong"] is None:
+            report["lower_strong_note"] = lower["strong_note"]
         else:
-            strong_low = lower_bound_strong(trace, p, epsilon=Fraction(args.epsilon))
-            report["lower_strong"] = dataclasses.asdict(strong_low)
+            report["lower_strong"] = lower["strong"]
             k = (p - 1) // trace.b_tilde
             if args.n is not None and args.n >= 2 and not power_exceeds(k + 1, args.n, MATERIALIZE_GUARD):
                 sphere = best_sphere_set(args.n, k)
@@ -387,15 +395,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 except GuardExceeded as exc:  # both checks, or neither
                     report["sphere_check"] = None
                     report["sphere_check_note"] = f"sphere checks refused: {exc}; not checked"
-    else:
-        report["reduction_note"] = "no dominant subsystem chain reaches the one-variable empty system; no strong lower bound derived"
-
-    weak_low = lower_bound_weak(s, p)
-    if weak_low is not None:
-        report["lower_weak"] = dataclasses.asdict(weak_low)
-    else:
-        report["lower_weak"] = None
-        report["weak_note"] = "no dominant equation; no weak lower bound derived"
+    report["lower_weak"] = lower["weak"]
+    if "weak_note" in lower:
+        report["weak_note"] = lower["weak_note"]
 
     if args.n is not None:
         if holds and irreducible:
@@ -427,7 +429,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     results = run_all(seed=args.seed)
     bad = [r for r in results if not r.ok]
-    print(f"{len(results) - len(bad)}/{len(results)} criteria passed")
+    passed, total = len(results) - len(bad), len(results)
+    text = "\n".join([r.line() for r in results] + [f"{passed}/{total} criteria passed"])
+    _emit({"passed": passed, "total": total, "criteria": results}, args, text)
     if bad:
         raise VerificationFailure(", ".join(f"criterion {r.number:02d}" for r in bad))
     return 0
@@ -445,9 +449,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for solution-free sets of balanced linear systems over F_p^n.")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, p=False, n=False, system=False):
+    def common(sp, p=False, n=False, system=False, epsilon=False):
         sp.add_argument("--format", choices=("json", "text"), default="text")
         sp.add_argument("--out", help="also write the report to this file")
+        if epsilon:
+            sp.add_argument("--epsilon", type=_epsilon, default="1/16",
+                            help="slack in the strong bound, a fraction in (0,1)")
         if system:
             sp.add_argument("--system", required=True,
                             help="path to a .lineq file or a built-in name "
@@ -465,9 +472,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lambda", help="per-variable growth constant")
     common(sp)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--alpha", required=True)
+    sp.add_argument("--alpha", required=True, help="a decimal or a fraction: 0.5, 1e-3 or 1/3")
     sp.add_argument("--h", type=int, required=True)
-    sp.add_argument("--rational", action="store_true", help="parse --alpha as an exact fraction like 1/3")
     sp.set_defaults(func=cmd_lambda)
 
     sp = sub.add_parser("ctilde", help="balanced-allocation base constant")
@@ -496,8 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_reduce)
 
     sp = sub.add_parser("lower-bound", help="dominant lower-bound reports")
-    common(sp, p=True, system=True)
-    sp.add_argument("--epsilon", default="1/16", help="slack in the strong bound, a fraction in (0,1)")
+    common(sp, p=True, system=True, epsilon=True)
     sp.add_argument("--strategy", choices=("greedy", "exhaustive"), default="greedy")
     sp.set_defaults(func=cmd_lower_bound)
 
@@ -527,9 +532,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("certify", help="run the full chain and gate on verifications")
-    common(sp, p=True, system=True)
+    common(sp, p=True, system=True, epsilon=True)
     sp.add_argument("--n", type=int, help="dimension for bounds, searches and sphere sets")
-    sp.add_argument("--epsilon", default="1/16")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("selftest", help="run the acceptance criteria")

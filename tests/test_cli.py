@@ -81,13 +81,25 @@ def test_analyze_warns_when_support_changes(capsys):
 # scalar helpers
 
 def test_lambda_subcommand(capsys):
-    code, rep, err = run_json(
-        capsys, "lambda", "--m", "1", "--alpha", "1/3", "--h", "2", "--rational"
-    )
+    code, rep, err = run_json(capsys, "lambda", "--m", "1", "--alpha", "1/3", "--h", "2")
     assert code == 0
     assert rep["value"] == pytest.approx(2.755104613, abs=1e-6)
     code, rep, err = run_json(capsys, "lambda", "--m", "1", "--alpha", "0.5", "--h", "2")
     assert rep["value"] == 3.0 and rep["method"] == "boundary-exact"
+
+
+@pytest.mark.parametrize("text, alpha", [("1/3", 1 / 3), ("0.5", 0.5), ("1e-3", 1e-3),
+                                         ("5e-324", 5e-324)])
+def test_lambda_reads_alpha_as_a_decimal_or_a_fraction(capsys, text, alpha):
+    code, rep, err = run_json(capsys, "lambda", "--m", "1", "--alpha", text, "--h", "2")
+    assert code == 0
+    assert rep["value"] == linsys.bounds.lambda_min(1, alpha, 2).value
+
+
+@pytest.mark.parametrize("extra", [["--alpha", "inf"], ["--alpha", "1/3", "--rational"]])
+def test_lambda_refuses_inf_and_the_rational_flag(capsys, extra):
+    code, out, err = run(capsys, "lambda", "--m", "1", "--h", "2", *extra)
+    assert code == 1 and out == "" and err.count("\n") == 1
 
 
 def test_lambda_missing_argument_exits(capsys):
@@ -241,6 +253,28 @@ def test_lower_bound_spp_has_no_routes(capsys):
     assert rep["weak"] is None and "weak_note" in rep
 
 
+def test_certify_and_lower_bound_give_one_weak_note(capsys):
+    # x1 - 2x2 + x3 is dominant, but its coefficient 2 is not below p = 2
+    code, low, err = run_json(capsys, "lower-bound", "--system", "S3AP", "--p", "2")
+    assert code == 0
+    code, cert, err = run_json(capsys, "certify", "--system", "S3AP", "--p", "2", "--n", "3")
+    assert code == 0
+    assert low["weak"] is None and cert["lower_weak"] is None
+    assert cert["weak_note"] == low["weak_note"] == (
+        "no dominant equation with coefficient in [2, p); no weak lower bound derived")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lower-bound", "--system", "SPP", "--p", "3"],
+    ["lower-bound", "--system", "S3", "--p", "7"],
+    ["certify", "--system", "S2", "--p", "3", "--n", "2"],
+])
+def test_epsilon_outside_the_unit_interval_is_refused_on_every_path(capsys, argv):
+    code, out, err = run(capsys, *argv, "--epsilon", "5")
+    assert code == 1 and out == ""
+    assert err == "error: argument --epsilon: epsilon must lie in (0, 1)\n"
+
+
 # ---------------------------------------------------------------------------
 # constructions and searches
 
@@ -268,6 +302,12 @@ def test_behrend_prints_points_without_building_tuples(capsys, monkeypatch):
     monkeypatch.setattr(SphereSet, "points", property(lambda y: pytest.fail("tuples built")))
     code, rep, err = run_json(capsys, "behrend", "--n", "10", "--k", "3", "--materialize", "--p", "7")
     assert code == 0 and len(rep["points"]) == 40830
+
+
+def test_behrend_checks_p_without_materialize(capsys):
+    code, out, err = run(capsys, "behrend", "--n", "3", "--k", "2", "--p", "2")
+    assert code == 1 and out == ""
+    assert err == "error: p=2 must exceed the box bound k=2\n"
 
 
 def test_behrend_refuses_a_bad_p_in_one_line(capsys):
@@ -578,11 +618,9 @@ _alpha_texts = st.one_of(
     st.sampled_from(["1/0", "abc", ""]),
 )
 _lambda_argv = st.builds(
-    lambda m, alpha, h, rational: ["lambda", "--m", str(m), "--alpha", alpha, "--h", str(h)]
-    + (["--rational"] if rational else []),
+    lambda m, alpha, h: ["lambda", "--m", str(m), "--alpha", alpha, "--h", str(h)],
     st.integers(min_value=-1, max_value=5), _alpha_texts,
     st.one_of(st.integers(min_value=-1, max_value=100), st.integers(min_value=1, max_value=10**6)),
-    st.booleans(),
 )
 _ctilde_argv = st.builds(
     lambda r1, r2, L, m, d: ["ctilde", "--r1", str(r1), "--r2", str(r2), "--L", str(L),
@@ -647,8 +685,8 @@ def test_bound_subcommands_exit_cleanly(argv):
 
 def test_lambda_refuses_nan_and_a_zero_denominator(capsys):
     code, out, err = run(capsys, "lambda", "--m", "1", "--alpha", "nan", "--h", "2")
-    assert code == 1 and "alpha must be >= 0" in err
-    code, out, err = run(capsys, "lambda", "--m", "1", "--alpha", "1/0", "--h", "2", "--rational")
+    assert code == 1 and "'nan'" in err
+    code, out, err = run(capsys, "lambda", "--m", "1", "--alpha", "1/0", "--h", "2")
     assert code == 1 and err.count("\n") == 1
 
 
@@ -675,14 +713,47 @@ def test_selftest_fails_when_a_bound_breaks(capsys, monkeypatch):
     assert "criterion 03" in err
 
 
-def test_out_flag_duplicates_stdout(capsys, tmp_path):
-    target = tmp_path / "report.json"
-    code, out, err = run(
-        capsys, "lambda", "--m", "1", "--alpha", "0.5", "--h", "2",
-        "--format", "json", "--out", str(target),
-    )
+def test_selftest_json_lists_every_criterion(capsys):
+    code, rep, err = run_json(capsys, "selftest")
     assert code == 0
+    assert rep["passed"] == rep["total"] == len(rep["criteria"]) == 13
+    assert [c["number"] for c in rep["criteria"]] == list(range(1, 14))
+    assert all(c["ok"] for c in rep["criteria"])
+
+
+_EVERY_SUBCOMMAND = {
+    "analyze": ["--system", "SW", "--p", "3"],
+    "lambda": ["--m", "1", "--alpha", "1/3", "--h", "2"],
+    "ctilde": ["--r1", "3", "--r2", "2", "--L", "2", "--m", "2", "--d", "3"],
+    "star": ["--r1", "3", "--r2", "2", "--L", "2"],
+    "upper": ["--system", "S3AP", "--p", "5", "--n", "2"],
+    "reduce": ["--system", "S3"],
+    "lower-bound": ["--system", "S3", "--p", "7"],
+    "behrend": ["--n", "3", "--k", "2", "--materialize", "--p", "7"],
+    "search": ["--system", "S3AP", "--p", "3", "--n", "2", "--kind", "strong"],
+    "verify": ["--system", "S3AP", "--p", "3", "--kind", "strong", "--set", "{set}"],
+    "certify": ["--system", "S3", "--p", "7", "--n", "2"],
+    "selftest": [],
+}
+
+
+def test_every_subcommand_is_in_the_out_flag_test():
+    sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
+    assert set(sub.choices) == set(_EVERY_SUBCOMMAND)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("subcommand", sorted(_EVERY_SUBCOMMAND))
+def test_out_flag_duplicates_stdout(capsys, tmp_path, subcommand, fmt):
+    points = tmp_path / "points.csv"
+    points.write_text("0,0\n")
+    target = tmp_path / "report.txt"
+    argv = [a.format(set=points) for a in _EVERY_SUBCOMMAND[subcommand]]
+    code, out, err = run(capsys, subcommand, *argv, "--format", fmt, "--out", str(target))
+    assert code == 0 and out
     assert target.read_text() == out
+    if fmt == "json":
+        json.loads(out)
 
 
 def test_text_format_is_key_value(capsys):
