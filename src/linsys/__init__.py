@@ -26,7 +26,6 @@ from .dominance import (
 )
 from .eqsys import (
     FpSystem,
-    ZEquation,
     ZSystem,
     parse_system,
     reduce_mod_p,
@@ -60,11 +59,8 @@ from .oracle import (
 )
 from .structure import (
     SystemHypergraph,
-    SystemParameters,
     build_hypergraph,
     hypergraph_report,
-    is_irreducible,
-    parameters,
 )
 from .systems import builtin, builtin_names
 
@@ -76,7 +72,7 @@ __all__ = [
     "star_inequality", "upper_bound_strong", "wshape_upper",
     "Dominance", "LowerBoundReport", "ReductionStep", "ReductionTrace",
     "dominance_of", "lower_bound_strong", "lower_bound_weak", "reduction_sequence",
-    "FpSystem", "ZEquation", "ZSystem",
+    "FpSystem", "ZSystem",
     "parse_system", "reduce_mod_p", "render_system", "subsystem",
     "GuardExceeded", "ParseError",
     "NormClassTable", "SphereSet", "best_sphere_set", "embed_mod_p",
@@ -85,8 +81,7 @@ __all__ = [
     "Matching", "PointSet", "SearchResult", "build_colored_subcollection",
     "extendable_pairs", "is_multicolored_free", "is_strongly_free", "is_weakly_free",
     "iter_solutions", "max_strongly_free", "max_weakly_free", "space_points",
-    "SystemHypergraph", "SystemParameters", "build_hypergraph",
-    "hypergraph_report", "is_irreducible", "parameters",
+    "SystemHypergraph", "build_hypergraph", "hypergraph_report",
     "builtin", "builtin_names",
     "__version__",
 ]

@@ -63,9 +63,9 @@ def _checked(number: int, title: str, body: Callable[[], str]) -> CriterionResul
 
 def criterion_01(**_) -> CriterionResult:
     def body() -> str:
-        got1 = structure.parameters(structure.build_hypergraph(builtin("S1"))).as_tuple()
+        h1, hw = (structure.build_hypergraph(builtin(name)) for name in ("S1", "SW"))
+        got1, gotw = (h1.r1, h1.r2, h1.L, h1.m_max), (hw.r1, hw.r2, hw.L, hw.m_max)
         assert got1 == (5, 4, 4, 3), f"S1 parameters {got1} != (5, 4, 4, 3)"
-        gotw = structure.parameters(structure.build_hypergraph(builtin("SW"))).as_tuple()
         assert gotw == (3, 2, 2, 2), f"SW parameters {gotw} != (3, 2, 2, 2)"
         return "S1 -> (5,4,4,3), SW -> (3,2,2,2)"
 
@@ -79,7 +79,7 @@ def criterion_02(**_) -> CriterionResult:
         cases = [((3, 2, 2), True), ((2, 2, 2), False), ((3, 0, 1), True)]
         outs = []
         for (r1, r2, L), want in cases:
-            holds, margin = bounds.star_inequality((r1, r2, L))
+            holds, margin = bounds.star_inequality(r1, r2, L)
             expect = r1 / 2 + r2 / math.e - L
             assert holds == want, f"({r1},{r2},{L}) verdict {holds} != {want}"
             assert abs(margin - expect) <= 1e-12, f"margin {margin} vs {expect}"
@@ -242,7 +242,7 @@ def criterion_09(**_) -> CriterionResult:
 def criterion_10(**_) -> CriterionResult:
     def body() -> str:
         s = builtin("S3AP")
-        rows = s.coefficient_rows()
+        rows = s.rows
         outs = []
         for p in (3, 5, 7):
             k = (p - 1) // 2

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,7 +47,7 @@ import numpy as np
 
 from .arith import is_prime
 from .eqsys import FpSystem
-from .structure import SystemParameters, build_hypergraph, is_irreducible, parameters
+from .structure import build_hypergraph
 
 _LAMBDA_REL_TOL = 1e-9
 _CTILDE_REL_TOL = 1e-6
@@ -136,7 +137,9 @@ def _tilt(M: int, a: float) -> float:
     lo = 12.0 * (M / 2.0 - a) / (M * (M + 2.0))
     if (M + 1) * lo < 1e-4:
         return lo  # mu is its tangent there, up to a relative (M+1)^2 t^2 / 60
-    hi = math.log1p(a) - math.log(a)  # mu(t) < 1/expm1(t), the untruncated mean
+    # mu(t) < 1/expm1(t), the untruncated mean, which is a at t = ln(1 + 1/a);
+    # 1/a overflows for a subnormal a, and log1p(a) - log(a) cancels to 0 for a huge one
+    hi = math.log1p(1.0 / a) if a >= 1.0 else math.log1p(a) - math.log(a)
 
     def excess(t: float) -> tuple[float, float]:
         mean, var = _tilted_moments(M, t)
@@ -221,12 +224,8 @@ def count_theta(m: int, alpha, h: int, n: int) -> int:
     return sum(dp)
 
 
-def star_inequality(params: SystemParameters | tuple[int, int, int]) -> tuple[bool, float]:
+def star_inequality(r1: int, r2: int, L: int) -> tuple[bool, float]:
     """Check r1/2 + r2/e > L; returns (verdict, margin)."""
-    if isinstance(params, SystemParameters):
-        r1, r2, L = params.r1, params.r2, params.L
-    else:
-        r1, r2, L = params
     margin = r1 / 2.0 + r2 / math.e - L
     return margin > 0.0, margin
 
@@ -320,14 +319,10 @@ def optimize_allocation(t: FpSystem) -> BoundReport:
     if not t.is_balanced:
         raise ValueError("system must be balanced")
     h_graph = build_hypergraph(t)
-    irr, _ = is_irreducible(h_graph)
-    if not irr:
+    if not h_graph.irreducible:
         raise ValueError("system must be irreducible")
     mult = h_graph.multiplicities
-    groups: dict[int, int] = {}
-    for m in mult:
-        groups[m] = groups.get(m, 0) + 1
-    value, alloc = _allocate(groups, parameters(h_graph).L, t.p - 1)
+    value, alloc = _allocate(Counter(mult), h_graph.L, t.p - 1)
     per_var = tuple(alloc[m] for m in mult)
     return BoundReport(value, per_var, _CTILDE_REL_TOL * value, "common-level-newton")
 
@@ -353,8 +348,8 @@ def upper_bound_strong(t: FpSystem, n: int, allocation: Optional[BoundReport] = 
         raise ValueError("n must be >= 0")
     if n == 0:
         return 1.0
-    par = parameters(build_hypergraph(t))
-    ok, margin = star_inequality(par)
+    h = build_hypergraph(t)
+    ok, margin = star_inequality(h.r1, h.r2, h.L)
     if not ok:
         warnings.warn(
             f"r1/2 + r2/e > L fails (margin {margin:.6f}); the bound may be vacuous",
@@ -371,10 +366,10 @@ def bound_small_p(t: FpSystem, N: int) -> BoundReport:
     q = t.p**N
     if q > 2**62:
         raise ValueError(f"q = p^N = {q} overflows the working integer range (2^62)")
-    par = parameters(build_hypergraph(t))
-    if par.r1 == 0 and par.r2 == 0:
+    h = build_hypergraph(t)
+    if h.r1 == 0 and h.r2 == 0:
         raise ValueError("system has no equations")
-    rep = c_tilde(par.r1, par.r2, par.L, max(par.m_max, 1), q)
+    rep = c_tilde(h.r1, h.r2, h.L, max(h.m_max, 1), q)
     value = rep.value ** (1.0 / N) / t.p
     tol = rep.tolerance * value / (N * rep.value) if rep.value > 0 else 0.0
     return BoundReport(value, None, tol, f"tensor-power(N={N},q={q})")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import is_prime
-from .eqsys import ZEquation, ZSystem, subsystem
+from .eqsys import ZSystem, subsystem
 from .errors import GuardExceeded
 from .structure import build_hypergraph
 
@@ -57,8 +57,7 @@ class ReductionTrace:
 
     @property
     def terminated(self) -> bool:
-        t = self.terminal
-        return t.L == 0 and t.r == 1
+        return _is_terminal(self.terminal)
 
     @property
     def b_tilde(self) -> int:
@@ -80,20 +79,20 @@ class LowerBoundReport:
     simple_base: Optional[float]    # p/b when b >= 2
 
 
-def dominance_of(eq: ZEquation) -> Optional[Dominance]:
-    """Dominance witnesses of a balanced equation, or None."""
-    if not eq.is_balanced:
+def dominance_of(row: tuple[int, ...]) -> Optional[Dominance]:
+    """Dominance witnesses of a balanced equation's coefficient row, or None."""
+    if sum(row) != 0:
         raise ValueError("equation is not balanced")
-    pos = [i for i, c in enumerate(eq.coeffs) if c > 0]
-    neg = [i for i, c in enumerate(eq.coeffs) if c < 0]
+    pos = [i for i, c in enumerate(row) if c > 0]
+    neg = [i for i, c in enumerate(row) if c < 0]
     if len(pos) == 1 and len(neg) == 1:
         # b x_i - b x_j: dominant from both ends (coefficients match by balance)
         i, j = sorted((pos[0], neg[0]))
-        return Dominance((i, j), abs(eq.coeffs[pos[0]]))
+        return Dominance((i, j), abs(row[pos[0]]))
     if len(pos) == 1:
-        return Dominance((pos[0],), eq.coeffs[pos[0]])
+        return Dominance((pos[0],), row[pos[0]])
     if len(neg) == 1:
-        return Dominance((neg[0],), -eq.coeffs[neg[0]])
+        return Dominance((neg[0],), -row[neg[0]])
     return None
 
 
@@ -138,7 +137,7 @@ def _reduce_detailed(s: ZSystem, sub: tuple[int, ...]) -> tuple[ZSystem, tuple[t
     for i in sub:
         if not 0 <= i < s.L:
             raise IndexError(f"equation index {i} out of range")
-        d = dominance_of(s.equations[i])
+        d = dominance_of(s.rows[i])
         if d is None:
             raise ValueError(f"equation {i} is not dominant")
         doms.append(d)
@@ -178,27 +177,23 @@ def _reduce_detailed(s: ZSystem, sub: tuple[int, ...]) -> tuple[ZSystem, tuple[t
     new_r = len(slots)
     assert new_r == s.r - (len(h.vertices) - len(h.components)), "variable bookkeeping broke"
 
-    new_eqs = []
-    for eq in s.equations:
-        row = [0] * new_r
-        for i, c in enumerate(eq.coeffs):
-            row[old_to_new[i]] += c
-        nz = [c for c in row if c != 0]
+    new_rows = []
+    for row in s.rows:
+        merged = [0] * new_r
+        for i, c in enumerate(row):
+            merged[old_to_new[i]] += c
+        nz = [c for c in merged if c != 0]
         if not nz:
             continue  # 0 = 0, dropped
         # a single surviving term would mean c * x_K = 0, impossible for
         # balanced input since the row sum is preserved by merging
         assert len(nz) >= 2, "balanced equation collapsed to a single term"
-        new_eqs.append(ZEquation(tuple(row)))
-    return ZSystem(new_r, tuple(new_eqs), tuple(new_names)), tuple(merge_map), coefficient
+        new_rows.append(tuple(merged))
+    return ZSystem(new_r, tuple(new_rows), tuple(new_names)), tuple(merge_map), coefficient
 
 
 def _is_terminal(s: ZSystem) -> bool:
     return s.L == 0 and s.r == 1
-
-
-def _dominant_indices(s: ZSystem) -> tuple[int, ...]:
-    return tuple(i for i, eq in enumerate(s.equations) if dominance_of(eq) is not None)
 
 
 def _exhaustive_steps(s: ZSystem) -> Optional[tuple[ReductionStep, ...]]:
@@ -230,8 +225,8 @@ def _exhaustive_steps(s: ZSystem) -> Optional[tuple[ReductionStep, ...]]:
             next_layer = []
             for state, chain in layer:
                 within = []
-                for i, eq in enumerate(state.equations):
-                    d = dominance_of(eq)
+                for i, row in enumerate(state.rows):
+                    d = dominance_of(row)
                     if d is None:
                         continue
                     if d.coefficient <= cap:
@@ -274,14 +269,13 @@ def reduction_sequence(s: ZSystem, strategy: str = "greedy") -> Optional[Reducti
     EXHAUSTIVE_REDUCTION_CAP reductions, or when a pass starts whose first
     step alone has more subsets than the reductions left.
     """
-    for eq in s.equations:
-        if not eq.is_balanced:
-            raise ValueError("system must be balanced")
+    if not s.is_balanced:
+        raise ValueError("system must be balanced")
     if strategy == "greedy":
         current = s
         steps: list[ReductionStep] = []
         while not _is_terminal(current):
-            dom = _dominant_indices(current)
+            dom = tuple(i for i, row in enumerate(current.rows) if dominance_of(row) is not None)
             if not dom:
                 return None
             reduced, merge_map, coeff = _reduce_detailed(current, dom)
@@ -317,11 +311,11 @@ def lower_bound_weak(s: ZSystem, p: int) -> Optional[LowerBoundReport]:
     coefficient 2 <= b < p (smallest such b), or None."""
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
+    if not s.is_balanced:
+        raise ValueError("system must be balanced")
     candidates = []
-    for eq in s.equations:
-        if not eq.is_balanced:
-            raise ValueError("system must be balanced")
-        d = dominance_of(eq)
+    for row in s.rows:
+        d = dominance_of(row)
         if d is not None and d.coefficient >= 2 and p > d.coefficient:
             candidates.append(d.coefficient)
     if not candidates:

@@ -34,38 +34,27 @@ MAX_VARIABLES = 64
 COEFF_LIMIT = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class ZEquation:
-    """One homogeneous integer equation, stored as its coefficient row."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("equation must have at least one column")
-        if all(c == 0 for c in self.coeffs):
-            raise ValueError("all-zero equation")
-        for c in self.coeffs:
-            if abs(c) > COEFF_LIMIT:
-                raise ValueError(f"coefficient {c} overflows the 64-bit range")
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """0-based positions with nonzero coefficient."""
-        return tuple(i for i, c in enumerate(self.coeffs) if c != 0)
-
-    @property
-    def is_balanced(self) -> bool:
-        return sum(self.coeffs) == 0
-
-
-def _default_names(r: int) -> tuple[str, ...]:
-    return tuple(f"x{i + 1}" for i in range(r))
+def _check_shape(s: ZSystem | FpSystem) -> None:
+    """The limits both system classes share; fills in default names."""
+    if s.r < 1:
+        raise ValueError("a system needs at least one variable")
+    if s.r > MAX_VARIABLES:
+        raise ValueError(f"r={s.r} exceeds the supported limit ({MAX_VARIABLES})")
+    if len(s.rows) > MAX_EQUATIONS:
+        raise ValueError(f"L={len(s.rows)} exceeds the supported limit ({MAX_EQUATIONS})")
+    if not s.names:
+        object.__setattr__(s, "names", tuple(f"x{i + 1}" for i in range(s.r)))
+    if len(s.names) != s.r:
+        raise ValueError("names must match the variable count")
+    for row in s.rows:
+        if len(row) != s.r:
+            raise ValueError("row width does not match r")
 
 
 @dataclass(frozen=True)
 class ZSystem:
-    """An immutable system of integer equations in r named variables.
+    """An immutable system of integer equations in r named variables, one
+    coefficient row per equation.
 
     L = 0 with r = 1 is the terminal "empty system in one variable" that
     dominant reductions aim for; it is constructed programmatically, never
@@ -73,30 +62,25 @@ class ZSystem:
     """
 
     r: int
-    equations: tuple[ZEquation, ...]
+    rows: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("a system needs at least one variable")
-        if self.r > MAX_VARIABLES:
-            raise ValueError(f"r={self.r} exceeds the supported limit ({MAX_VARIABLES})")
-        if len(self.equations) > MAX_EQUATIONS:
-            raise ValueError(f"L={len(self.equations)} exceeds the supported limit ({MAX_EQUATIONS})")
-        if not self.names:
-            object.__setattr__(self, "names", _default_names(self.r))
-        if len(self.names) != self.r:
-            raise ValueError("names must match the variable count")
-        for eq in self.equations:
-            if len(eq.coeffs) != self.r:
-                raise ValueError("equation width does not match r")
+        _check_shape(self)
+        for row in self.rows:
+            if not any(row):
+                raise ValueError("all-zero equation")
+            for c in row:
+                if abs(c) > COEFF_LIMIT:
+                    raise ValueError(f"coefficient {c} overflows the 64-bit range")
 
     @property
     def L(self) -> int:
-        return len(self.equations)
+        return len(self.rows)
 
-    def coefficient_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(eq.coeffs for eq in self.equations)
+    @property
+    def is_balanced(self) -> bool:
+        return all(sum(row) == 0 for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -117,19 +101,10 @@ class FpSystem:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"p={self.p} is not prime")
-        if self.r < 1 or self.r > MAX_VARIABLES:
-            raise ValueError("variable count out of range")
-        if len(self.rows) > MAX_EQUATIONS:
-            raise ValueError("too many equations")
+        _check_shape(self)
         for row in self.rows:
-            if len(row) != self.r:
-                raise ValueError("row width does not match r")
             if any(not (0 <= c < self.p) for c in row):
                 raise ValueError("rows must hold least nonnegative residues")
-        if not self.names:
-            object.__setattr__(self, "names", _default_names(self.r))
-        if len(self.names) != self.r:
-            raise ValueError("names must match the variable count")
 
     @property
     def L(self) -> int:
@@ -138,13 +113,6 @@ class FpSystem:
     @property
     def is_balanced(self) -> bool:
         return all(sum(row) % self.p == 0 for row in self.rows)
-
-    @property
-    def support_changed(self) -> bool:
-        return bool(self.vanished)
-
-    def coefficient_rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.rows
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +202,13 @@ def parse_system(text: str) -> ZSystem:
     if len(per_eq) > MAX_EQUATIONS:
         raise ParseError(f"more than {MAX_EQUATIONS} equations", per_eq[MAX_EQUATIONS][1], 1)
     r = max(max(c) for c, _ in per_eq) + 1
-    eqs = []
+    rows = []
     for coeffs, lineno in per_eq:
         row = tuple(coeffs.get(i, 0) for i in range(r))
-        if all(c == 0 for c in row):
+        if not any(row):
             raise ParseError("all-zero equation", lineno, 1)
-        eqs.append(ZEquation(row))
-    return ZSystem(r, tuple(eqs))
+        rows.append(row)
+    return ZSystem(r, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +237,13 @@ def render_system(s: ZSystem | FpSystem) -> str:
     0-coefficient term), a ``+ 0x<r>`` term is appended to the first
     equation so that parsing the output recovers the same r.
     """
-    rows = s.coefficient_rows()
-    if not rows:
+    if not s.rows:
         raise ValueError("cannot render a system with no equations")
     anchor = None
-    if all(row[s.r - 1] == 0 for row in rows):
+    if all(row[s.r - 1] == 0 for row in s.rows):
         anchor = s.r - 1
     lines = []
-    for li, row in enumerate(rows):
+    for li, row in enumerate(s.rows):
         lines.append(_render_row(row, s.names, extra_zero=anchor if li == 0 else None))
     return "\n".join(lines)
 
@@ -290,9 +257,9 @@ def reduce_mod_p(s: ZSystem, p: int) -> FpSystem:
         raise ValueError(f"p={p} is not prime")
     rows = []
     vanished = []
-    for l, eq in enumerate(s.equations):
-        rows.append(tuple(c % p for c in eq.coeffs))
-        for i, c in enumerate(eq.coeffs):
+    for l, row in enumerate(s.rows):
+        rows.append(tuple(c % p for c in row))
+        for i, c in enumerate(row):
             if c != 0 and c % p == 0:
                 vanished.append((l, i))
     return FpSystem(p, s.r, tuple(rows), s.names, tuple(vanished))
@@ -308,4 +275,4 @@ def subsystem(s: ZSystem, indices: tuple[int, ...] | list[int]) -> ZSystem:
     for i in idx:
         if not 0 <= i < s.L:
             raise IndexError(f"equation index {i} out of range")
-    return ZSystem(s.r, tuple(s.equations[i] for i in sorted(idx)), s.names)
+    return ZSystem(s.r, tuple(s.rows[i] for i in sorted(idx)), s.names)

@@ -312,7 +312,7 @@ def verify_construction(s: ZSystem, y: Union[SphereSet, Iterable[Point]], guard:
     points = list(y.points if isinstance(y, SphereSet) else (tuple(pt) for pt in y))
     if not points:
         return True
-    rows = s.coefficient_rows()
+    rows = s.rows
     bound = max([2, *(sum(map(abs, row)) for row in rows)]) * max([1, *(abs(c) for pt in points for c in pt)])
     prime = next(q for q in itertools.count(bound + 1) if is_prime(q))
     cols = [[tuple(c % prime for c in pt) for pt in points]] * s.r

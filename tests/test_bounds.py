@@ -104,11 +104,11 @@ def test_count_theta_string_fractions():
 
 
 def test_star_inequality_cases():
-    holds, margin = star_inequality((3, 2, 2))
+    holds, margin = star_inequality(3, 2, 2)
     assert holds and abs(margin - (1.5 + 2 / math.e - 2)) < 1e-12
-    holds, margin = star_inequality((2, 2, 2))
+    holds, margin = star_inequality(2, 2, 2)
     assert not holds and margin < 0
-    holds, margin = star_inequality((3, 0, 1))
+    holds, margin = star_inequality(3, 0, 1)
     assert holds and abs(margin - 0.5) < 1e-12
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,44 @@ def test_lambda_missing_argument_exits(capsys):
     code, out, err = run(capsys, "lambda", "--m", "1", "--alpha", "0.5")
     assert code == 1 and out == ""
     assert err == "error: the following arguments are required: --h\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--m", "1", "--h", "2", "--alpha"],
+    ["certify", "--system", "S3", "--p", "7", "--n", "2", "--epsilon"],
+])
+@pytest.mark.parametrize("text", ["1e-999999999", "1e401", "1E+0401"])
+def test_huge_decimal_exponents_are_refused_while_parsing(capsys, argv, text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.endswith(": decimal exponents must lie within ±400\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e-3", "1/3", "1e-400"])
+def test_alpha_and_epsilon_keep_their_exact_values(capsys, text):
+    exact = Fraction(text)
+    code, rep, _ = run_json(capsys, "lambda", "--m", "1", "--alpha", text, "--h", "2")
+    assert code == 0 and rep["value"] == linsys.bounds.lambda_min(1, float(exact), 2).value
+    code, rep, _ = run_json(capsys, "lower-bound", "--system", "S3", "--p", "7", "--epsilon", text)
+    assert code == 0
+    assert rep["strong"]["epsilon"] == {"num": exact.numerator, "den": exact.denominator,
+                                        "value": float(exact)}
+    assert rep["strong"]["base"] == (1.0 - exact) * 4
+
+
+def test_bounds_at_a_prime_past_the_old_float_bracket(capsys):
+    # ln(1 + 1/a) once cancelled to 0 here, dividing by zero in every bound
+    p = str(10**18 + 3)
+    code, rep, err = run_json(capsys, "upper", "--system", "S3AP", "--p", p, "--n", "2")
+    assert code == 0 and rep["base_over_p"] == pytest.approx(0.84143437, abs=1e-8)
+    code, rep, err = run_json(capsys, "analyze", "--system", "SW", "--p", p)
+    assert code == 0 and rep["ctilde_over_p"] == pytest.approx(0.96919762, abs=1e-8)
+    code, rep, err = run_json(capsys, "ctilde", "--r1", "3", "--r2", "2", "--L", "2", "--m", "2", "--d", p)
+    assert code == 0 and rep["over_d"] == pytest.approx(0.96919762, abs=1e-8)
+    code, rep, err = run_json(capsys, "lambda", "--m", "1", "--alpha", "1/3", "--h", str(10**18 + 2))
+    assert code == 0 and rep["value"] / (10**18 + 3) == pytest.approx(0.84143437, abs=1e-8)
 
 
 def test_usage_errors_exit_1_with_one_line(capsys):

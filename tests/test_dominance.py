@@ -11,31 +11,30 @@ from linsys.dominance import (
     lower_bound_weak,
     reduction_sequence,
 )
-from linsys.eqsys import ZEquation, render_system
+from linsys.eqsys import render_system
 from linsys.errors import GuardExceeded
 from linsys.systems import builtin
 
 
 def test_dominance_of_single_sided():
     sw = builtin("SW")
-    assert dominance_of(sw.equations[0]) is None  # x1 - x2 - x3 + x4
-    d = dominance_of(sw.equations[1])             # x1 - 2x3 + x5
+    assert dominance_of(sw.rows[0]) is None  # x1 - x2 - x3 + x4
+    d = dominance_of(sw.rows[1])             # x1 - 2x3 + x5
     assert d.indices == (2,) and d.coefficient == 2
 
 
 def test_dominance_of_two_sided():
-    eq = ZEquation((0, 3, 0, 0, -3))
-    d = dominance_of(eq)
+    d = dominance_of((0, 3, 0, 0, -3))
     assert d.indices == (1, 4) and d.coefficient == 3
 
 
 def test_dominance_of_requires_balance():
     with pytest.raises(ValueError):
-        dominance_of(ZEquation((1, 1)))
+        dominance_of((1, 1))
 
 
 def test_dominant_subsystems_s2():
-    table = [dominance_of(eq) for eq in builtin("S2").equations]
+    table = [dominance_of(row) for row in builtin("S2").rows]
     assert [i for i, d in enumerate(table) if d is not None] == [0, 2]
     assert table[1] is None
     assert table[0].coefficient == 4 and table[2].coefficient == 2
@@ -45,10 +44,10 @@ def test_dominant_subsystems_s2():
 
 
 def test_dominant_subsystems_sw_and_spp():
-    table = [dominance_of(eq) for eq in builtin("SW").equations]
+    table = [dominance_of(row) for row in builtin("SW").rows]
     assert [d is not None for d in table] == [False, True]
     assert table[1].indices == (2,)  # 2x3 = x1 + x5
-    assert [dominance_of(eq) for eq in builtin("SPP").equations] == [None, None]
+    assert [dominance_of(row) for row in builtin("SPP").rows] == [None, None]
     assert reduction_sequence(builtin("SPP"), "greedy") is None
 
 
@@ -80,7 +79,7 @@ def test_greedy_vs_exhaustive_s2():
     assert [st.subsystem for st in best.steps] == [(2,), (1,), (0,)]
     assert [st.coefficient for st in best.steps] == [2, 1, 3]
     # middle step leaves the 4-variable row 3x_j = x + y + z
-    assert [e.coeffs for e in best.steps[1].result.equations] == [(1, -3, 1, 1)]
+    assert best.steps[1].result.rows == ((1, -3, 1, 1),)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4, 8])

@@ -2,7 +2,6 @@ import pytest
 
 from linsys.eqsys import (
     FpSystem,
-    ZEquation,
     ZSystem,
     parse_system,
     reduce_mod_p,
@@ -15,13 +14,13 @@ from linsys.errors import ParseError
 def test_parse_w_system():
     s = parse_system("x1 - x2 - x3 + x4 = 0\nx1 - 2x3 + x5 = 0")
     assert s.r == 5
-    assert s.coefficient_rows() == ((1, -1, -1, 1, 0), (1, 0, -2, 0, 1))
+    assert s.rows == ((1, -1, -1, 1, 0), (1, 0, -2, 0, 1))
     assert s.names == ("x1", "x2", "x3", "x4", "x5")
 
 
 def test_parse_single_equation():
     s = parse_system("x1 - 2x2 + x3 = 0")
-    assert s.coefficient_rows() == ((1, -2, 1),)
+    assert s.rows == ((1, -2, 1),)
 
 
 def test_parse_comments_blanks_and_whitespace():
@@ -31,29 +30,29 @@ def test_parse_comments_blanks_and_whitespace():
 
     """
     s = parse_system(text)
-    assert s.coefficient_rows() == ((1, -2, 1),)
+    assert s.rows == ((1, -2, 1),)
 
 
 def test_parse_leading_sign():
     s = parse_system("-x3 + x4 = 0")
-    assert s.coefficient_rows() == ((0, 0, -1, 1),)
+    assert s.rows == ((0, 0, -1, 1),)
 
 
 def test_parse_duplicate_variable_accumulates():
     s = parse_system("x1 + x1 - 2x2 = 0")
-    assert s.coefficient_rows() == ((2, -2),)
+    assert s.rows == ((2, -2),)
 
 
 def test_parse_zero_coefficient_declares_column():
     s = parse_system("x1 - x2 + 0x5 = 0")
     assert s.r == 5
-    assert s.coefficient_rows() == ((1, -1, 0, 0, 0),)
+    assert s.rows == ((1, -1, 0, 0, 0),)
 
 
 def test_parse_r_is_largest_suffix():
     s = parse_system("x2 - x7 = 0")
     assert s.r == 7
-    assert s.equations[0].support == (1, 6)
+    assert s.rows[0] == (0, 1, 0, 0, 0, 0, -1)
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -104,50 +103,51 @@ def test_render_anchors_trailing_zero_column():
     assert out.splitlines()[0].endswith("+ 0x5 = 0")
     again = parse_system(out)
     assert again.r == 5
-    assert again.coefficient_rows() == s.coefficient_rows()
+    assert again.rows == s.rows
 
 
 def test_render_parse_round_trip():
     text = "x1 + x2 + x3 + x4 - 4x5 = 0\nx1 + x2 - x5 - x6 = 0\nx1 - 2x6 + x7 = 0"
     s = parse_system(text)
-    assert parse_system(render_system(s)).coefficient_rows() == s.coefficient_rows()
+    assert parse_system(render_system(s)).rows == s.rows
 
 
-def test_zequation_validation():
-    with pytest.raises(ValueError):
-        ZEquation(())
-    with pytest.raises(ValueError):
-        ZEquation((0, 0))
-    with pytest.raises(ValueError):
-        ZEquation((2**63,))
+def test_zsystem_validates_its_rows():
+    # every row is nonzero and each coefficient fits a signed 64-bit integer
+    with pytest.raises(ValueError, match="all-zero equation"):
+        ZSystem(2, ((1, -1), (0, 0)))
+    with pytest.raises(ValueError, match="coefficient 9223372036854775808 overflows the 64-bit range"):
+        ZSystem(1, ((2**63,),))
+    assert ZSystem(2, ((2**63 - 1, 1 - 2**63),)).rows == ((2**63 - 1, 1 - 2**63),)
 
 
 def test_zsystem_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one variable"):
         ZSystem(0, ())
-    with pytest.raises(ValueError):
-        ZSystem(2, (ZEquation((1, -1, 0)),))  # width mismatch
+    with pytest.raises(ValueError, match="row width does not match r"):
+        ZSystem(2, ((1, -1, 0),))
     terminal = ZSystem(1, ())  # the reduction target: no equations, one variable
     assert terminal.L == 0 and terminal.names == ("x1",)
 
 
 def test_is_balanced():
-    assert parse_system("x1 - 2x2 + x3 = 0").equations[0].is_balanced
-    assert not parse_system("x1 + x2 = 0").equations[0].is_balanced
+    assert parse_system("x1 - 2x2 + x3 = 0").is_balanced
+    assert not parse_system("x1 + x2 = 0").is_balanced
+    assert not parse_system("x1 - x2 = 0\nx1 + x2 = 0").is_balanced
+    assert ZSystem(1, ()).is_balanced
 
 
 def test_reduce_mod_p_w_system():
     s = parse_system("x1 - x2 - x3 + x4 = 0\nx1 - 2x3 + x5 = 0")
     assert reduce_mod_p(s, 3).rows == ((1, 2, 2, 1, 0), (1, 0, 1, 0, 1))
     assert reduce_mod_p(s, 5).rows == ((1, 4, 4, 1, 0), (1, 0, 3, 0, 1))
-    assert not reduce_mod_p(s, 3).support_changed
+    assert reduce_mod_p(s, 3).vanished == ()
 
 
 def test_reduce_mod_p_vanishing_support():
     s = parse_system("3x1 - x2 - 2x3 = 0")
     t = reduce_mod_p(s, 3)
     assert t.rows == ((0, 2, 1),)
-    assert t.support_changed
     assert t.vanished == ((0, 0),)
 
 
@@ -168,8 +168,8 @@ def test_subsystem_keeps_all_variables():
     sub = subsystem(s, [2, 0])
     assert sub.r == 9
     assert sub.L == 2
-    assert sub.coefficient_rows()[0] == s.coefficient_rows()[0]
-    assert sub.coefficient_rows()[1] == s.coefficient_rows()[2]
+    assert sub.rows[0] == s.rows[0]
+    assert sub.rows[1] == s.rows[2]
     with pytest.raises(IndexError):
         subsystem(s, [4])
     with pytest.raises(ValueError):

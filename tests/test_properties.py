@@ -16,7 +16,7 @@ from linsys.dominance import (
     dominance_of,
     reduction_sequence,
 )
-from linsys.eqsys import ZEquation, ZSystem, parse_system, reduce_mod_p, render_system
+from linsys.eqsys import ZSystem, parse_system, reduce_mod_p, render_system
 from linsys.lattice import norm_class_counts, verify_construction
 from linsys.oracle import (
     is_strongly_free,
@@ -26,6 +26,7 @@ from linsys.oracle import (
     max_weakly_free,
     space_points,
 )
+from linsys.structure import build_hypergraph
 from linsys.systems import builtin
 
 
@@ -36,16 +37,16 @@ from linsys.systems import builtin
 def balanced_systems(draw):
     r = draw(st.integers(min_value=2, max_value=6))
     n_eqs = draw(st.integers(min_value=1, max_value=3))
-    equations = []
+    rows = []
     for _ in range(n_eqs):
         head = [draw(st.integers(min_value=-4, max_value=4)) for _ in range(r - 1)]
         row = tuple(head) + (-sum(head),)
         if any(row):
-            equations.append(ZEquation(row))
-    if not equations:
-        equations.append(ZEquation((1,) + (0,) * (r - 2) + (-1,)))
+            rows.append(row)
+    if not rows:
+        rows.append((1,) + (0,) * (r - 2) + (-1,))
     names = tuple(f"x{i}" for i in range(1, r + 1))
-    return ZSystem(r, tuple(equations), names)
+    return ZSystem(r, tuple(rows), names)
 
 
 small_subsets = st.lists(
@@ -60,7 +61,7 @@ small_subsets = st.lists(
 def test_render_parse_identity(s):
     back = parse_system(render_system(s))
     assert back.r == s.r
-    assert [eq.coeffs for eq in back.equations] == [eq.coeffs for eq in s.equations]
+    assert back.rows == s.rows
     assert back.names == s.names
 
 
@@ -98,15 +99,15 @@ SMALL_SPACES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2),
 @st.composite
 def small_balanced_systems(draw):
     r = draw(st.integers(min_value=2, max_value=4))
-    equations = []
+    rows = []
     for _ in range(draw(st.integers(min_value=1, max_value=2))):
         head = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(r - 1)]
         row = tuple(head) + (-sum(head),)
         if any(row):
-            equations.append(ZEquation(row))
-    if not equations:
-        equations.append(ZEquation((1,) + (0,) * (r - 2) + (-1,)))
-    return ZSystem(r, tuple(equations))
+            rows.append(row)
+    if not rows:
+        rows.append((1,) + (0,) * (r - 2) + (-1,))
+    return ZSystem(r, tuple(rows))
 
 
 def _brute_force_maximum(t, n, weak):
@@ -235,7 +236,7 @@ def _reference_exhaustive(s):
             if best is None or key < best[0]:
                 best = (key, steps)
             return
-        dom = [i for i, eq in enumerate(current.equations) if dominance_of(eq) is not None]
+        dom = [i for i, row in enumerate(current.rows) if dominance_of(row) is not None]
         for size in range(1, len(dom) + 1):
             for subset in itertools.combinations(dom, size):
                 reduced, merge_map, coeff = _reduce_detailed(current, subset)
@@ -253,7 +254,7 @@ def dominant_systems(draw):
     """1-4 dominant equations in 3-6 variables: one variable carries -b
     (or +b), 1-3 others carry the opposite sign and sum to b <= 9."""
     r = draw(st.integers(min_value=3, max_value=6))
-    equations = []
+    rows = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         support = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=4, unique=True))
         parts = [draw(st.integers(min_value=1, max_value=3)) for _ in support[1:]]
@@ -262,8 +263,8 @@ def dominant_systems(draw):
         row[support[0]] = -sign * sum(parts)
         for i, c in zip(support[1:], parts):
             row[i] = sign * c
-        equations.append(ZEquation(tuple(row)))
-    return ZSystem(r, tuple(equations))
+        rows.append(tuple(row))
+    return ZSystem(r, tuple(rows))
 
 
 @settings(deadline=None, max_examples=150)
@@ -439,11 +440,60 @@ def test_iter_solutions_matches_a_filter_over_all_tuples(problem, distinct):
 def test_verify_construction_matches_an_integer_filter(s, dim, data):
     point = st.tuples(*[st.integers(min_value=-6, max_value=6)] * dim)
     points = data.draw(st.lists(point, min_size=1, max_size=4 if s.r <= 4 else 3, unique=True))
-    rows = s.coefficient_rows()
+    rows = s.rows
     nonconstant = [tup for tup in itertools.product(points, repeat=s.r)
                    if len(set(tup)) > 1
                    and not any(sum(c * x[d] for c, x in zip(row, tup)) for row in rows for d in range(dim))]
     assert verify_construction(s, points) == (not nonconstant)
+
+
+# ---------------------------------------------------------------------------
+# build_hypergraph against a breadth-first search over variables that share
+# an equation, on integer systems and on their residues mod p, where a row
+# can lose entries (3x1 mod 3) or vanish whole (2x1 - 2x2 mod 2)
+
+@st.composite
+def sparse_systems(draw):
+    r = draw(st.integers(min_value=1, max_value=9))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, -3, 4, 6])
+    rows = [row for row in draw(st.lists(st.tuples(*[entry] * r), max_size=6)) if any(row)]
+    return ZSystem(r, tuple(rows))
+
+
+def _graph_by_search(rows, r):
+    edges = [tuple(i for i, c in enumerate(row) if c) for row in rows]
+    mult = tuple(sum(i in e for e in edges) for i in range(r))
+    vertices = [i for i in range(r) if mult[i]]
+    components, seen = [], set()
+    for start in vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        frontier, comp = [start], [start]
+        while frontier:
+            v = frontier.pop()
+            for w in {w for e in edges if v in e for w in e} - seen:
+                seen.add(w)
+                frontier.append(w)
+                comp.append(w)
+        components.append(tuple(sorted(comp)))
+    return {
+        "vertices": tuple(vertices), "edges": tuple(edges), "multiplicities": mult,
+        "components": tuple(components),
+        "r1": mult.count(1), "r2": sum(m >= 2 for m in mult), "L": len(rows),
+        "m_max": max(mult, default=0),
+        "irreducible": len(vertices) == r and len(components) == 1,
+    }
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_systems(), st.sampled_from([None, 2, 3, 5]))
+def test_hypergraph_matches_a_graph_search(s, p):
+    system = s if p is None else reduce_mod_p(s, p)
+    h = build_hypergraph(system)
+    got = {key: getattr(h, key) for key in ("vertices", "edges", "multiplicities", "components",
+                                            "r1", "r2", "L", "m_max", "irreducible")}
+    assert got == _graph_by_search(system.rows, system.r)
 
 
 # ---------------------------------------------------------------------------

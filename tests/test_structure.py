@@ -1,12 +1,7 @@
 import json
 
 from linsys.eqsys import parse_system, reduce_mod_p, subsystem
-from linsys.structure import (
-    build_hypergraph,
-    hypergraph_report,
-    is_irreducible,
-    parameters,
-)
+from linsys.structure import build_hypergraph, hypergraph_report
 from linsys.systems import builtin
 
 S1 = builtin("S1")
@@ -20,40 +15,41 @@ def test_s1_edges_and_multiplicity():
     assert h.multiplicities[4] == 3  # x5 sits in e2, e3 and e4
 
 
+def _parameters(h):
+    return (h.r1, h.r2, h.L, h.m_max)
+
+
 def test_s1_parameters():
-    assert parameters(build_hypergraph(S1)).as_tuple() == (5, 4, 4, 3)
+    assert _parameters(build_hypergraph(S1)) == (5, 4, 4, 3)
 
 
 def test_w_system_parameters():
-    assert parameters(build_hypergraph(builtin("SW"))).as_tuple() == (3, 2, 2, 2)
+    assert _parameters(build_hypergraph(builtin("SW"))) == (3, 2, 2, 2)
 
 
 def test_4ap_parameters():
-    p = parameters(build_hypergraph(builtin("S4AP")))
-    assert (p.r1, p.r2, p.L) == (2, 2, 2)
+    h = build_hypergraph(builtin("S4AP"))
+    assert (h.r1, h.r2, h.L) == (2, 2, 2)
 
 
 def test_s1_irreducible():
-    ok, components = is_irreducible(build_hypergraph(S1))
-    assert ok
-    assert len(components) == 1
+    h = build_hypergraph(S1)
+    assert h.irreducible
+    assert len(h.components) == 1
 
 
 def test_s1_prime_not_irreducible():
     # first three equations: two connected components
-    sub = subsystem(S1, [0, 1, 2])
-    ok, components = is_irreducible(build_hypergraph(sub))
-    assert not ok
-    comps_1based = [tuple(v + 1 for v in comp) for comp in components]
+    h = build_hypergraph(subsystem(S1, [0, 1, 2]))
+    assert not h.irreducible
+    comps_1based = [tuple(v + 1 for v in comp) for comp in h.components]
     assert comps_1based == [(1, 2, 3, 4), (5, 6, 7, 8, 9)]
 
 
 def test_s1_doubleprime_missing_variable():
     # first, second and fourth equations never mention x9
-    sub = subsystem(S1, [0, 1, 3])
-    h = build_hypergraph(sub)
-    ok, _ = is_irreducible(h)
-    assert not ok
+    h = build_hypergraph(subsystem(S1, [0, 1, 3]))
+    assert not h.irreducible
     assert 8 not in h.vertices  # 0-based x9
 
 
@@ -88,6 +84,5 @@ def test_multiplicity_counts_multi_edges():
     s = parse_system("x1 - x2 = 0\n2x1 - 2x2 = 0")
     h = build_hypergraph(s)
     assert h.multiplicities == (2, 2)
-    p = parameters(h)
-    assert p.m_max == 2
-    assert p.r1 == 0 and p.r2 == 2
+    assert h.m_max == 2
+    assert h.r1 == 0 and h.r2 == 2
