@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import bounds, structure
-from .acceptance import run_all
 from .arith import power_exceeds
 from .dominance import (
     ReductionTrace,
@@ -76,6 +75,12 @@ def _load_system(name_or_path: str) -> ZSystem:
                          f"({', '.join(builtin_names())})")
 
 
+#: what the C encoder writes just as _jsonable would write it: no float,
+#: whose inf and nan JSON lacks, and no bool key, which it writes as "true"
+_PLAIN_KEYS = frozenset({int, str})
+_PLAIN_LEAVES = frozenset({int, str, bool, type(None)})
+
+
 def _jsonable(obj: Any) -> Any:
     # leaves first: reports carry tens of thousands of them
     if isinstance(obj, (str, bool, int)) or obj is None:
@@ -85,8 +90,13 @@ def _jsonable(obj: Any) -> Any:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
+        # a census table or any other map of plain leaves goes to the encoder as it is
+        if set(map(type, obj)) <= _PLAIN_KEYS and set(map(type, obj.values())) <= _PLAIN_LEAVES:
+            return obj
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= _PLAIN_LEAVES:  # point strings, witnesses
+            return obj if isinstance(obj, list) else list(obj)
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator, "value": float(obj)}
@@ -95,10 +105,11 @@ def _jsonable(obj: Any) -> Any:
 
 def _emit(report: Any, args: argparse.Namespace, text: Optional[str] = None) -> None:
     """Write ``report``, a dict or a dataclass, to stdout and to ``--out``:
-    as JSON, or as ``text`` when given and one ``key: value`` line per entry
-    otherwise.  The CLI writes stdout nowhere else."""
+    as JSON on one line (``python -m json.tool`` indents it), or as ``text``
+    when given and one ``key: value`` line per entry otherwise.  The CLI
+    writes stdout nowhere else."""
     if args.format == "json":
-        text = json.dumps(_jsonable(report), indent=2)
+        text = json.dumps(_jsonable(report))  # no indent: only then is the C encoder used
     elif text is None:
         lines = []
         for key, value in _jsonable(report).items():
@@ -311,10 +322,10 @@ def cmd_behrend(args: argparse.Namespace) -> int:
         "pigeonhole_bound": bound,
     }
     if args.materialize:
-        sphere = best_sphere_set(args.n, args.k)
         if args.p is not None:
             report["p"] = args.p
-        report["points"] = sphere.point_strings()
+        # the rows are freed before the report is written; only the strings stay
+        report["points"] = best_sphere_set(args.n, args.k).point_strings()
     _emit(report, args)
     return 0
 
@@ -445,6 +456,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .acceptance import run_all  # imported here: no other subcommand needs it
     results = run_all(seed=args.seed)
     bad = [r for r in results if not r.ok]
     passed, total = len(results) - len(bad), len(results)

@@ -217,6 +217,9 @@ def _exhaustive_steps(s: ZSystem) -> Optional[tuple[ReductionStep, ...]]:
     if _is_terminal(s):
         return ()
     reductions = cap = 0
+    # a lower cap's pass reduced some (state, subset) pairs already; each is
+    # reduced once, and every visit still counts as a reduction below
+    memo: dict[tuple[ZSystem, tuple[int, ...]], tuple] = {}
     while True:
         seen = {s}
         layer: list[tuple[ZSystem, tuple[ReductionStep, ...]]] = [(s, ())]
@@ -242,7 +245,10 @@ def _exhaustive_steps(s: ZSystem) -> Optional[tuple[ReductionStep, ...]]:
                     if reductions > EXHAUSTIVE_REDUCTION_CAP:
                         raise GuardExceeded(f"exhaustive reduction stopped after "
                                             f"{EXHAUSTIVE_REDUCTION_CAP} reductions")
-                    reduced, merge_map, coeff = _reduce_detailed(state, subset)
+                    found = memo.get((state, subset))
+                    if found is None:
+                        found = memo[state, subset] = _reduce_detailed(state, subset)
+                    reduced, merge_map, coeff = found
                     if reduced in seen:
                         continue
                     seen.add(reduced)

@@ -121,13 +121,26 @@ class SphereSet:
         return iter(self.points)
 
     def point_strings(self) -> list[str]:
-        """The points as comma-joined entries, the way reports print them:
-        formatted through a table of the k+1 entry strings, 4,096 rows at a
-        time, without building the tuples."""
-        entries = np.array([str(v) for v in range(self.k + 1)])
+        """The points as comma-joined entries, the way reports print them.
+        Each chunk of 4,096 rows is written as uint8 text, every entry
+        right-aligned in a field of len(str(k)) bytes and followed by a
+        comma (a newline after a row's last entry); the padding is dropped,
+        and the bytes are decoded and split into lines once per chunk."""
+        width = len(str(self.k))
+        narrow = np.min_scalar_type(self.k)  # every entry and 10^place fit
         out: list[str] = []
         for start in range(0, len(self.rows), 4096):
-            out.extend(map(",".join, entries[self.rows[start:start + 4096]].tolist()))
+            rows = self.rows[start:start + 4096].astype(narrow)
+            text = np.zeros(rows.shape + (width + 1,), dtype=np.uint8)  # 0: padding
+            text[:, :, width] = ord(",")
+            text[:, -1, width] = ord("\n")
+            for place in range(width):
+                power = 10 ** place
+                digit = (rows // power % 10 + ord("0")).astype(np.uint8)
+                if place:
+                    digit[rows < power] = 0
+                text[:, :, width - 1 - place] = digit
+            out.extend(text[text != 0].tobytes().decode("ascii").splitlines())
         return out
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linsys.bounds
+import linsys.cli
 import linsys.dominance
 import linsys.oracle
-from linsys.cli import _build_parser, main
+from linsys.cli import _build_parser, _jsonable, main
 from linsys.eqsys import reduce_mod_p
 from linsys.lattice import SphereSet, best_sphere_set, embed_mod_p
 from linsys.oracle import PointSet, is_strongly_free
@@ -328,7 +330,7 @@ def test_behrend_census_and_embedding(capsys):
     assert len(rep["points"]) == 6 and "0,1,2" in rep["points"]
 
 
-@pytest.mark.parametrize("n, k, p", [(10, 3, 7), (3, 12, 13)])
+@pytest.mark.parametrize("n, k, p", [(10, 3, 7), (3, 12, 13), (3, 100, 101)])
 def test_behrend_points_are_the_embedded_sphere_set(capsys, n, k, p):
     code, rep, err = run_json(capsys, "behrend", "--n", str(n), "--k", str(k),
                               "--materialize", "--p", str(p))
@@ -793,6 +795,64 @@ def test_out_flag_duplicates_stdout(capsys, tmp_path, subcommand, fmt):
     assert target.read_text() == out
     if fmt == "json":
         json.loads(out)
+
+
+def _per_element_jsonable(obj):
+    """The report's JSON value built one element at a time, every container
+    rebuilt: the reference for what the writer prints."""
+    if isinstance(obj, (str, bool, int)) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _per_element_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _per_element_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_per_element_jsonable(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return {"num": obj.numerator, "den": obj.denominator, "value": float(obj)}
+    return str(obj)
+
+
+@pytest.mark.parametrize("value", [
+    {1: 2, 3: 4},                                 # a census table
+    ["0,1", "1,0"],                               # point strings
+    {"a": [1.5, math.inf], "b": {1: -math.nan}},  # non-finite floats nested
+    {True: 1}, {None: 2}, {2.5: 3},               # keys the encoder would write otherwise
+    [True, None, 10**30, "x"], (), {},
+    {"f": Fraction(1, 3), "t": (1, (2, math.inf))},
+])
+def test_jsonable_matches_the_per_element_value(value):
+    want = _per_element_jsonable(value)
+    assert type(_jsonable(value)) is type(want)  # text reports print lists, not tuples
+    assert json.dumps(_jsonable(value), allow_nan=False) == json.dumps(want)
+
+
+@pytest.mark.parametrize("argv", [
+    ["behrend", "--n", "10", "--k", "3", "--materialize", "--p", "7"],
+    ["certify", "--system", "S3AP", "--p", "3", "--n", "4"],
+    ["search", "--system", "S3AP", "--p", "3", "--n", "3", "--kind", "strong"],
+    ["reduce", "--system", "S3"],
+    ["selftest"],
+])
+def test_json_report_is_one_line_of_the_report_value(capsys, monkeypatch, tmp_path, argv):
+    reports = []
+    real = linsys.cli._emit
+    monkeypatch.setattr(linsys.cli, "_emit", lambda report, *a: reports.append(report) or real(report, *a))
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, *argv, "--format", "json", "--out", str(target))
+    assert code == 0 and err == ""
+    assert out.endswith("}\n") and out.count("\n") == 1
+    assert json.loads(out) == _per_element_jsonable(reports[0])
+    assert target.read_bytes() == out.encode()
+
+
+def test_importing_the_cli_leaves_the_acceptance_criteria_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(linsys.__file__).parents[1]))
+    code = "import sys, linsys.cli; print('linsys.acceptance' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 def test_text_format_is_key_value(capsys):

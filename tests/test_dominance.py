@@ -124,6 +124,18 @@ def test_exhaustive_guard(monkeypatch):
     assert reduction_sequence(builtin("S1"), "exhaustive") is None
 
 
+def test_exhaustive_reduces_each_pair_once_across_caps(monkeypatch):
+    # S1's passes at its successive caps meet 24 (state, subset) pairs, 5
+    # of them met under a lower cap already; all 24 still count toward
+    # the guard (test_exhaustive_guard), but each is reduced once
+    pairs = []
+    real = dominance._reduce_detailed
+    monkeypatch.setattr(dominance, "_reduce_detailed",
+                        lambda state, subset: pairs.append((state, subset)) or real(state, subset))
+    assert reduction_sequence(builtin("S1"), "exhaustive") is None
+    assert len(pairs) == len(set(pairs)) == 19
+
+
 def test_exhaustive_star17_is_refused_up_front(monkeypatch):
     calls = _counted_reductions(monkeypatch)
     with pytest.raises(GuardExceeded, match="131071 subsets"):

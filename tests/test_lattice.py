@@ -191,6 +191,16 @@ def test_sphere_set_validation():
     assert SphereSet(3, 2, 5, pts).points == pts
 
 
+@pytest.mark.parametrize("k", [1, 3, 9, 10, 12, 99, 100])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_point_strings_join_the_entries(n, k):
+    # norm k² + 1 puts entries of one digit next to entries of len(str(k));
+    # at n = 4 and k >= 99 the class spans two chunks of 4,096 rows
+    y = SphereSet(n, k, k * k + 1, _materialize(n, k, k * k + 1))
+    assert y.point_strings() == [",".join(map(str, pt)) for pt in y.points]
+    assert SphereSet(n, k, 0, ()).point_strings() == []
+
+
 @pytest.mark.parametrize("points, expected", [
     (((0, 2), (0, 1)), ((0, 1), (0, 2))),                 # unsorted
     (((0, 1), (0, 1), (1, 1)), ((0, 1), (1, 1))),         # duplicated

@@ -36,7 +36,7 @@ def _cli_examples() -> dict[str, tuple[list[str], list[str]]]:
     return examples
 
 
-@pytest.mark.parametrize("command", ["analyze", "reduce"])
+@pytest.mark.parametrize("command", ["analyze", "reduce", "search"])
 def test_cli_example_lines_appear_in_order(command):
     argv, shown = _cli_examples()[command]
     out = io.StringIO()
