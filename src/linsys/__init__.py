@@ -40,7 +40,6 @@ from .lattice import (
     embed_mod_p,
     norm_class_counts,
     pigeonhole_bound,
-    smallest_valid_dimension,
     verify_construction,
 )
 from .oracle import (
@@ -76,8 +75,7 @@ __all__ = [
     "parse_system", "reduce_mod_p", "render_system", "subsystem",
     "GuardExceeded", "ParseError",
     "NormClassTable", "SphereSet", "best_sphere_set", "embed_mod_p",
-    "norm_class_counts", "pigeonhole_bound", "smallest_valid_dimension",
-    "verify_construction",
+    "norm_class_counts", "pigeonhole_bound", "verify_construction",
     "Matching", "PointSet", "SearchResult", "build_colored_subcollection",
     "extendable_pairs", "is_multicolored_free", "is_strongly_free", "is_weakly_free",
     "iter_solutions", "max_strongly_free", "max_weakly_free", "space_points",

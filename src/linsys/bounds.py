@@ -30,17 +30,17 @@ therefore solve sum_i c_i*alpha_i(l) = L for l, by Newton steps again
 (d alpha_i / dl = 1/(h*t_i)); once l reaches ln(M_i + 1), group i can take
 any exponent, and the group of least multiplicity takes what is left.
 
-Every report's ``value`` is a true evaluation of G at a feasible point, so
-it is automatically a valid upper bound for the corresponding infimum.
+Every report's ``value`` is G at u = e^(-t), computed from the t found
+itself, so it is never below the corresponding infimum.  The reported
+optimizer is that u rounded to a float, and G there matches ``value``
+within 3e-15 relative only up to h = 10^9 (see lambda_min).
 """
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,8 +49,6 @@ from .arith import is_prime
 from .eqsys import FpSystem
 from .structure import build_hypergraph
 
-_LAMBDA_REL_TOL = 1e-9
-_CTILDE_REL_TOL = 1e-6
 _NEWTON_STEPS = 64
 _NEWTON_REL_TOL = 1e-12
 
@@ -59,7 +57,6 @@ _NEWTON_REL_TOL = 1e-12
 class BoundReport:
     value: float
     optimizer: object          # u in (0,1], an (alpha, beta) pair, an allocation tuple, or None
-    tolerance: float           # absolute slack: true optimum lies in [value - tolerance, value]
     method: str
 
 
@@ -86,14 +83,6 @@ def g_value(m: int, alpha, h: int, u: float) -> float:
     with np.errstate(over="ignore"):
         val = np.exp(-np.longdouble(af) * h * lu) * num / den
     return float(val)
-
-
-def _log_g(m: int, alpha: float, h: int, t: float) -> float:
-    """log G at u = exp(-t); overflow-free for any t >= 0."""
-    M = m * h
-    if t <= 0.0:
-        return math.log(M + 1)
-    return alpha * h * t + _log_s(M, t)
 
 
 def _log_s(M: int, t: float) -> float:
@@ -132,7 +121,8 @@ def _root(fn: Callable[[float], tuple[float, float]], lo: float, hi: float, x: f
 
 
 def _tilt(M: int, a: float) -> float:
-    """The t > 0 with mu(t) = a, for 0 < a < M/2."""
+    """The t > 0 with mu(t) = a, for 0 < a < M/2; 0.0 (u = 1) when M(M+2)
+    overflows a float."""
     # mu is convex with slope -M(M+2)/12 at 0, so its tangent there stays below it
     lo = 12.0 * (M / 2.0 - a) / (M * (M + 2.0))
     if (M + 1) * lo < 1e-4:
@@ -161,37 +151,34 @@ def _level_tilt(M: int, level: float, start: float) -> float:
     return _root(excess, 0.0, hi, start if 0.0 < start < hi else hi)
 
 
-@lru_cache(maxsize=4096)
-def _lambda_cached(m: int, alpha: float, h: int) -> BoundReport:
-    if alpha == 0.0:
-        return BoundReport(1.0, None, 0.0, "defined-limit")
-    M = m * h
-    if alpha >= m / 2.0:
-        # mu(t) <= M/2 <= alpha*h, so log G is nondecreasing in t and the
-        # minimum sits at u = 1
-        return BoundReport(float(M + 1), 1.0, 0.0, "boundary-exact")
-    t = _tilt(M, alpha * h)
-    best = _log_g(m, alpha, h, t)
-    if math.log(M + 1) <= best:
-        return BoundReport(float(M + 1), 1.0, 0.0, "boundary-exact")
-    value = math.exp(best)
-    return BoundReport(value, math.exp(-t), _LAMBDA_REL_TOL * value, "tilted-mean-newton")
-
-
 def lambda_min(m: int, alpha, h: int) -> BoundReport:
     """Minimum of G_{m,alpha,h} over (0,1]; exactly 1 when alpha = 0.
 
     The minimiser is u = e^(-t) with t the root of mu(t) = alpha*h, the
     mean of the tilted geometric weights on {0..m*h}.  The returned value
-    is G evaluated at the reported optimizer (never below the true minimum)
-    and is within relative 1e-9 of it.
+    is G at that u, computed from t itself, so never below the true
+    minimum.  The reported optimizer is u rounded to a float: g_value there
+    matches value within 3e-15 relative up to h = 10^9, but rounding u
+    loses t as h grows past that (g_value is 6.5e-11 higher at h = 10^12,
+    5.3e-5 at 10^15, and 19% at 10^18 + 2, where u rounds to 1.0).
     """
     if m < 1 or h < 1:
         raise ValueError("need m >= 1 and h >= 1")
-    af = float(alpha)
-    if not af >= 0:  # also refuses nan
+    alpha = float(alpha)
+    if not alpha >= 0:  # also refuses nan
         raise ValueError("alpha must be >= 0")
-    return _lambda_cached(m, af, h)
+    if alpha == 0.0:
+        return BoundReport(1.0, None, "defined-limit")
+    M = m * h
+    # for alpha >= m/2, mu(t) <= M/2 <= alpha*h, so log G is nondecreasing in
+    # t and the minimum sits at u = 1; _tilt gives t = 0, u = 1 as well where
+    # M(M+2) overflows a float
+    t = _tilt(M, alpha * h) if alpha < m / 2.0 else 0.0
+    if t > 0.0:
+        best = alpha * h * t + _log_s(M, t)  # log G, overflow-free
+        if best < math.log(M + 1):
+            return BoundReport(math.exp(best), math.exp(-t), "tilted-mean-newton")
+    return BoundReport(float(M + 1), 1.0, "boundary-exact")
 
 
 def count_theta(m: int, alpha, h: int, n: int) -> int:
@@ -287,23 +274,21 @@ def c_tilde(r1: int, r2: int, L: int, m: int, d: int) -> BoundReport:
     """Best blended envelope constant for split parameters (r1, r2, L, m).
 
     Minimizes max(Lambda_{1,alpha,d-1}, Lambda_{m,beta,d-1}) over the
-    segment r1*alpha + r2*beta = L, alpha, beta >= 0: the two-group case
-    {1: r1, m: r2} of optimize_allocation, solved at the common level of
-    both branches.  With r1 or r2 zero the allocation is forced.
+    segment r1*alpha + r2*beta = L, alpha, beta >= 0: the allocation of
+    optimize_allocation over the nonempty groups of {1: r1, m: r2}, solved
+    at the common level of both branches.  With r1 or r2 zero the
+    allocation is forced.
     """
     if r1 < 0 or r2 < 0 or (r1 == 0 and r2 == 0):
         raise ValueError("need r1, r2 >= 0, not both zero")
     if L < 1 or m < 1 or d < 2:
         raise ValueError("need L >= 1, m >= 1, d >= 2")
-    h = d - 1
-    if r2 == 0:
-        rep = lambda_min(1, L / r1, h)
-        return BoundReport(rep.value, (L / r1, 0.0), rep.tolerance, "forced-allocation")
-    if r1 == 0:
-        rep = lambda_min(m, L / r2, h)
-        return BoundReport(rep.value, (0.0, L / r2), rep.tolerance, "forced-allocation")
-    value, alloc = _allocate({1: r1 + r2} if m == 1 else {1: r1, m: r2}, L, h)
-    return BoundReport(value, (alloc[1], alloc[m]), _CTILDE_REL_TOL * value, "common-level-newton")
+    groups = Counter({1: r1})
+    groups[m] += r2
+    value, alloc = _allocate(+groups, L, d - 1)  # unary + drops an empty group
+    optimizer = (alloc[1] if r1 else 0.0, alloc[m] if r2 else 0.0)
+    forced = r1 == 0 or r2 == 0
+    return BoundReport(value, optimizer, "forced-allocation" if forced else "common-level-newton")
 
 
 def optimize_allocation(t: FpSystem) -> BoundReport:
@@ -323,8 +308,7 @@ def optimize_allocation(t: FpSystem) -> BoundReport:
         raise ValueError("system must be irreducible")
     mult = h_graph.multiplicities
     value, alloc = _allocate(Counter(mult), h_graph.L, t.p - 1)
-    per_var = tuple(alloc[m] for m in mult)
-    return BoundReport(value, per_var, _CTILDE_REL_TOL * value, "common-level-newton")
+    return BoundReport(value, tuple(alloc[m] for m in mult), "common-level-newton")
 
 
 def _power(base: float, exponent: float) -> float:
@@ -339,22 +323,16 @@ def upper_bound_strong(t: FpSystem, n: int, allocation: Optional[BoundReport] = 
     """Upper bound C^n for the largest strongly free set in F_p^n (math.inf
     when C^n overflows a float).
 
-    Requires a balanced irreducible system; warns (does not fail) when the
-    r1/2 + r2/e > L inequality does not hold, since the bound is then
-    typically vacuous (C >= p).  C comes from ``allocation`` when given (the
-    optimize_allocation report for t), otherwise it is computed here.
+    Requires a balanced irreducible system.  When the star inequality
+    r1/2 + r2/e > L fails (star_inequality), the bound is usually vacuous
+    (C >= p), but it is returned all the same.  C comes from ``allocation``
+    when given (the optimize_allocation report for t), otherwise it is
+    computed here.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 1.0
-    h = build_hypergraph(t)
-    ok, margin = star_inequality(h.r1, h.r2, h.L)
-    if not ok:
-        warnings.warn(
-            f"r1/2 + r2/e > L fails (margin {margin:.6f}); the bound may be vacuous",
-            stacklevel=2,
-        )
     rep = allocation if allocation is not None else optimize_allocation(t)
     return _power(rep.value, n)
 
@@ -370,29 +348,27 @@ def bound_small_p(t: FpSystem, N: int) -> BoundReport:
     if h.r1 == 0 and h.r2 == 0:
         raise ValueError("system has no equations")
     rep = c_tilde(h.r1, h.r2, h.L, max(h.m_max, 1), q)
-    value = rep.value ** (1.0 / N) / t.p
-    tol = rep.tolerance * value / (N * rep.value) if rep.value > 0 else 0.0
-    return BoundReport(value, None, tol, f"tensor-power(N={N},q={q})")
+    return BoundReport(rep.value ** (1.0 / N) / t.p, None, f"tensor-power(N={N},q={q})")
+
+
+def _seven_half_power(p: int, n: int, base: Callable[[int], float]) -> float:
+    """7 * (base(p) * p)^(n/2) for a prime p >= 3; math.inf when it
+    overflows a float."""
+    if p < 3 or not is_prime(p):
+        raise ValueError("p must be a prime >= 3")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return 7.0 * _power(base(p) * p, n / 2.0)
 
 
 def wshape_upper(p: int, n: int) -> float:
     """7 * (C_W(p) * p)^(n/2), the distinct-point-solution-free set bound
     attached to the five-variable W system; C_W(p) = c_tilde(3,2,2,2,p).
     math.inf when it overflows a float."""
-    if p < 3 or not is_prime(p):
-        raise ValueError("p must be a prime >= 3")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    c = c_tilde(3, 2, 2, 2, p).value
-    return 7.0 * _power(c * p, n / 2.0)
+    return _seven_half_power(p, n, lambda q: c_tilde(3, 2, 2, 2, q).value)
 
 
 def parallelogram_upper(p: int, n: int) -> float:
     """7 * (sqrt(Lambda_{1,1/4,p-1} * p))^n for the four-variable
     parallelogram system; math.inf when it overflows a float."""
-    if p < 3 or not is_prime(p):
-        raise ValueError("p must be a prime >= 3")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    lam = lambda_min(1, 0.25, p - 1).value
-    return 7.0 * _power(lam * p, n / 2.0)
+    return _seven_half_power(p, n, lambda q: lambda_min(1, 0.25, q - 1).value)

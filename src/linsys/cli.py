@@ -14,7 +14,6 @@ import json
 import math
 import re
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -192,7 +191,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if holds and report["irreducible"]:
             base = bounds.c_tilde(report["r1"], report["r2"], report["L"], report["m_max"], args.p)
             report["ctilde"] = base.value
-            report["ctilde_tolerance"] = base.tolerance
             report["ctilde_over_p"] = base.value / args.p
     _emit(report, args)
     return 0
@@ -221,16 +219,14 @@ def cmd_upper(args: argparse.Namespace) -> int:
     graph = structure.build_hypergraph(t)
     holds, margin = bounds.star_inequality(graph.r1, graph.r2, graph.L)
     report: dict[str, Any] = {"p": args.p, "n": args.n, "star": holds, "star_margin": margin}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        alloc = bounds.optimize_allocation(t)
-        report["base"] = alloc.value
-        report["base_over_p"] = alloc.value / args.p
-        report["allocation"] = alloc.optimizer
-        report["upper"] = bounds.upper_bound_strong(t, args.n, alloc)  # inf (null) past the float range
-        report["log_upper"] = args.n * math.log(alloc.value)
-    for w in caught:
-        report.setdefault("warnings", []).append(str(w.message))
+    alloc = bounds.optimize_allocation(t)
+    report["base"] = alloc.value
+    report["base_over_p"] = alloc.value / args.p
+    report["allocation"] = alloc.optimizer
+    report["upper"] = bounds.upper_bound_strong(t, args.n, alloc)  # inf (null) past the float range
+    report["log_upper"] = args.n * math.log(alloc.value)
+    if not holds:
+        report["warnings"] = [f"r1/2 + r2/e > L fails (margin {margin:.6f}); the bound may be vacuous"]
     _emit(report, args)
     return 0
 
@@ -440,11 +436,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
         # bound; perfbench/checks.py refuses upper_weak for any system but SW,
         # so a row-space rule has to change together with that check.
         if t.rows == reduce_mod_p(builtin("SW"), p).rows:
-            wupper = bounds.wshape_upper(p, args.n)
-            report["upper_weak"] = wupper
-            if not power_exceeds(p, args.n, 81):
-                _gate_exact(report, checks, "exact_weak", max_weakly_free, t, args.n, wupper,
-                            "exact weak maximum within W-shape upper bound")
+            if p < 3:
+                report["upper_weak"] = None
+                report["upper_weak_note"] = ("the W-shape bound needs p >= 3; "
+                                             "exact weak maximum not checked")
+            else:
+                wupper = bounds.wshape_upper(p, args.n)
+                report["upper_weak"] = wupper
+                if not power_exceeds(p, args.n, 81):
+                    _gate_exact(report, checks, "exact_weak", max_weakly_free, t, args.n, wupper,
+                                "exact weak maximum within W-shape upper bound")
 
     report["checks"] = [{"name": name, "ok": ok} for name, ok in checks]
     failed = [name for name, ok in checks if not ok]

@@ -330,23 +330,3 @@ def verify_construction(s: ZSystem, y: Union[SphereSet, Iterable[Point]], guard:
     prime = next(q for q in itertools.count(bound + 1) if is_prime(q))
     cols = [[tuple(c % prime for c in pt) for pt in points]] * s.r
     return all(len(set(sol)) == 1 for sol in iter_solutions(rows, cols, prime, guard=guard))
-
-
-def smallest_valid_dimension(k: int, epsilon: Union[float, Fraction], limit: int = 10**6) -> int:
-    """Smallest n >= 2 with (k+1)^n/(n k²) >= ((1-ε)(k+1))^n, i.e. where
-    the sphere-set size bound beats the plain exponential with base
-    shrunk by ε.  Exact rational arithmetic; ε ∈ (0,1)."""
-    eps = Fraction(epsilon)
-    if not 0 < eps < 1:
-        raise ValueError("epsilon must be in (0,1)")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    shrink = 1 - eps
-    power = shrink * shrink  # (1-ε)^n for n = 2
-    n = 2
-    while power * n * k * k > 1:
-        n += 1
-        power *= shrink
-        if n > limit:
-            raise GuardExceeded(f"no dimension up to {limit} satisfies the bound")
-    return n

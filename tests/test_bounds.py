@@ -1,5 +1,4 @@
 import math
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -59,7 +58,7 @@ def test_lambda_interior_minima_match_frozen_oracle():
 def test_lambda_boundary_exact_cases():
     # alpha >= m/2 puts the minimum at u = 1 with value m*h + 1, exactly
     rep = lambda_min(1, 0.5, 2)
-    assert rep.value == 3.0 and rep.optimizer == 1.0 and rep.tolerance == 0.0
+    assert rep.value == 3.0 and rep.optimizer == 1.0
     assert rep.method == "boundary-exact"
     assert lambda_min(2, 1.0, 3).value == 7.0
     assert lambda_min(1, 2.0, 5).value == 6.0
@@ -72,9 +71,12 @@ def test_lambda_alpha_zero_is_one():
 
 
 def test_lambda_value_never_below_evaluation():
-    # the report must be a genuine evaluation: recomputing G there agrees
-    rep = lambda_min(2, 0.3, 3)
-    assert abs(g_value(2, 0.3, 3, rep.optimizer) - rep.value) <= 1e-12 * rep.value
+    # the report must be a genuine evaluation: recomputing G at the reported
+    # optimizer agrees, as long as rounding u to a float keeps t (h <= 10^9)
+    for h in (3, 10**3, 10**6, 10**9):
+        rep = lambda_min(2, 0.3, h)
+        assert rep.method == "tilted-mean-newton"
+        assert abs(g_value(2, 0.3, h, rep.optimizer) - rep.value) <= 1e-13 * rep.value
 
 
 def test_lambda_validation():
@@ -185,14 +187,6 @@ def test_upper_bound_strong():
     lam = lambda_min(1, 1 / 3, 2).value
     assert abs(upper_bound_strong(t, 2) - lam**2) < 1e-6
     assert upper_bound_strong(t, 0) == 1.0
-
-
-def test_upper_bound_strong_warns_without_star():
-    t = reduce_mod_p(builtin("S4AP"), 3)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        upper_bound_strong(t, 1)
-    assert any("r1/2 + r2/e > L fails" in str(w.message) for w in caught)
 
 
 def test_bound_small_p_tensor_power_helps_w_system():

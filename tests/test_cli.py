@@ -22,7 +22,7 @@ from linsys.cli import _build_parser, _jsonable, main
 from linsys.eqsys import reduce_mod_p
 from linsys.lattice import SphereSet, best_sphere_set, embed_mod_p
 from linsys.oracle import PointSet, is_strongly_free
-from linsys.systems import builtin
+from linsys.systems import builtin, builtin_names
 
 
 def run(capsys, *argv):
@@ -103,6 +103,13 @@ def test_lambda_reads_alpha_as_a_decimal_or_a_fraction(capsys, text, alpha):
 def test_lambda_refuses_inf_and_the_rational_flag(capsys, extra):
     code, out, err = run(capsys, "lambda", "--m", "1", "--h", "2", *extra)
     assert code == 1 and out == "" and err.count("\n") == 1
+
+
+def test_lambda_where_m_h_squared_overflows_a_float(capsys):
+    # M(M+2) overflows at h = 10^160, so the tilt is t = 0 and the minimum u = 1
+    code, rep, err = run_json(capsys, "lambda", "--m", "1", "--alpha", "1/3", "--h", str(10**160))
+    assert code == 0 and err == ""
+    assert rep == {"value": 1e160, "optimizer": 1.0, "method": "boundary-exact"}
 
 
 def test_lambda_missing_argument_exits(capsys):
@@ -543,6 +550,15 @@ def test_certify_w_system_weak_chain(capsys):
     assert rep["exact_strong"] == 1
 
 
+def test_certify_sw_at_p_2_reports_no_w_shape_bound(capsys):
+    # wshape_upper needs p >= 3, though search finds the weak maximum (8) at p = 2
+    code, rep, err = run_json(capsys, "certify", "--system", "SW", "--p", "2", "--n", "3")
+    assert code == 0 and rep["verified"] is True
+    assert rep["upper_weak"] is None and "needs p >= 3" in rep["upper_weak_note"]
+    assert "exact_weak" not in rep
+    assert all("weak" not in c["name"] for c in rep["checks"])
+
+
 def test_certify_skips_an_exact_search_cut_by_the_budget(capsys, monkeypatch):
     monkeypatch.setattr(linsys.oracle, "DEFAULT_NODE_BUDGET", 50)
     code, rep, err = run_json(capsys, "certify", "--system", "S3AP", "--p", "3", "--n", "4")
@@ -603,6 +619,14 @@ def test_upper_where_the_allocation_rounds_below_zero(capsys, name, p):
     assert code == 0 and err == ""
     assert min(rep["allocation"]) >= 0.0
     assert rep["upper"] == pytest.approx(p**4)
+
+
+@pytest.mark.parametrize("name", [name for name in builtin_names() if name != "STAR<k>"]
+                         + ["STAR2", "STAR3", "STAR4"])
+def test_upper_warns_exactly_when_the_star_inequality_fails(capsys, name):
+    code, rep, err = run_json(capsys, "upper", "--system", name, "--p", "5", "--n", "2")
+    assert code == 0
+    assert ("warnings" in rep) == (rep["star"] is False)
 
 
 def test_certify_star4_sphere_check_pins_every_equation(capsys):
@@ -743,7 +767,6 @@ def test_selftest_passes(capsys):
 def test_selftest_fails_when_a_bound_breaks(capsys, monkeypatch):
     class Bogus:
         value = 10.0**6
-        tolerance = 0.0
         optimizer = (0.0, 0.0)
         method = "bogus"
 

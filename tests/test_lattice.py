@@ -18,7 +18,6 @@ from linsys.lattice import (
     embed_mod_p,
     norm_class_counts,
     pigeonhole_bound,
-    smallest_valid_dimension,
     verify_construction,
 )
 from linsys.oracle import PointSet, is_strongly_free
@@ -263,24 +262,3 @@ def test_embedded_sphere_is_strongly_free_mod_p():
     y = best_sphere_set(3, 2)
     a = embed_mod_p(y, 7)
     assert is_strongly_free(t, a)
-
-
-def test_smallest_valid_dimension():
-    assert smallest_valid_dimension(1, Fraction(1, 2)) == 2
-    n = smallest_valid_dimension(2, Fraction(1, 10))
-    assert n == 51
-    shrink = Fraction(9, 10)
-    assert shrink**n * n * 4 <= 1
-    assert shrink ** (n - 1) * (n - 1) * 4 > 1
-    assert smallest_valid_dimension(1, 0.5) == 2  # floats are accepted exactly
-
-
-def test_smallest_valid_dimension_validation():
-    with pytest.raises(ValueError):
-        smallest_valid_dimension(1, 0)
-    with pytest.raises(ValueError):
-        smallest_valid_dimension(1, 1)
-    with pytest.raises(ValueError):
-        smallest_valid_dimension(0, Fraction(1, 2))
-    with pytest.raises(GuardExceeded):
-        smallest_valid_dimension(1, Fraction(1, 1000), limit=10)
