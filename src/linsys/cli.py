@@ -141,6 +141,18 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a decimal or a fraction")
 
 
+def _float_range_int(text: str) -> int:
+    """An integer the bounds can read as a float, checked while parsing, so
+    that a larger one is refused with a message naming its option."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if abs(value) > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"integers must lie within the float range (±{sys.float_info.max:.3g})")
+    return value
+
+
 def _epsilon(text: str) -> Fraction:
     """``--epsilon``, checked while parsing and so before any work."""
     epsilon = _fraction(text)
@@ -493,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if p:
             sp.add_argument("--p", type=int, required=True, help="prime modulus")
         if n:
-            sp.add_argument("--n", type=int, required=True, help="dimension")
+            sp.add_argument("--n", type=_float_range_int, required=True, help="dimension")
 
     sp = sub.add_parser("analyze", help="hypergraph, parameters, star inequality")
     common(sp, system=True)
@@ -502,26 +514,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lambda", help="per-variable growth constant")
     common(sp)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_float_range_int, required=True)
     sp.add_argument("--alpha", type=_fraction, required=True,
                     help="a decimal or a fraction: 0.5, 1e-3 or 1/3")
-    sp.add_argument("--h", type=int, required=True)
+    sp.add_argument("--h", type=_float_range_int, required=True)
     sp.set_defaults(func=cmd_lambda)
 
     sp = sub.add_parser("ctilde", help="balanced-allocation base constant")
     common(sp)
-    sp.add_argument("--r1", type=int, required=True)
-    sp.add_argument("--r2", type=int, required=True)
-    sp.add_argument("--L", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
+    for flag in ("--r1", "--r2", "--L", "--m", "--d"):
+        sp.add_argument(flag, type=_float_range_int, required=True)
     sp.set_defaults(func=cmd_ctilde)
 
     sp = sub.add_parser("star", help="check r1/2 + r2/e > L")
     common(sp)
-    sp.add_argument("--r1", type=int, required=True)
-    sp.add_argument("--r2", type=int, required=True)
-    sp.add_argument("--L", type=int, required=True)
+    for flag in ("--r1", "--r2", "--L"):
+        sp.add_argument(flag, type=_float_range_int, required=True)
     sp.set_defaults(func=cmd_star)
 
     sp = sub.add_parser("upper", help="strong-freeness upper bound at (p, n)")
@@ -540,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("behrend", help="norm-class census and sphere sets in {0..k}^n")
     common(sp)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_float_range_int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--materialize", action="store_true")
     sp.add_argument("--p", type=int, help="check that the materialized points embed into F_p^n: "

@@ -20,6 +20,11 @@ so the lexicographically least maximum witness contains 0.  The search fixes
 over ascending point indices, keeping a mask of the points that may still
 join.  A branch dies when even all of those could not beat the record, so
 the first maximum set found is the lexicographically least one.
+
+Every linear bijection of F_p^n also maps free sets to free sets of the
+same size, so a set that takes a unit vector never tries the branch that
+leaves it out: a linear map sends each set there to a lexicographically
+smaller one of the same size (the proof is at _search_max_free).
 """
 from __future__ import annotations
 
@@ -361,6 +366,21 @@ def _forbidden(node: list, members: list[int], end: int) -> int:
 
 
 def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]) -> SearchResult:
+    """The include-first search of the module docstring, with its frame cut.
+
+    A frame that takes the unit vector e_{n-j}, index p^j, never tries the
+    branch that leaves e_{n-j} out.  The indices below p^j are exactly
+    V_j = span(e_{n-j+1}, ..., e_n), so the frame's points M lie in V_j.  A
+    set of the skipped branch is M + T with T nonempty and outside
+    V_j + {e_{n-j}}.  A linear bijection that fixes V_j pointwise and sends
+    min T to e_{n-j} maps M + T to a free set of the same size that starts
+    with M, e_{n-j}: lexicographically smaller.  So the skipped branch holds
+    no larger set and not the lexicographically least maximum witness.  It
+    comes after its include sibling, so the record cannot rise inside it:
+    the sets visited are a subsequence of those visited without the cut,
+    with the same records, and the value, the witness and ``exhaustive``
+    are unchanged while ``nodes_explored`` never rises.
+    """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if node_budget is not None and node_budget < 1:
@@ -377,6 +397,7 @@ def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]
 
     # include-first DFS over ascending point indices from {0}; each stack
     # frame holds the points that may still join its set
+    units = {p**j for j in range(n)}  # the indices of e_n, e_{n-1}, ..., e_1
     members = [0]
     allowed = ((1 << comp.size) - 2) & ~comp.blocked & ~comp.forbid[0][0]
     stack = [allowed]
@@ -395,7 +416,8 @@ def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]
         low = allowed & -allowed
         q = low.bit_length() - 1
         allowed ^= low
-        stack[-1] = allowed
+        # a frame that takes a unit vector skips the sets without it (see the docstring)
+        stack[-1] = 0 if q in units else allowed
         allowed &= ~_forbidden(comp.forbid[q], members, len(members))
         members.append(q)
         nodes += 1

@@ -42,7 +42,8 @@ def test_criterion_06_w_system_strong_maxima():
 
 
 def test_criterion_07_progression_strong_maxima():
-    _check(acceptance.criterion_07)
+    res = _check(acceptance.criterion_07)
+    assert "n=3:9<= 20.913" in res.detail  # the cap-set constant in AG(3, 3)
 
 
 def test_criterion_08_reduction_trace_and_lower_bound():

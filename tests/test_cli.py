@@ -112,6 +112,26 @@ def test_lambda_where_m_h_squared_overflows_a_float(capsys):
     assert rep == {"value": 1e160, "optimizer": 1.0, "method": "boundary-exact"}
 
 
+_PAST_FLOAT = str(10**400)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["lambda", "--m", _PAST_FLOAT, "--alpha", "1/3", "--h", "2"], "--m"),
+    (["lambda", "--m", "1", "--alpha", "1/3", "--h", _PAST_FLOAT], "--h"),
+    (["ctilde", "--r1", "3", "--r2", "2", "--L", "2", "--m", "2", "--d", _PAST_FLOAT], "--d"),
+    (["ctilde", "--r1", "3", "--r2", "2", "--L", "2", "--m", _PAST_FLOAT, "--d", "5"], "--m"),
+    (["ctilde", "--r1", _PAST_FLOAT, "--r2", "2", "--L", "2", "--m", "2", "--d", "5"], "--r1"),
+    (["star", "--r1", _PAST_FLOAT, "--r2", "2", "--L", "2"], "--r1"),
+    (["star", "--r1", "3", "--r2", "2", "--L", "-" + _PAST_FLOAT], "--L"),
+    (["upper", "--system", "S3AP", "--p", "3", "--n", _PAST_FLOAT], "--n"),
+    (["behrend", "--n", _PAST_FLOAT, "--k", "2"], "--n"),
+])
+def test_integers_past_the_float_range_are_refused_while_parsing(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: argument {flag}: integers must lie within the float range (±1.8e+308)\n"
+
+
 def test_lambda_missing_argument_exits(capsys):
     code, out, err = run(capsys, "lambda", "--m", "1", "--alpha", "0.5")
     assert code == 1 and out == ""
@@ -547,6 +567,14 @@ def test_certify_w_system_weak_chain(capsys):
     assert rep["upper_weak"] == pytest.approx(20.926, abs=0.05)
     assert rep["lower_weak"]["base"] <= rep["exact_weak"] <= rep["upper_weak"]
     assert rep["upper_strong"] == pytest.approx(2.9789, abs=2e-3)
+    assert rep["exact_strong"] == 1
+
+
+def test_certify_sw_in_f7_squared_finds_the_exact_weak_maximum(capsys):
+    # the unit-vector frame cut finishes this weak search within the default budget
+    code, rep, err = run_json(capsys, "certify", "--system", "SW", "--p", "7", "--n", "2")
+    assert code == 0 and rep["verified"] is True
+    assert rep["exact_weak"] == 12 and "exact_weak_note" not in rep
     assert rep["exact_strong"] == 1
 
 
