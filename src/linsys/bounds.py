@@ -94,15 +94,22 @@ def _tilted_moments(M: int, t: float) -> tuple[float, float]:
     """Mean mu(t) and variance Var(t) of the weights e^(-t*j) on {0..M}, t > 0."""
     e, f = math.exp(-t), math.exp(-(M + 1) * t)
     de, df = -math.expm1(-t), -math.expm1(-(M + 1) * t)
-    mean = e / de - (M + 1) * f / df
-    var = e / (de * de) - (M + 1) * (M + 1) * f / (df * df)
-    return mean, var
+    tail = (M + 1) * f / df  # what truncation at M takes off the mean
+    # tail * (M + 1) / df, not (M + 1)^2 f / df^2: (M + 1)^2 overflows a float
+    # from M = 1.3e154 on, even where f is 0
+    return e / de - tail, e / (de * de) - tail * (M + 1) / df
 
 
 def _root(fn: Callable[[float], tuple[float, float]], lo: float, hi: float, x: float) -> float:
     """The root in [lo, hi] of a function that is positive left of it and
-    negative right of it, from x.  fn(x) gives (value, slope); a Newton step
-    that leaves the bracket narrowed so far becomes a bisection."""
+    negative right of it, from x.  fn(x) gives (value, slope).  As in
+    Numerical Recipes' rtsafe (§9.4), a Newton step shorter than the
+    tolerance ends the search before the bracket test: x has just become
+    an end of the bracket, so a converged step lands on or past it, fails
+    that test and would turn into some 30 bisections away from the root.
+    An infinite slope (a group at its top) gives a zero step that says
+    nothing, so it is not taken for convergence.  Any other step that
+    leaves the bracket narrowed so far becomes a bisection."""
     for _ in range(_NEWTON_STEPS):
         val, slope = fn(x)
         if val > 0:
@@ -112,10 +119,12 @@ def _root(fn: Callable[[float], tuple[float, float]], lo: float, hi: float, x: f
         else:
             return x
         nxt = x - val / slope if slope else hi
+        if math.isfinite(slope) and abs(nxt - x) <= _NEWTON_REL_TOL * x:
+            return nxt
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= _NEWTON_REL_TOL * x:
-            return nxt
+            if abs(nxt - x) <= _NEWTON_REL_TOL * x:
+                return nxt
         x = nxt
     return x
 
@@ -231,6 +240,11 @@ def _common_level(groups: dict[int, int], L: int, h: int) -> dict[int, float]:
         levels.append(math.log(rep.value))
     # the uniform allocation sums to L: the common level lies between its levels
     lo, hi = min(levels), min(max(levels), tops[ms[0]])
+    if hi <= 0.0:
+        # every Lambda is 1 to float precision; as the level falls to 0 only
+        # exponents 0 and 1 count, and every group's alpha tends to the same
+        # value, so the uniform allocation is the common level's limit
+        return dict.fromkeys(ms, uniform)
     alloc = {}
 
     def shortfall(level: float) -> tuple[float, float]:

@@ -141,6 +141,9 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a decimal or a fraction")
 
 
+_FLOAT_RANGE = f"must lie within the float range (±{sys.float_info.max:.3g})"
+
+
 def _float_range_int(text: str) -> int:
     """An integer the bounds can read as a float, checked while parsing, so
     that a larger one is refused with a message naming its option."""
@@ -149,8 +152,15 @@ def _float_range_int(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if abs(value) > sys.float_info.max:
-        raise argparse.ArgumentTypeError(f"integers must lie within the float range (±{sys.float_info.max:.3g})")
+        raise argparse.ArgumentTypeError(f"integers {_FLOAT_RANGE}")
     return value
+
+
+def _check_top(top: int, options: str) -> None:
+    """Refuse a top exponent M = m*h past the float range, naming the
+    options it is made of: the bounds read M as a float."""
+    if abs(top) > sys.float_info.max:
+        raise ParseError(f"{options} {_FLOAT_RANGE}")
 
 
 def _epsilon(text: str) -> Fraction:
@@ -209,11 +219,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_lambda(args: argparse.Namespace) -> int:
+    _check_top(args.m * args.h, "--m times --h")
     _emit(bounds.lambda_min(args.m, float(args.alpha), args.h), args)
     return 0
 
 
 def cmd_ctilde(args: argparse.Namespace) -> int:
+    _check_top(args.m * (args.d - 1), "--m times (--d - 1)")
     rep = bounds.c_tilde(args.r1, args.r2, args.L, args.m, args.d)
     _emit({**dataclasses.asdict(rep), "over_d": rep.value / args.d}, args)
     return 0
@@ -333,7 +345,7 @@ def cmd_behrend(args: argparse.Namespace) -> int:
         if args.p is not None:
             report["p"] = args.p
         # the rows are freed before the report is written; only the strings stay
-        report["points"] = best_sphere_set(args.n, args.k).point_strings()
+        report["points"] = best_sphere_set(args.n, args.k, table).point_strings()
     _emit(report, args)
     return 0
 
@@ -482,17 +494,29 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The whole parser, built once per process: parse_args leaves it
-    unchanged and returns a fresh namespace each call."""
-    ap = _Parser(
-        prog="linsys",
-        description="Bounds, reductions, constructions and brute-force checks "
-                    "for solution-free sets of balanced linear systems over F_p^n.")
-    sub = ap.add_subparsers(dest="subcommand", required=True)
+#: the subcommands with their one-line help, in the order --help lists them
+_HELP = {
+    "analyze": "hypergraph, parameters, star inequality",
+    "lambda": "per-variable growth constant",
+    "ctilde": "balanced-allocation base constant",
+    "star": "check r1/2 + r2/e > L",
+    "upper": "strong-freeness upper bound at (p, n)",
+    "reduce": "dominant reduction trace",
+    "lower-bound": "dominant lower-bound reports",
+    "behrend": "norm-class census and sphere sets in {0..k}^n",
+    "search": "exact maximum free-set search at desk scale",
+    "verify": "check a point set or matching file",
+    "certify": "run the full chain and gate on verifications",
+    "selftest": "run the acceptance criteria",
+}
 
-    def common(sp, p=False, n=False, system=False, epsilon=False):
+
+def _fill(name: str, sp: argparse.ArgumentParser) -> None:
+    """Define subcommand ``name``'s options on ``sp``, the one place they
+    are defined: the parser of the subcommand alone and the whole tree both
+    come from here."""
+
+    def common(p=False, n=False, system=False, epsilon=False):
         sp.add_argument("--format", choices=("json", "text"), default="text")
         sp.add_argument("--out", help="also write the report to this file")
         if epsilon:
@@ -507,86 +531,97 @@ def _build_parser() -> argparse.ArgumentParser:
         if n:
             sp.add_argument("--n", type=_float_range_int, required=True, help="dimension")
 
-    sp = sub.add_parser("analyze", help="hypergraph, parameters, star inequality")
-    common(sp, system=True)
-    sp.add_argument("--p", type=int, help="optionally reduce mod p and report the base constant")
-    sp.set_defaults(func=cmd_analyze)
+    if name == "analyze":
+        common(system=True)
+        sp.add_argument("--p", type=int, help="optionally reduce mod p and report the base constant")
+        sp.set_defaults(func=cmd_analyze)
+    elif name == "lambda":
+        common()
+        sp.add_argument("--m", type=_float_range_int, required=True)
+        sp.add_argument("--alpha", type=_fraction, required=True,
+                        help="a decimal or a fraction: 0.5, 1e-3 or 1/3")
+        sp.add_argument("--h", type=_float_range_int, required=True)
+        sp.set_defaults(func=cmd_lambda)
+    elif name == "ctilde":
+        common()
+        for flag in ("--r1", "--r2", "--L", "--m", "--d"):
+            sp.add_argument(flag, type=_float_range_int, required=True)
+        sp.set_defaults(func=cmd_ctilde)
+    elif name == "star":
+        common()
+        for flag in ("--r1", "--r2", "--L"):
+            sp.add_argument(flag, type=_float_range_int, required=True)
+        sp.set_defaults(func=cmd_star)
+    elif name == "upper":
+        common(p=True, n=True, system=True)
+        sp.set_defaults(func=cmd_upper)
+    elif name == "reduce":
+        common(system=True)
+        sp.add_argument("--strategy", choices=("greedy", "exhaustive"), default="greedy")
+        sp.set_defaults(func=cmd_reduce)
+    elif name == "lower-bound":
+        common(p=True, system=True, epsilon=True)
+        sp.add_argument("--strategy", choices=("greedy", "exhaustive"), default="greedy")
+        sp.set_defaults(func=cmd_lower_bound)
+    elif name == "behrend":
+        common()
+        sp.add_argument("--n", type=_float_range_int, required=True)
+        sp.add_argument("--k", type=int, required=True)
+        sp.add_argument("--materialize", action="store_true")
+        sp.add_argument("--p", type=int, help="check that the materialized points embed into F_p^n: "
+                                               "a prime above k")
+        sp.set_defaults(func=cmd_behrend)
+    elif name == "search":
+        common(p=True, n=True)
+        sp.add_argument("--system", default="SW",
+                        help="path or built-in name (default SW)")
+        sp.add_argument("--kind", choices=("strong", "weak"), required=True)
+        sp.add_argument("--node-budget", type=int, default=None,
+                        help="sets the search may visit before it stops with exhaustive: false, "
+                             f"at least 1 (default {DEFAULT_NODE_BUDGET})")
+        sp.set_defaults(func=cmd_search)
+    elif name == "verify":
+        common(p=True, system=True)
+        sp.add_argument("--kind", choices=("strong", "weak", "multicolor"), required=True)
+        sp.add_argument("--set", required=True, help="CSV file: one point (or matching row) per line")
+        sp.set_defaults(func=cmd_verify)
+    elif name == "certify":
+        common(p=True, system=True, epsilon=True)
+        sp.add_argument("--n", type=int, help="dimension for bounds, searches and sphere sets")
+        sp.set_defaults(func=cmd_certify)
+    elif name == "selftest":
+        common()
+        sp.add_argument("--seed", type=int, default=20260815)
+        sp.set_defaults(func=cmd_selftest)
 
-    sp = sub.add_parser("lambda", help="per-variable growth constant")
-    common(sp)
-    sp.add_argument("--m", type=_float_range_int, required=True)
-    sp.add_argument("--alpha", type=_fraction, required=True,
-                    help="a decimal or a fraction: 0.5, 1e-3 or 1/3")
-    sp.add_argument("--h", type=_float_range_int, required=True)
-    sp.set_defaults(func=cmd_lambda)
 
-    sp = sub.add_parser("ctilde", help="balanced-allocation base constant")
-    common(sp)
-    for flag in ("--r1", "--r2", "--L", "--m", "--d"):
-        sp.add_argument(flag, type=_float_range_int, required=True)
-    sp.set_defaults(func=cmd_ctilde)
-
-    sp = sub.add_parser("star", help="check r1/2 + r2/e > L")
-    common(sp)
-    for flag in ("--r1", "--r2", "--L"):
-        sp.add_argument(flag, type=_float_range_int, required=True)
-    sp.set_defaults(func=cmd_star)
-
-    sp = sub.add_parser("upper", help="strong-freeness upper bound at (p, n)")
-    common(sp, p=True, n=True, system=True)
-    sp.set_defaults(func=cmd_upper)
-
-    sp = sub.add_parser("reduce", help="dominant reduction trace")
-    common(sp, system=True)
-    sp.add_argument("--strategy", choices=("greedy", "exhaustive"), default="greedy")
-    sp.set_defaults(func=cmd_reduce)
-
-    sp = sub.add_parser("lower-bound", help="dominant lower-bound reports")
-    common(sp, p=True, system=True, epsilon=True)
-    sp.add_argument("--strategy", choices=("greedy", "exhaustive"), default="greedy")
-    sp.set_defaults(func=cmd_lower_bound)
-
-    sp = sub.add_parser("behrend", help="norm-class census and sphere sets in {0..k}^n")
-    common(sp)
-    sp.add_argument("--n", type=_float_range_int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--materialize", action="store_true")
-    sp.add_argument("--p", type=int, help="check that the materialized points embed into F_p^n: "
-                                           "a prime above k")
-    sp.set_defaults(func=cmd_behrend)
-
-    sp = sub.add_parser("search", help="exact maximum free-set search at desk scale")
-    common(sp, p=True, n=True)
-    sp.add_argument("--system", default="SW",
-                    help="path or built-in name (default SW)")
-    sp.add_argument("--kind", choices=("strong", "weak"), required=True)
-    sp.add_argument("--node-budget", type=int, default=None,
-                    help="sets the search may visit before it stops with exhaustive: false, "
-                         f"at least 1 (default {DEFAULT_NODE_BUDGET})")
-    sp.set_defaults(func=cmd_search)
-
-    sp = sub.add_parser("verify", help="check a point set or matching file")
-    common(sp, p=True, system=True)
-    sp.add_argument("--kind", choices=("strong", "weak", "multicolor"), required=True)
-    sp.add_argument("--set", required=True, help="CSV file: one point (or matching row) per line")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("certify", help="run the full chain and gate on verifications")
-    common(sp, p=True, system=True, epsilon=True)
-    sp.add_argument("--n", type=int, help="dimension for bounds, searches and sphere sets")
-    sp.set_defaults(func=cmd_certify)
-
-    sp = sub.add_parser("selftest", help="run the acceptance criteria")
-    common(sp)
-    sp.add_argument("--seed", type=int, default=20260815)
-    sp.set_defaults(func=cmd_selftest)
-
+@functools.cache
+def _build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name`` alone, or with no name the whole
+    tree, which --help, no arguments and unknown names need; each is built
+    once per process, and parse_args leaves it unchanged and returns a
+    fresh namespace each call."""
+    if name is not None:
+        sp = _Parser(prog=f"linsys {name}")
+        _fill(name, sp)
+        return sp
+    ap = _Parser(
+        prog="linsys",
+        description="Bounds, reductions, constructions and brute-force checks "
+                    "for solution-free sets of balanced linear systems over F_p^n.")
+    sub = ap.add_subparsers(dest="subcommand", required=True)
+    for sub_name, text in _HELP.items():
+        _fill(sub_name, sub.add_parser(sub_name, help=text))
     return ap
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        if argv and argv[0] in _HELP:  # one subcommand's parser, not the whole tree
+            args = _build_parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = _build_parser().parse_args(argv)
         return args.func(args)
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

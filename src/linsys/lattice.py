@@ -60,8 +60,8 @@ class NormClassTable:
     def best(self) -> tuple[int, int]:
         """(squared norm, count) of the largest class; ties go to the
         smallest norm so the pigeonhole radius is deterministic."""
-        best_norm = min(self.counts, key=lambda q: (-self.counts[q], q))
-        return best_norm, self.counts[best_norm]
+        count = max(self.counts.values())
+        return min(q for q, c in self.counts.items() if c == count), count
 
 
 def integer_rows(points: Sequence[Point], n: int) -> Optional[np.ndarray]:
@@ -163,6 +163,12 @@ def norm_class_counts(n: int, k: int) -> NormClassTable:
     and 10× at n = 271, k = 34.  A census whose table _census_bytes puts
     past CENSUS_GUARD is refused before either method allocates anything.
     """
+    return NormClassTable(n, k, {q: c for q, c in enumerate(_census(n, k)) if c > 0})
+
+
+def _census(n: int, k: int) -> list[int]:
+    """The counts of every squared norm 0 … n k², zeros included, the two
+    corners left out; refused as norm_class_counts says."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
     need = _census_bytes(n, k)
@@ -172,8 +178,7 @@ def norm_class_counts(n: int, k: int) -> NormClassTable:
     vals = _power_recurrence(n, k) if n >= min(8 * k, 96) else _limb_convolution(n, k)
     vals[0] -= 1
     vals[-1] -= 1
-    counts = {q: c for q, c in enumerate(vals) if c > 0}
-    return NormClassTable(n, k, counts)
+    return vals
 
 
 def _power_recurrence(n: int, k: int) -> list[int]:
@@ -281,10 +286,13 @@ def _materialize(n: int, k: int, target: int) -> np.ndarray:
     return pts
 
 
-def best_sphere_set(n: int, k: int) -> SphereSet:
+def best_sphere_set(n: int, k: int, table: Optional[NormClassTable] = None) -> SphereSet:
     """Materialize the largest norm class (smallest norm on ties) by the
     reach-guided walk of _materialize: numpy work O(n k r²) for the reach
     table of squared radius r², then O(n · class size) for the points.
+    The class is read off ``table``, the norm_class_counts(n, k) census,
+    when the caller has it at hand; otherwise it is the first largest entry
+    of a census list, with no table built.
 
     Enumeration is guarded at (k+1)^n <= 2^24; the counts themselves stay
     available through norm_class_counts for any size.
@@ -292,8 +300,12 @@ def best_sphere_set(n: int, k: int) -> SphereSet:
     if power_exceeds(k + 1, n, MATERIALIZE_GUARD):
         raise GuardExceeded(f"(k+1)^n = {k + 1}^{n} points exceed the materialization guard "
                             f"({MATERIALIZE_GUARD}); norm_class_counts still works")
-    table = norm_class_counts(n, k)
-    radius_sq, count = table.best()
+    if table is None:
+        vals = _census(n, k)
+        count = max(vals)
+        radius_sq = vals.index(count)
+    else:
+        radius_sq, count = table.best()
     rows = _materialize(n, k, radius_sq)
     assert len(rows) == count, "materialized class disagrees with the census"
     return SphereSet(n, k, radius_sq, rows)

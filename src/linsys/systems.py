@@ -1,14 +1,18 @@
 """Named built-in systems, defined in the same text format the parser
 accepts so examples run without input files.
 
-``STAR<k>`` is a family: k three-term progressions sharing their middle
-term (variable x_{2k+1}), e.g. STAR2 has rows x1+x2-2x5 and x3+x4-2x5.
+The texts are parsed once, at import, into a table of immutable
+``ZSystem``s, so a lookup never runs the parser.  ``STAR<k>`` is a family:
+k three-term progressions sharing their middle term (variable x_{2k+1}),
+e.g. STAR2 has rows x1+x2-2x5 and x3+x4-2x5; its rows are built directly,
+once per k.
 """
 from __future__ import annotations
 
+import functools
 import re
 
-from .eqsys import ZSystem, parse_system
+from .eqsys import MAX_VARIABLES, ZSystem, parse_system
 
 _DEFS: dict[str, str] = {
     # W shape: a parallelogram (x1,x2,x4,x3) overlapping a 3-AP (x1,x3,x5)
@@ -42,14 +46,25 @@ _DEFS: dict[str, str] = {
     ),
 }
 
+_TABLE: dict[str, ZSystem] = {name: parse_system(text) for name, text in _DEFS.items()}
+
 _STAR = re.compile(r"^STAR(\d+)$")
 
 
-def _star_text(k: int) -> str:
+@functools.cache
+def _star(k: int) -> ZSystem:
     if k < 1:
         raise ValueError("STAR index must be >= 1")
-    center = f"x{2 * k + 1}"
-    return "\n".join(f"x{2 * i - 1} + x{2 * i} - 2{center} = 0" for i in range(1, k + 1))
+    r = 2 * k + 1
+    if r > MAX_VARIABLES:  # before the rows are built: k may be huge
+        raise ValueError(f"r={r} exceeds the supported limit ({MAX_VARIABLES})")
+    rows = []
+    for i in range(k):
+        row = [0] * r
+        row[2 * i] = row[2 * i + 1] = 1
+        row[-1] = -2
+        rows.append(tuple(row))
+    return ZSystem(r, tuple(rows))
 
 
 def builtin_names() -> tuple[str, ...]:
@@ -59,10 +74,10 @@ def builtin_names() -> tuple[str, ...]:
 def builtin(name: str) -> ZSystem:
     """Look up a built-in system by name (case-insensitive)."""
     key = name.strip().upper()
+    if key in _TABLE:
+        return _TABLE[key]
     m = _STAR.match(key)
     if m:
-        return parse_system(_star_text(int(m.group(1))))
-    if key in _DEFS:
-        return parse_system(_DEFS[key])
+        return _star(int(m.group(1)))
     known = ", ".join(builtin_names())
     raise KeyError(f"unknown system {name!r}; built-ins: {known}")

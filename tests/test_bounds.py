@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import linsys.bounds
 from linsys.bounds import (
+    _root,
     bound_small_p,
     c_tilde,
     count_theta,
@@ -228,3 +230,126 @@ def test_parallelogram_upper_matches_composition():
         parallelogram_upper(4, 1)
     with pytest.raises(ValueError):
         wshape_upper(2, 1)
+
+
+def test_root_stops_at_a_converged_step_on_the_bracket_end():
+    # the root lies between 1.0 and the next float: at x = 1.0 the value is
+    # positive, so x becomes the bracket's lower end, and the Newton step
+    # lands on x again
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return (1e-300 if x == 1.0 else 1.0 - x), -1.0
+
+    assert _root(fn, 0.0, 2.0, 0.5) == 1.0
+    assert calls == [0.5, 1.0]  # bisecting (1.0, 2.0) down to 1.0 would take some 40 more
+
+
+def test_root_does_not_take_an_infinite_slope_for_convergence():
+    # a zero Newton step from an infinite slope says nothing: bisect
+    assert _root(lambda x: (1.0 - x, -math.inf), 0.0, 4.0, 2.0) == 1.0
+
+
+def test_allocation_solver_evaluations_stay_few(monkeypatch):
+    calls = []
+    real = linsys.bounds._tilted_moments
+    monkeypatch.setattr(linsys.bounds, "_tilted_moments", lambda M, t: calls.append(M) or real(M, t))
+    for name, p in [("STAR2", 13), ("SW", 5)]:
+        calls.clear()
+        optimize_allocation(reduce_mod_p(builtin(name), p))
+        assert len(calls) <= 100, name  # 298 and 256 when converged steps turned into bisections
+
+
+# optimize_allocation's values from a root finder that bisected on after a
+# converged step; stopping there may move them in the last digits only
+_ALLOCATION_VALUES = {
+    ("S1", 5): 5.000000000000001,
+    ("S1", 7): 7.000000000000001,
+    ("S1", 13): 13.0,
+    ("S1", 89): 89.0,
+    ("S1", 10**6 + 3): 1000003.0,
+    ("S2", 3): 3.000000000000001,
+    ("S2", 5): 5.0,
+    ("S2", 7): 7.0,
+    ("S2", 13): 13.0,
+    ("S2", 89): 89.00000000000006,
+    ("S2", 10**6 + 3): 1000003.0000000013,
+    ("S3", 3): 3.0000000000000004,
+    ("S3", 5): 5.000000000000001,
+    ("S3", 7): 7.0,
+    ("S3", 13): 13.0,
+    ("S3", 89): 89.00000000000006,
+    ("S3", 10**6 + 3): 1000003.0,
+    ("S3AP", 3): 2.755104613023633,
+    ("S3AP", 5): 4.461577765702577,
+    ("S3AP", 7): 6.156204863216738,
+    ("S3AP", 13): 11.219907989114876,
+    ("S3AP", 89): 75.18591705863373,
+    ("S3AP", 10**6 + 3): 841437.1980375212,
+    ("S4AP", 3): 3.0000000000000004,
+    ("S4AP", 5): 5.000000000000001,
+    ("S4AP", 7): 7.0,
+    ("S4AP", 13): 13.0,
+    ("S4AP", 89): 89.00000000000006,
+    ("S4AP", 10**6 + 3): 1000003.0,
+    ("SP", 3): 2.4626418602647617,
+    ("SP", 5): 3.834437249028806,
+    ("SP", 7): 5.1847896429565505,
+    ("SP", 13): 9.199460848614287,
+    ("SP", 89): 59.736589770820345,
+    ("SP", 10**6 + 3): 664556.8030874233,
+    ("SPP", 3): 3.0000000000000004,
+    ("SPP", 5): 4.995074495049857,
+    ("SPP", 7): 6.979607513611994,
+    ("SPP", 13): 12.914126899666448,
+    ("SPP", 89): 87.92676197290434,
+    ("SPP", 10**6 + 3): 986816.7105836932,
+    ("SW", 3): 2.978841943529559,
+    ("SW", 5): 4.931823233558952,
+    ("SW", 7): 6.877457981452818,
+    ("SW", 13): 12.701867044293957,
+    ("SW", 89): 86.37113786505256,
+    ("SW", 10**6 + 3): 969200.6426772443,
+    ("STAR2", 3): 2.944029795948721,
+    ("STAR2", 5): 4.863882690614282,
+    ("STAR2", 7): 6.777861396479909,
+    ("STAR2", 13): 12.509866033187874,
+    ("STAR2", 89): 85.03026486626791,
+    ("STAR2", 10**6 + 3): 954110.5831927336,
+    ("STAR3", 3): 2.974903453419403,
+    ("STAR3", 5): 4.937794275816987,
+    ("STAR3", 7): 6.897758473478085,
+    ("STAR3", 13): 12.772666211793938,
+    ("STAR3", 89): 87.14521964897274,
+    ("STAR3", 10**6 + 3): 978534.2818345615,
+    ("STAR4", 3): 2.985753518102266,
+    ("STAR4", 5): 4.964508180582068,
+    ("STAR4", 7): 6.941552496118727,
+    ("STAR4", 13): 12.86975836654602,
+    ("STAR4", 89): 87.93505176660138,
+    ("STAR4", 10**6 + 3): 987671.7458339359,
+}
+
+
+@pytest.mark.parametrize("name, p", sorted(_ALLOCATION_VALUES))
+def test_optimize_allocation_values_are_kept(name, p):
+    got = optimize_allocation(reduce_mod_p(builtin(name), p)).value
+    assert got == pytest.approx(_ALLOCATION_VALUES[name, p], rel=1e-9)
+
+
+@pytest.mark.parametrize("r1, r2", [(10**19, 2), (2, 10**19), (10**300, 2)])
+def test_c_tilde_where_every_lambda_rounds_to_one(r1, r2):
+    # the uniform allocation's level rounds to 0: the common level's limit
+    # is that allocation itself, and every Lambda is 1
+    rep = c_tilde(r1, r2, 2, 2, 5)
+    uniform = 2 / (r1 + r2)
+    assert rep.value == 1.0
+    assert rep.optimizer == pytest.approx((uniform, uniform), rel=1e-12)
+
+
+@pytest.mark.parametrize("m, d", [(10**153, 5), (10**154, 5), (2, 10**154), (10**300, 5)])
+def test_c_tilde_where_m_h_squared_overflows_a_float(m, d):
+    rep = c_tilde(3, 2, 2, m, d)
+    assert math.isfinite(rep.value) and rep.value >= c_tilde(3, 2, 2, 2, 5).value
+    assert all(math.isfinite(a) and a >= 0.0 for a in rep.optimizer)

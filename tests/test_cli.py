@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import linsys.bounds
 import linsys.cli
 import linsys.dominance
+import linsys.lattice
 import linsys.oracle
 from linsys.cli import _build_parser, _jsonable, main
 from linsys.eqsys import reduce_mod_p
@@ -199,6 +200,36 @@ def test_ctilde_subcommand(capsys):
     assert rep["over_d"] <= 0.994
 
 
+@pytest.mark.parametrize("flag", ["--r1", "--r2"])
+def test_ctilde_where_every_lambda_rounds_to_one(capsys, flag):
+    # the uniform level rounds to 0, which once divided by zero
+    argv = {"--r1": "3", "--r2": "2", "--L": "2", "--m": "2", "--d": "5", flag: str(10**19)}
+    code, rep, err = run_json(capsys, "ctilde", *[a for kv in argv.items() for a in kv])
+    assert code == 0 and err == ""
+    assert rep["value"] == 1.0 and rep["over_d"] == 0.2
+    assert rep["optimizer"] == pytest.approx([2 / (10**19 + 3)] * 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("m, d", [(10**154, 5), (2, 10**154)])
+def test_ctilde_where_the_top_exponent_squared_overflows_a_float(capsys, m, d):
+    # M = m(d - 1) fits a float but M^2 does not
+    code, rep, err = run_json(capsys, "ctilde", "--r1", "3", "--r2", "2", "--L", "2",
+                              "--m", str(m), "--d", str(d))
+    assert code == 0 and err == ""
+    assert math.isfinite(rep["value"]) and all(a >= 0.0 for a in rep["optimizer"])
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["ctilde", "--r1", "3", "--r2", "2", "--L", "2", "--m", str(10**308), "--d", "5"],
+     "--m times (--d - 1)"),
+    (["lambda", "--m", str(10**308), "--alpha", "1/3", "--h", "2"], "--m times --h"),
+])
+def test_a_top_exponent_past_the_float_range_is_refused_by_its_options(capsys, argv, options):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {options} must lie within the float range (±1.8e+308)\n"
+
+
 def test_star_subcommand(capsys):
     code, rep, err = run_json(capsys, "star", "--r1", "3", "--r2", "2", "--L", "2")
     assert code == 0 and rep["holds"] is True
@@ -370,6 +401,15 @@ def test_behrend_prints_points_without_building_tuples(capsys, monkeypatch):
     monkeypatch.setattr(SphereSet, "points", property(lambda y: pytest.fail("tuples built")))
     code, rep, err = run_json(capsys, "behrend", "--n", "10", "--k", "3", "--materialize", "--p", "7")
     assert code == 0 and len(rep["points"]) == 40830
+
+
+def test_behrend_takes_one_census(capsys, monkeypatch):
+    calls = []
+    real = linsys.lattice._census
+    monkeypatch.setattr(linsys.lattice, "_census", lambda n, k: calls.append((n, k)) or real(n, k))
+    code, rep, err = run_json(capsys, "behrend", "--n", "6", "--k", "3", "--materialize")
+    assert code == 0 and len(rep["points"]) == rep["best_count"]
+    assert calls == [(6, 3)]
 
 
 def test_behrend_checks_p_without_materialize(capsys):
@@ -830,8 +870,18 @@ _EVERY_SUBCOMMAND = {
 
 
 def test_every_subcommand_is_in_the_out_flag_test():
+    # the whole tree and the one-subcommand parsers main builds know the same names
     sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
+    assert list(sub.choices) == list(linsys.cli._HELP)
     assert set(sub.choices) == set(_EVERY_SUBCOMMAND)
+
+
+@pytest.mark.parametrize("subcommand", sorted(_EVERY_SUBCOMMAND))
+def test_one_subcommands_parser_reads_as_the_whole_tree(subcommand):
+    argv = [*_EVERY_SUBCOMMAND[subcommand], "--format", "json", "--out", "report.txt"]
+    whole = vars(_build_parser().parse_args([subcommand, *argv]))
+    assert whole.pop("subcommand") == subcommand
+    assert vars(_build_parser(subcommand).parse_args(argv)) == whole
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -915,6 +965,41 @@ def test_text_format_is_key_value(capsys):
 
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
+    assert _build_parser("search") is _build_parser("search")
+
+
+def test_main_builds_only_the_parser_of_the_subcommand_that_runs(capsys, monkeypatch):
+    built = []
+    real = linsys.cli._fill
+    monkeypatch.setattr(linsys.cli, "_fill", lambda name, sp: built.append(name) or real(name, sp))
+    _build_parser.cache_clear()
+    try:
+        code, out, err = run(capsys, "star", "--r1", "3", "--r2", "2", "--L", "2")
+        assert code == 0 and built == ["star"]
+        code, out, err = run(capsys, "star", "--r1", "3", "--r2", "2", "--L", "2")
+        assert code == 0 and built == ["star"]  # cached
+    finally:
+        _build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv, code, stream, first_line", [
+    ([], 1, "err", "error: the following arguments are required: subcommand"),
+    (["--help"], 0, "out", "usage: linsys [-h]"),
+    (["nosuch"], 1, "err", "error: argument subcommand: invalid choice: 'nosuch' (choose from "
+                           + ", ".join(f"'{name}'" for name in linsys.cli._HELP) + ")"),
+    (["search", "--help"], 0, "out",
+     "usage: linsys search [-h] [--format {json,text}] [--out OUT] --p P --n N"),
+])
+def test_top_level_usage_keeps_its_exit_code_and_first_line(capsys, monkeypatch, argv, code, stream,
+                                                             first_line):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # --help
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert getattr(captured, stream).splitlines()[0] == first_line
 
 
 def test_back_to_back_runs_share_no_values(capsys):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linsys.lattice
 from linsys.errors import GuardExceeded
 from linsys.eqsys import parse_system, reduce_mod_p
 from linsys.lattice import (
+    NormClassTable,
     SphereSet,
     _limb_convolution,
     _materialize,
@@ -126,6 +128,23 @@ def test_best_class_tie_breaks_to_smaller_norm():
     assert norm_class_counts(3, 1).best() == (1, 3)   # {1: 3, 2: 3}
     assert norm_class_counts(2, 2).best() == (1, 2)   # three classes of size 2
     assert norm_class_counts(3, 2).best() == (5, 6)
+    # a table need not list its norms in order
+    assert NormClassTable(2, 3, {9: 4, 5: 4, 2: 1, 7: 4}).best() == (5, 4)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 8) for k in range(1, 5)] + [(2, 44), (12, 3)])
+def test_best_sphere_set_takes_the_tables_best_class(n, k):
+    # the census list's first largest entry, read without building a table
+    radius_sq, count = norm_class_counts(n, k).best()
+    y = best_sphere_set(n, k)
+    assert (y.radius_sq, len(y)) == (radius_sq, count)
+
+
+def test_best_sphere_set_reads_a_given_table_without_a_census(monkeypatch):
+    table = norm_class_counts(4, 3)
+    monkeypatch.setattr(linsys.lattice, "_census", lambda n, k: pytest.fail("census taken again"))
+    y = best_sphere_set(4, 3, table)
+    assert (y.radius_sq, len(y)) == table.best()
 
 
 def test_best_class_meets_pigeonhole():
@@ -146,6 +165,9 @@ def test_norm_class_counts_validation():
         norm_class_counts(1, 1)
     with pytest.raises(ValueError):
         norm_class_counts(2, 0)
+    for n, k in [(1, 1), (2, 0)]:
+        with pytest.raises(ValueError, match="need n >= 2 and k >= 1"):
+            best_sphere_set(n, k)
 
 
 def test_best_sphere_set_materializes_census():
