@@ -26,9 +26,16 @@ fixes t, and with it alpha = mu(t)/h.
 Spreading a budget L of exponents over variables, the largest Lambda is
 least when every multiplicity group sits at one common level l = ln(lambda)
 (each Lambda rises with its own exponent).  optimize_allocation and c_tilde
-therefore solve sum_i c_i*alpha_i(l) = L for l, by Newton steps again
-(d alpha_i / dl = 1/(h*t_i)); once l reaches ln(M_i + 1), group i can take
-any exponent, and the group of least multiplicity takes what is left.
+solve for every group's tilt at once, by Newton steps from the tilts of the
+uniform allocation on the g + 1 equations t_i*mu_i(t_i) + ln S_i(t_i) = l
+(one per group) and sum_i c_i*mu_i(t_i) = L*h.  Their Jacobian is an
+arrowhead, so a step costs one evaluation of the moments per group.  Once l
+reaches ln(M_i + 1), group i can take any exponent and has no tilt left to
+solve for.  Where that may happen to the group of least multiplicity (a
+tangent test at the start tells), or where a joint step leaves t > 0, the
+level is found instead by Newton steps on the budget it takes
+(d alpha_i / dl = 1/(h*t_i)), each group's tilt solved anew at every step,
+and the group of least multiplicity takes what is left at its top.
 
 Every report's ``value`` is G at u = e^(-t), computed from the t found
 itself, so it is never below the corresponding infimum.  The reported
@@ -47,10 +54,12 @@ import numpy as np
 
 from .arith import is_prime
 from .eqsys import FpSystem
-from .structure import build_hypergraph
+from .structure import SystemHypergraph, build_hypergraph
 
 _NEWTON_STEPS = 64
 _NEWTON_REL_TOL = 1e-12
+#: a joint Newton step this small leaves an error of about its square
+_JOINT_STEP_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -96,8 +105,11 @@ def _tilted_moments(M: int, t: float) -> tuple[float, float]:
     de, df = -math.expm1(-t), -math.expm1(-(M + 1) * t)
     tail = (M + 1) * f / df  # what truncation at M takes off the mean
     # tail * (M + 1) / df, not (M + 1)^2 f / df^2: (M + 1)^2 overflows a float
-    # from M = 1.3e154 on, even where f is 0
-    return e / de - tail, e / (de * de) - tail * (M + 1) / df
+    # from M = 1.3e154 on, even where f is 0; e / de / de, not e / de^2: de^2
+    # underflows to 0 below t = 1e-162.  Var itself, about M^2/12 near t = 0,
+    # passes the float range there and may come out nan (inf - inf); _root
+    # bisects on a nan slope
+    return e / de - tail, e / de / de - tail * (M + 1) / df
 
 
 def _root(fn: Callable[[float], tuple[float, float]], lo: float, hi: float, x: float) -> float:
@@ -130,10 +142,11 @@ def _root(fn: Callable[[float], tuple[float, float]], lo: float, hi: float, x: f
 
 
 def _tilt(M: int, a: float) -> float:
-    """The t > 0 with mu(t) = a, for 0 < a < M/2; 0.0 (u = 1) when M(M+2)
-    overflows a float."""
-    # mu is convex with slope -M(M+2)/12 at 0, so its tangent there stays below it
-    lo = 12.0 * (M / 2.0 - a) / (M * (M + 2.0))
+    """The t > 0 with mu(t) = a, for 0 < a < M/2; 0.0 (u = 1) where that t
+    underflows."""
+    # mu is convex with slope -M(M+2)/12 at 0, so its tangent there stays
+    # below it; divided in steps, since M(M+2) overflows a float from M = 1.3e154
+    lo = 12.0 * ((M / 2.0 - a) / M) / (M + 2.0)
     if (M + 1) * lo < 1e-4:
         return lo  # mu is its tangent there, up to a relative (M+1)^2 t^2 / 60
     # mu(t) < 1/expm1(t), the untruncated mean, which is a at t = ln(1 + 1/a);
@@ -180,8 +193,7 @@ def lambda_min(m: int, alpha, h: int) -> BoundReport:
         return BoundReport(1.0, None, "defined-limit")
     M = m * h
     # for alpha >= m/2, mu(t) <= M/2 <= alpha*h, so log G is nondecreasing in
-    # t and the minimum sits at u = 1; _tilt gives t = 0, u = 1 as well where
-    # M(M+2) overflows a float
+    # t and the minimum sits at u = 1; so does a tilt that underflows to 0
     t = _tilt(M, alpha * h) if alpha < m / 2.0 else 0.0
     if t > 0.0:
         best = alpha * h * t + _log_s(M, t)  # log G, overflow-free
@@ -226,6 +238,47 @@ def star_inequality(r1: int, r2: int, L: int) -> tuple[bool, float]:
     return margin > 0.0, margin
 
 
+def _joint_level(groups: dict[int, int], L: int, h: int, tilt: dict[int, float]) -> Optional[dict[int, float]]:
+    """Exponents per multiplicity at one common level, from Newton steps on
+    every group's tilt and the level at once, started at ``tilt``; None when
+    a step leaves t > 0 or the steps do not converge.
+    The equations are level_i(t_i) = l for every group and
+    sum_i c_i*mu_i(t_i)/h = L, with d level_i / dt_i = -t_i*Var_i and
+    d mu_i / dt_i = -Var_i: the Jacobian is an arrowhead, and eliminating
+    the steps in t gives the new level as a weighted mean of the groups'
+    levels (weights c_i/(h*t_i)), so a step costs one moment evaluation per
+    group."""
+    ms = list(tilt)
+    sizes = [(m * h, groups[m]) for m in ms]
+    t = [tilt[m] for m in ms]
+    for _ in range(_NEWTON_STEPS):
+        excess, weighted, weights, rows = -L, 0.0, 0.0, []
+        for (M, c), x in zip(sizes, t):
+            mean, var = _tilted_moments(M, x)
+            level = x * mean + _log_s(M, x)
+            weight = c / (h * x)
+            excess += c * (mean / h)
+            weighted += weight * level
+            weights += weight
+            rows.append((mean, var, level))
+        common = (weighted - excess) / weights
+        steps, converged = [], True
+        for (mean, var, level), x in zip(rows, t):
+            slope = x * var
+            if not slope > 0.0:
+                return None
+            step = (level - common) / slope
+            converged = converged and abs(step) <= _JOINT_STEP_TOL * x
+            steps.append(step)
+        if converged:
+            # mu moves by -Var*step, up to a term of the step's square
+            return {m: (mean - var * step) / h for m, (mean, var, _), step in zip(ms, rows, steps)}
+        t = [x + step for x, step in zip(t, steps)]
+        if not all(0.0 < x < math.inf for x in t):
+            return None
+    return None
+
+
 def _common_level(groups: dict[int, int], L: int, h: int) -> dict[int, float]:
     """Exponents per multiplicity (groups[m] variables each) that put every
     group at one level of Lambda and sum to L, before rescaling."""
@@ -245,6 +298,17 @@ def _common_level(groups: dict[int, int], L: int, h: int) -> dict[int, float]:
         # exponents 0 and 1 count, and every group's alpha tends to the same
         # value, so the uniform allocation is the common level's limit
         return dict.fromkeys(ms, uniform)
+    # alpha_i is convex in the level (d alpha_i / dl = 1/(h*t_i) grows as t_i
+    # falls), so its tangent at the uniform allocation stays below it: when
+    # even those tangents at the least multiplicity's top leave budget over,
+    # that group may be capped, and the joint steps are not tried
+    m0 = ms[0]
+    if all(tilt.values()) and L < groups[m0] * m0 / 2.0 + sum(
+            groups[m] * (uniform + (tops[m0] - level) / (h * tilt[m]))
+            for m, level in zip(ms[1:], levels[1:])):
+        alloc = _joint_level(groups, L, h, tilt)
+        if alloc is not None:
+            return alloc
     alloc = {}
 
     def shortfall(level: float) -> tuple[float, float]:
@@ -263,7 +327,6 @@ def _common_level(groups: dict[int, int], L: int, h: int) -> dict[int, float]:
     if shortfall(hi)[0] >= 0.0:
         # even at its top the rest leave budget over: the least multiplicity,
         # whose Lambda stays at m*h + 1 from alpha = m/2 on, takes it
-        m0 = ms[0]
         rest = sum(groups[m] * alloc[m] for m in ms[1:])
         alloc[m0] = max(alloc[m0], (L - rest) / groups[m0])
     else:
@@ -305,19 +368,18 @@ def c_tilde(r1: int, r2: int, L: int, m: int, d: int) -> BoundReport:
     return BoundReport(value, optimizer, "forced-allocation" if forced else "common-level-newton")
 
 
-def optimize_allocation(t: FpSystem) -> BoundReport:
+def optimize_allocation(t: FpSystem, graph: Optional[SystemHypergraph] = None) -> BoundReport:
     """Best per-variable exponent allocation for a balanced irreducible system.
 
     Minimizes max_i Lambda_{m_i, alpha_i, p-1} subject to sum(alpha_i) = L.
     Variables sharing a multiplicity share an alpha, and at the optimum all
-    groups share one level of Lambda: the level is found by Newton steps on
-    the budget it takes, each group's alpha from the tilted-geometric curve.
-    The allocation is rescaled to sum to L and the value is the largest
-    Lambda at it.
+    groups share one level of Lambda (see the module docstring).  The
+    allocation is rescaled to sum to L and the value is the largest Lambda
+    at it.  ``graph`` is build_hypergraph(t), when the caller has it.
     """
     if not t.is_balanced:
         raise ValueError("system must be balanced")
-    h_graph = build_hypergraph(t)
+    h_graph = build_hypergraph(t) if graph is None else graph
     if not h_graph.irreducible:
         raise ValueError("system must be irreducible")
     mult = h_graph.multiplicities

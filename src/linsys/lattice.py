@@ -25,7 +25,9 @@ verify_construction checks exhaustively, and entrywise inclusion into
 F_p^n preserves solutions both ways once p exceeds the box bound times
 the largest step coefficient's reach (k = floor((p-1)/b)).  Then the
 rows are their own embedding: embed_mod_p only checks p and hands the
-points to a PointSet.
+points to a PointSet.  Since the entries already lie in [0, p), one list
+of the solutions mod p decides both (sphere_set_checks): the integer
+solutions are those of its solutions whose rows vanish over Z as well.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ import numpy as np
 from .arith import is_prime, power_exceeds
 from .eqsys import ZSystem
 from .errors import GuardExceeded
-from .oracle import Point, PointSet, iter_solutions
+from .oracle import Point, PointSet, _solution_table, iter_solutions
 
 MATERIALIZE_GUARD = 2**24
 #: bytes a census table may take, as _census_bytes estimates them
@@ -342,3 +344,38 @@ def verify_construction(s: ZSystem, y: Union[SphereSet, Iterable[Point]], guard:
     prime = next(q for q in itertools.count(bound + 1) if is_prime(q))
     cols = [[tuple(c % prime for c in pt) for pt in points]] * s.r
     return all(len(set(sol)) == 1 for sol in iter_solutions(rows, cols, prime, guard=guard))
+
+
+def sphere_set_checks(s: ZSystem, y: Union[SphereSet, Iterable[Point]], p: int) -> tuple[bool, bool]:
+    """Two verdicts from one enumeration of the solutions mod p within y, a
+    SphereSet or any collection of points with entries in [0, p) (p must be
+    a prime above every entry, as for embed_mod_p): whether every integer
+    solution of s there is constant (verify_construction's verdict), and
+    whether y is strongly free for s mod p (is_strongly_free's).  Every
+    entry lies in [0, p), so an integer solution is a solution mod p with
+    the same entries: the integer solutions are the solutions mod p whose
+    rows also vanish over Z.  Raises GuardExceeded as the enumeration does."""
+    if isinstance(y, SphereSet):
+        pts, top = y.rows, y.k
+    else:
+        pts = sorted({tuple(pt) for pt in y})  # _solution_table refuses entries below 0
+        top = max((max(pt) for pt in pts), default=0)
+    check_modulus(p, top)
+    wide = max((sum(map(abs, row)) for row in s.rows), default=0) * top >= 2**63  # a row's value over Z
+    values = None
+    only_constant = free_mod_p = True
+    for chunk in _solution_table(s.rows, [pts] * s.r, p):  # rows are reduced mod p there
+        moving = chunk.compress((chunk != chunk[:, :1]).any(axis=1), axis=0)
+        if not len(moving):
+            continue
+        free_mod_p = False
+        if values is None:
+            values = np.array(pts, dtype=object if wide else np.int64)
+        exact = np.ones(len(moving), dtype=bool)
+        for row in s.rows:
+            value = sum(c * values.take(moving[:, i], axis=0) for i, c in enumerate(row) if c)
+            exact &= ~(value != 0).any(axis=1)
+        if exact.any():
+            only_constant = False
+            break  # both verdicts are false now
+    return only_constant, free_mod_p

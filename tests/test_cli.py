@@ -19,8 +19,9 @@ import linsys.cli
 import linsys.dominance
 import linsys.lattice
 import linsys.oracle
+import linsys.structure
 from linsys.cli import _build_parser, _jsonable, main
-from linsys.eqsys import reduce_mod_p
+from linsys.eqsys import FpSystem, reduce_mod_p
 from linsys.lattice import SphereSet, best_sphere_set, embed_mod_p
 from linsys.oracle import PointSet, is_strongly_free
 from linsys.systems import builtin, builtin_names
@@ -107,10 +108,13 @@ def test_lambda_refuses_inf_and_the_rational_flag(capsys, extra):
 
 
 def test_lambda_where_m_h_squared_overflows_a_float(capsys):
-    # M(M+2) overflows at h = 10^160, so the tilt is t = 0 and the minimum u = 1
+    # M(M+2) overflows at h = 10^160, yet the tilt is found: Lambda/M tends to
+    # 0.8414343723433 at alpha = 1/3 (as at h = 10^18 + 2), not to the
+    # boundary value M+1; u = e^(-t) rounds to 1.0
     code, rep, err = run_json(capsys, "lambda", "--m", "1", "--alpha", "1/3", "--h", str(10**160))
     assert code == 0 and err == ""
-    assert rep == {"value": 1e160, "optimizer": 1.0, "method": "boundary-exact"}
+    assert rep["value"] == pytest.approx(0.8414343723433e160, rel=1e-12)
+    assert rep["optimizer"] == 1.0 and rep["method"] == "tilted-mean-newton"
 
 
 _PAST_FLOAT = str(10**400)
@@ -709,11 +713,36 @@ def test_certify_star4_sphere_check_pins_every_equation(capsys):
 def test_upper_computes_its_allocation_once(capsys, monkeypatch):
     calls = []
     original = linsys.bounds.optimize_allocation
-    monkeypatch.setattr(linsys.bounds, "optimize_allocation", lambda t: calls.append(t) or original(t))
+    monkeypatch.setattr(linsys.bounds, "optimize_allocation",
+                        lambda t, *graph: calls.append(t) or original(t, *graph))
     code, rep, err = run_json(capsys, "upper", "--system", "S4AP", "--p", "5", "--n", "3")
     assert code == 0 and len(calls) == 1
     assert rep["upper"] == rep["base"] ** 3
     assert any("r1/2 + r2/e > L fails" in w for w in rep["warnings"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("upper", "--system", "SW", "--p", "5", "--n", "3"),
+    ("certify", "--system", "SW", "--p", "5", "--n", "3"),
+    ("certify", "--system", "S3AP", "--p", "7", "--n", "3"),
+    ("certify", "--system", "STAR3", "--p", "13", "--n", "3"),
+])
+def test_upper_and_certify_build_the_reduced_systems_hypergraph_once(capsys, monkeypatch, argv):
+    # the reductions build hypergraphs of integer subsystems; the reduced
+    # system's own graph serves the star check and the allocation
+    reduced = []
+    original = linsys.structure.build_hypergraph
+
+    def counting(s):
+        if isinstance(s, FpSystem):
+            reduced.append(s)
+        return original(s)
+
+    for module in (linsys.structure, linsys.bounds, linsys.dominance):
+        monkeypatch.setattr(module, "build_hypergraph", counting)
+    code, rep, err = run_json(capsys, *argv)
+    assert code == 0 and ("base" in rep or "upper_strong" in rep)
+    assert len(reduced) == 1
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linsys.lattice
+from linsys.arith import is_prime
 from linsys.errors import GuardExceeded
 from linsys.eqsys import parse_system, reduce_mod_p
 from linsys.lattice import (
@@ -20,6 +21,7 @@ from linsys.lattice import (
     embed_mod_p,
     norm_class_counts,
     pigeonhole_bound,
+    sphere_set_checks,
     verify_construction,
 )
 from linsys.oracle import PointSet, is_strongly_free
@@ -284,3 +286,28 @@ def test_embedded_sphere_is_strongly_free_mod_p():
     y = best_sphere_set(3, 2)
     a = embed_mod_p(y, 7)
     assert is_strongly_free(t, a)
+
+
+@pytest.mark.parametrize("name", ["S3AP", "S4AP", "SW", "STAR3"])
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 4), (2, 7)])
+def test_sphere_set_checks_match_both_checks_on_sphere_sets(name, n, k):
+    s, y = builtin(name), best_sphere_set(n, k)
+    for p in [q for q in range(k + 1, 6 * k + 2) if is_prime(q)]:
+        want = verify_construction(s, y), is_strongly_free(reduce_mod_p(s, p), embed_mod_p(y, p))
+        assert sphere_set_checks(s, y, p) == want
+
+
+def test_sphere_set_checks_mod_p_can_fail_alone():
+    # p = 3 = k + 1 leaves the sphere of (3, 2) free over Z but not mod 3
+    assert sphere_set_checks(builtin("S3AP"), best_sphere_set(3, 2), 3) == (True, False)
+    assert sphere_set_checks(builtin("S3AP"), best_sphere_set(3, 2), 5) == (True, True)
+    assert sphere_set_checks(builtin("SW"), best_sphere_set(3, 2), 5) == (False, False)
+
+
+def test_sphere_set_checks_refuse_what_embed_mod_p_refuses():
+    y = best_sphere_set(2, 4)
+    for p in (3, 4):
+        with pytest.raises(ValueError):
+            sphere_set_checks(builtin("S3AP"), y, p)
+    with pytest.raises(GuardExceeded):
+        sphere_set_checks(builtin("SW"), list(itertools.product(range(3), repeat=9)), 3)

@@ -4,10 +4,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linsys.arith import power_exceeds
+from linsys.arith import is_prime, power_exceeds
 from linsys.bounds import _allocate, count_theta, lambda_min
 from linsys.dominance import (
     ReductionStep,
@@ -17,7 +17,7 @@ from linsys.dominance import (
     reduction_sequence,
 )
 from linsys.eqsys import ZSystem, parse_system, reduce_mod_p, render_system
-from linsys.lattice import norm_class_counts, verify_construction
+from linsys.lattice import norm_class_counts, sphere_set_checks, verify_construction
 from linsys.oracle import (
     is_strongly_free,
     is_weakly_free,
@@ -445,6 +445,33 @@ def test_verify_construction_matches_an_integer_filter(s, dim, data):
                    if len(set(tup)) > 1
                    and not any(sum(c * x[d] for c, x in zip(row, tup)) for row in rows for d in range(dim))]
     assert verify_construction(s, points) == (not nonconstant)
+
+
+# sphere_set_checks reads both of certify's sphere verdicts off one
+# enumeration mod p; on any points of {0..k}^n, with p the least prime above
+# k, they are verify_construction's and is_strongly_free's
+
+@st.composite
+def box_point_problems(draw):
+    r = draw(st.integers(min_value=2, max_value=5))
+    head = st.lists(st.integers(min_value=-3, max_value=3), min_size=r - 1, max_size=r - 1)
+    row = head.map(lambda h: tuple(h) + (-sum(h),)).filter(lambda row: abs(row[-1]) <= 3 and any(row))
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    k = draw(st.integers(min_value=1, max_value=6))
+    p = next(q for q in itertools.count(k + 1) if is_prime(q))
+    point = st.tuples(*[st.integers(min_value=0, max_value=k)] * draw(st.integers(min_value=1, max_value=2)))
+    points = draw(st.lists(point, min_size=1, max_size=6 if r <= 3 else 4, unique=True))
+    return ZSystem(r, tuple(rows), tuple(f"x{i}" for i in range(1, r + 1))), points, p
+
+
+@settings(deadline=None, max_examples=300)
+# 1 - 2*3 + 0 = -5: a solution mod 5 that is none over Z
+@example(problem=(builtin("S3AP"), [(0,), (1,), (3,)], 5))
+@given(box_point_problems())
+def test_sphere_set_checks_match_both_checks(problem):
+    s, points, p = problem
+    want = verify_construction(s, points), is_strongly_free(reduce_mod_p(s, p), points)
+    assert sphere_set_checks(s, points, p) == want
 
 
 # ---------------------------------------------------------------------------
