@@ -26,16 +26,16 @@ fixes t, and with it alpha = mu(t)/h.
 Spreading a budget L of exponents over variables, the largest Lambda is
 least when every multiplicity group sits at one common level l = ln(lambda)
 (each Lambda rises with its own exponent).  optimize_allocation and c_tilde
-solve for every group's tilt at once, by Newton steps from the tilts of the
-uniform allocation on the g + 1 equations t_i*mu_i(t_i) + ln S_i(t_i) = l
-(one per group) and sum_i c_i*mu_i(t_i) = L*h.  Their Jacobian is an
-arrowhead, so a step costs one evaluation of the moments per group.  Once l
-reaches ln(M_i + 1), group i can take any exponent and has no tilt left to
-solve for.  Where that may happen to the group of least multiplicity (a
-tangent test at the start tells), or where a joint step leaves t > 0, the
-level is found instead by Newton steps on the budget it takes
-(d alpha_i / dl = 1/(h*t_i)), each group's tilt solved anew at every step,
-and the group of least multiplicity takes what is left at its top.
+reach it by one Newton loop from the tilts of the uniform allocation, on
+the equations t_i*mu_i(t_i) + ln S_i(t_i) = l (one per group) and
+sum_i c_i*mu_i(t_i) = L*h.  Their Jacobian is an arrowhead: eliminating the
+steps in t leaves l as a mean of the groups' levels, weights c_i/(h*t_i),
+less the excess budget, so a step costs one evaluation of the moments per
+group.  Only the least multiplicity m0 can reach its top ln(m0*h + 1),
+where it takes any exponent from m0/2 up: once l reaches that top it is
+pinned there and m0 takes what the others leave, and if that is below
+m0/2, l is unpinned.  Where the steps run out, the allocation reached is
+rescaled to sum to L, so its value is still a bound.
 
 Every report's ``value`` is G at u = e^(-t), computed from the t found
 itself, so it is never below the corresponding infimum.  The reported
@@ -100,16 +100,16 @@ def _log_s(M: int, t: float) -> float:
 
 
 def _tilted_moments(M: int, t: float) -> tuple[float, float]:
-    """Mean mu(t) and variance Var(t) of the weights e^(-t*j) on {0..M}, t > 0."""
-    e, f = math.exp(-t), math.exp(-(M + 1) * t)
-    de, df = -math.expm1(-t), -math.expm1(-(M + 1) * t)
-    tail = (M + 1) * f / df  # what truncation at M takes off the mean
-    # tail * (M + 1) / df, not (M + 1)^2 f / df^2: (M + 1)^2 overflows a float
-    # from M = 1.3e154 on, even where f is 0; e / de / de, not e / de^2: de^2
-    # underflows to 0 below t = 1e-162.  Var itself, about M^2/12 near t = 0,
-    # passes the float range there and may come out nan (inf - inf); _root
-    # bisects on a nan slope
-    return e / de - tail, e / de / de - tail * (M + 1) / df
+    """Mean mu(t) of the weights e^(-t*j) on {0..M}, t > 0, and t*Var(t),
+    the slope of ln Lambda along the curve of minimisers, negated."""
+    n = M + 1.0
+    e, f = math.exp(-t), math.exp(-n * t)
+    de, df = -math.expm1(-t), -math.expm1(-n * t)
+    # each term is scaled by t before it is divided by de or df: neither 1/de
+    # (past the float range for a subnormal t) nor Var (about M^2/12) is formed.
+    # tail, t times what truncation at M takes off the mean, is 0 where f is
+    near_one, tail = t / de, n * f * t / df
+    return (near_one * e - tail) / t, (near_one * near_one * e - tail * n * t / df) / t
 
 
 def _root(fn: Callable[[float], tuple[float, float]], lo: float, hi: float, x: float) -> float:
@@ -119,8 +119,8 @@ def _root(fn: Callable[[float], tuple[float, float]], lo: float, hi: float, x: f
     tolerance ends the search before the bracket test: x has just become
     an end of the bracket, so a converged step lands on or past it, fails
     that test and would turn into some 30 bisections away from the root.
-    An infinite slope (a group at its top) gives a zero step that says
-    nothing, so it is not taken for convergence.  Any other step that
+    An infinite slope (where Var passes the float range) gives a zero step
+    that says nothing, so it is not taken for convergence.  Any other step that
     leaves the bracket narrowed so far becomes a bisection."""
     for _ in range(_NEWTON_STEPS):
         val, slope = fn(x)
@@ -141,12 +141,16 @@ def _root(fn: Callable[[float], tuple[float, float]], lo: float, hi: float, x: f
     return x
 
 
+def _tangent_tilt(M: int, a: float) -> float:
+    """Where mu's tangent at 0, of slope -M(M+2)/12, reaches a: below the t
+    with mu(t) = a, as mu is convex.  Divided in steps, as M(M+2) overflows."""
+    return 12.0 * ((M / 2.0 - a) / M) / (M + 2.0)
+
+
 def _tilt(M: int, a: float) -> float:
-    """The t > 0 with mu(t) = a, for 0 < a < M/2; 0.0 (u = 1) where that t
-    underflows."""
-    # mu is convex with slope -M(M+2)/12 at 0, so its tangent there stays
-    # below it; divided in steps, since M(M+2) overflows a float from M = 1.3e154
-    lo = 12.0 * ((M / 2.0 - a) / M) / (M + 2.0)
+    """The t >= 0 with mu(t) = a, for 0 < a <= M/2; 0.0 (u = 1) at a = M/2
+    and where that t underflows."""
+    lo = _tangent_tilt(M, a)
     if (M + 1) * lo < 1e-4:
         return lo  # mu is its tangent there, up to a relative (M+1)^2 t^2 / 60
     # mu(t) < 1/expm1(t), the untruncated mean, which is a at t = ln(1 + 1/a);
@@ -154,23 +158,10 @@ def _tilt(M: int, a: float) -> float:
     hi = math.log1p(1.0 / a) if a >= 1.0 else math.log1p(a) - math.log(a)
 
     def excess(t: float) -> tuple[float, float]:
-        mean, var = _tilted_moments(M, t)
-        return mean - a, -var
+        mean, slope = _tilted_moments(M, t)
+        return mean - a, -slope / t
 
     return _root(excess, lo, hi, hi)
-
-
-def _level_tilt(M: int, level: float, start: float) -> float:
-    """The t > 0 with ln Lambda(t) = t*mu(t) + ln S(t) = level, for
-    0 < level < ln(M+1); Newton starts at ``start`` when that is positive."""
-    # the untruncated geometric's entropy, an upper bound, is below level there
-    hi = 2.0 * math.log1p(2.0 / level)
-
-    def excess(t: float) -> tuple[float, float]:
-        mean, var = _tilted_moments(M, t)
-        return t * mean + _log_s(M, t) - level, -t * var
-
-    return _root(excess, 0.0, hi, start if 0.0 < start < hi else hi)
 
 
 def lambda_min(m: int, alpha, h: int) -> BoundReport:
@@ -238,99 +229,53 @@ def star_inequality(r1: int, r2: int, L: int) -> tuple[bool, float]:
     return margin > 0.0, margin
 
 
-def _joint_level(groups: dict[int, int], L: int, h: int, tilt: dict[int, float]) -> Optional[dict[int, float]]:
-    """Exponents per multiplicity at one common level, from Newton steps on
-    every group's tilt and the level at once, started at ``tilt``; None when
-    a step leaves t > 0 or the steps do not converge.
-    The equations are level_i(t_i) = l for every group and
-    sum_i c_i*mu_i(t_i)/h = L, with d level_i / dt_i = -t_i*Var_i and
-    d mu_i / dt_i = -Var_i: the Jacobian is an arrowhead, and eliminating
-    the steps in t gives the new level as a weighted mean of the groups'
-    levels (weights c_i/(h*t_i)), so a step costs one moment evaluation per
-    group."""
-    ms = list(tilt)
-    sizes = [(m * h, groups[m]) for m in ms]
-    t = [tilt[m] for m in ms]
-    for _ in range(_NEWTON_STEPS):
-        excess, weighted, weights, rows = -L, 0.0, 0.0, []
-        for (M, c), x in zip(sizes, t):
-            mean, var = _tilted_moments(M, x)
-            level = x * mean + _log_s(M, x)
-            weight = c / (h * x)
-            excess += c * (mean / h)
-            weighted += weight * level
-            weights += weight
-            rows.append((mean, var, level))
-        common = (weighted - excess) / weights
-        steps, converged = [], True
-        for (mean, var, level), x in zip(rows, t):
-            slope = x * var
-            if not slope > 0.0:
-                return None
-            step = (level - common) / slope
-            converged = converged and abs(step) <= _JOINT_STEP_TOL * x
-            steps.append(step)
-        if converged:
-            # mu moves by -Var*step, up to a term of the step's square
-            return {m: (mean - var * step) / h for m, (mean, var, _), step in zip(ms, rows, steps)}
-        t = [x + step for x, step in zip(t, steps)]
-        if not all(0.0 < x < math.inf for x in t):
-            return None
-    return None
-
-
 def _common_level(groups: dict[int, int], L: int, h: int) -> dict[int, float]:
     """Exponents per multiplicity (groups[m] variables each) that put every
-    group at one level of Lambda and sum to L, before rescaling."""
+    group at one level of Lambda and sum to L, before rescaling; see the
+    module docstring.  None is negative, also where the steps run out and
+    the exponents are those the last step reached."""
     ms = sorted(groups)
-    tops = {m: math.log(m * h + 1) for m in ms}
-    tilt = {}
-    levels = []
-    uniform = L / sum(groups.values())
-    for m in ms:
-        rep = lambda_min(m, uniform, h)
-        tilt[m] = -math.log(rep.optimizer)
-        levels.append(math.log(rep.value))
-    # the uniform allocation sums to L: the common level lies between its levels
-    lo, hi = min(levels), min(max(levels), tops[ms[0]])
-    if hi <= 0.0:
-        # every Lambda is 1 to float precision; as the level falls to 0 only
-        # exponents 0 and 1 count, and every group's alpha tends to the same
-        # value, so the uniform allocation is the common level's limit
-        return dict.fromkeys(ms, uniform)
-    # alpha_i is convex in the level (d alpha_i / dl = 1/(h*t_i) grows as t_i
-    # falls), so its tangent at the uniform allocation stays below it: when
-    # even those tangents at the least multiplicity's top leave budget over,
-    # that group may be capped, and the joint steps are not tried
     m0 = ms[0]
-    if all(tilt.values()) and L < groups[m0] * m0 / 2.0 + sum(
-            groups[m] * (uniform + (tops[m0] - level) / (h * tilt[m]))
-            for m, level in zip(ms[1:], levels[1:])):
-        alloc = _joint_level(groups, L, h, tilt)
-        if alloc is not None:
-            return alloc
+    top = math.log(m0 * h + 1)
+    uniform = L / sum(groups.values())
+    # from uniform >= m0/2 on, every Lambda at the uniform allocation is at
+    # least m0*h + 1 (G grows with m), so the level is pinned at m0's top and
+    # every other exponent lies below m0/2; a tilt of 0 marks the pin, and
+    # _tilt gives it there
+    tilt = {m: _tilt(m * h, min(uniform * h, m0 * h / 2.0)) for m in ms}
     alloc = {}
-
-    def shortfall(level: float) -> tuple[float, float]:
-        """L minus the budget the groups take at ``level``, and its slope."""
-        total = slope = 0.0
-        for m in ms:
-            if level >= tops[m]:
-                tilt[m], alloc[m] = 0.0, m / 2.0
-            else:
-                tilt[m] = _level_tilt(m * h, level, tilt[m])
-                alloc[m] = _tilted_moments(m * h, tilt[m])[0] / h
-            total += groups[m] * alloc[m]
-            slope += groups[m] / (h * tilt[m]) if tilt[m] else math.inf
-        return L - total, -slope
-
-    if shortfall(hi)[0] >= 0.0:
-        # even at its top the rest leave budget over: the least multiplicity,
-        # whose Lambda stays at m*h + 1 from alpha = m/2 on, takes it
-        rest = sum(groups[m] * alloc[m] for m in ms[1:])
-        alloc[m0] = max(alloc[m0], (L - rest) / groups[m0])
-    else:
-        shortfall(_root(shortfall, lo, hi, hi))
+    for _ in range(_NEWTON_STEPS):
+        rows = []  # m0 first, as ms is sorted
+        for m, t in tilt.items():
+            if t:
+                mean, slope = _tilted_moments(m * h, t)
+                rows.append((m, t, mean / h, slope, t * mean + _log_s(m * h, t)))
+        level = top
+        if tilt[m0]:
+            weights = [groups[m] / (h * t) for m, t, *_ in rows]
+            excess = sum(groups[m] * alpha for m, _, alpha, _, _ in rows) - L
+            level = (sum(w * own for w, (*_, own) in zip(weights, rows)) - excess) / sum(weights)
+            if level >= top:
+                level, tilt[m0] = top, 0.0
+                del rows[0]
+        converged = True
+        for m, t, alpha, slope, own in rows:
+            step = (own - level) / slope
+            converged = converged and abs(step) <= _JOINT_STEP_TOL * t
+            # mu moves by -Var*step = -(own - level)/t, up to a term of the
+            # step's square
+            alloc[m] = max(0.0, alpha - (own - level) / (h * t))
+            # the logs need t > 0: a step that overshoots 0 halves t instead
+            tilt[m] = t + step if t + step > 0.0 else t / 2.0
+        if not tilt[m0]:
+            alloc[m0] = (L - sum(groups[m] * alloc[m] for m in ms[1:])) / groups[m0]
+            if alloc[m0] < m0 / 2.0:
+                # the level lies below the top: unpin it, from a tilt below
+                # the one that gives m0 that budget
+                tilt[m0] = _tangent_tilt(m0 * h, alloc[m0] * h)
+                converged = converged and not tilt[m0]
+        if converged:
+            break
     return alloc
 
 

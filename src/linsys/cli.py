@@ -587,7 +587,7 @@ def _fill(name: str, sp: argparse.ArgumentParser) -> None:
         sp.set_defaults(func=cmd_verify)
     elif name == "certify":
         common(p=True, system=True, epsilon=True)
-        sp.add_argument("--n", type=int, help="dimension for bounds, searches and sphere sets")
+        sp.add_argument("--n", type=_float_range_int, help="dimension for bounds, searches and sphere sets")
         sp.set_defaults(func=cmd_certify)
     elif name == "selftest":
         common()

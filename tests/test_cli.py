@@ -130,6 +130,7 @@ _PAST_FLOAT = str(10**400)
     (["star", "--r1", "3", "--r2", "2", "--L", "-" + _PAST_FLOAT], "--L"),
     (["upper", "--system", "S3AP", "--p", "3", "--n", _PAST_FLOAT], "--n"),
     (["behrend", "--n", _PAST_FLOAT, "--k", "2"], "--n"),
+    (["certify", "--system", "SW", "--p", "5", "--n", _PAST_FLOAT], "--n"),
 ])
 def test_integers_past_the_float_range_are_refused_while_parsing(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
@@ -221,6 +222,25 @@ def test_ctilde_where_the_top_exponent_squared_overflows_a_float(capsys, m, d):
                               "--m", str(m), "--d", str(d))
     assert code == 0 and err == ""
     assert math.isfinite(rep["value"]) and all(a >= 0.0 for a in rep["optimizer"])
+    if m == 2:
+        assert rep["over_d"] == pytest.approx(0.9691976206629, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [21, 30, 100, 154, 200, 307])
+def test_ctilde_over_d_keeps_its_limit_for_huge_d(capsys, k):
+    # C/d tends to 0.96919762066; over_d: 1.0 would be the trivial C = d
+    code, rep, err = run_json(capsys, "ctilde", "--r1", "3", "--r2", "2", "--L", "2",
+                              "--m", "2", "--d", str(10**k + 1))
+    assert code == 0 and err == ""
+    assert rep["over_d"] == pytest.approx(0.9691976206629, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, ratio", [("SW", 0.9691976206629), ("SPP", 0.9868136471345)])
+def test_upper_keeps_the_tilted_base_past_p_of_ten_to_the_twenty_one(capsys, name, ratio):
+    # base_over_p: 1.0 would be the trivial C = p
+    code, rep, err = run_json(capsys, "upper", "--system", name, "--p", str(10**24 + 7), "--n", "3")
+    assert code == 0 and err == ""
+    assert rep["base_over_p"] == pytest.approx(ratio, rel=1e-12)
 
 
 @pytest.mark.parametrize("argv, options", [
