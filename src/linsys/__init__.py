@@ -1,6 +1,11 @@
 """Bounds, reductions, constructions, and exact desk-scale checks for
 solution-free subsets of F_p^n under balanced systems of linear equations."""
 
+import os
+
+# set before .bounds loads numpy: linsys makes no BLAS call, and OpenBLAS's idle pool spins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bounds import (
     BoundReport,
     bound_small_p,

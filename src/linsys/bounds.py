@@ -119,9 +119,9 @@ def _root(fn: Callable[[float], tuple[float, float]], lo: float, hi: float, x: f
     tolerance ends the search before the bracket test: x has just become
     an end of the bracket, so a converged step lands on or past it, fails
     that test and would turn into some 30 bisections away from the root.
-    An infinite slope (where Var passes the float range) gives a zero step
-    that says nothing, so it is not taken for convergence.  Any other step that
-    leaves the bracket narrowed so far becomes a bisection."""
+    An infinite slope gives a zero step that says nothing, so it is not
+    taken for convergence.  Any other step that leaves the bracket narrowed
+    so far becomes a bisection."""
     for _ in range(_NEWTON_STEPS):
         val, slope = fn(x)
         if val > 0:
@@ -158,10 +158,13 @@ def _tilt(M: int, a: float) -> float:
     hi = math.log1p(1.0 / a) if a >= 1.0 else math.log1p(a) - math.log(a)
 
     def excess(t: float) -> tuple[float, float]:
+        # relative to a: the slope -Var itself overflows past a of about 1e154
         mean, slope = _tilted_moments(M, t)
-        return mean - a, -slope / t
+        return mean / a - 1.0, -slope / (a * t)
 
-    return _root(excess, lo, hi, hi)
+    # mu is convex: Newton from the tangent bound climbs to the root without
+    # leaving the bracket, where a start at hi near M/2 overshoots below lo
+    return _root(excess, lo, hi, lo if a > 0.4 * M else hi)
 
 
 def lambda_min(m: int, alpha, h: int) -> BoundReport:

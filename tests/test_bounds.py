@@ -9,6 +9,7 @@ from linsys.arith import is_prime
 from linsys.bounds import (
     _allocate,
     _root,
+    _tilt,
     bound_small_p,
     c_tilde,
     count_theta,
@@ -283,9 +284,9 @@ _LARGE_PRIMES = [10**6 + 3, 10**9 + 7, 10**15 + 37, 10**18 + 3, 10**24 + 7]
 
 def _builtin_allocations():
     """(name, reduced system, hypergraph) for every built-in allocation at
-    the primes from 3 to 89 and at _LARGE_PRIMES."""
+    the primes from 2 to 89 and at _LARGE_PRIMES."""
     for name in _BUILTINS:
-        for p in [q for q in range(3, 90) if is_prime(q)] + _LARGE_PRIMES:
+        for p in [q for q in range(2, 90) if is_prime(q)] + _LARGE_PRIMES:
             t = reduce_mod_p(builtin(name), p)
             graph = build_hypergraph(t)
             if t.is_balanced and graph.irreducible:
@@ -293,9 +294,8 @@ def _builtin_allocations():
 
 
 def test_allocations_take_at_most_forty_evaluations(monkeypatch):
-    # 1 to 3 groups, also past p = 10^16, where u = e^(-t) rounds to 1.0.
-    # S2 mod 2 is left out: it takes 50, most of them bisections in _tilt
-    # near the top of m = 1
+    # 1 to 3 groups, also past p = 10^16, where u = e^(-t) rounds to 1.0;
+    # S2 mod 2, the most, took 50 when _tilt started at the top of its bracket
     calls = _count_moments(monkeypatch)
     counts, sizes = {}, set()
     for name, t, graph in _builtin_allocations():
@@ -305,6 +305,25 @@ def test_allocations_take_at_most_forty_evaluations(monkeypatch):
         sizes.add(len(set(graph.multiplicities)))
     assert len(counts) >= 250 and sizes == {1, 2, 3}
     assert max(counts.values()) <= 40, max(counts.items(), key=lambda kv: kv[1])
+
+
+@pytest.mark.parametrize("M, a", [(4, 1.96), (1, 0.48)])
+def test_tilt_near_half_the_top_takes_few_evaluations(monkeypatch, M, a):
+    # 10 and 9 from the top of the bracket, whose first step fell below the
+    # tangent bound and bisected
+    calls = _count_moments(monkeypatch)
+    t = _tilt(M, a)
+    assert len(calls) <= 6
+    assert linsys.bounds._tilted_moments(M, t)[0] == pytest.approx(a, rel=1e-12)
+
+
+def test_allocation_past_a_mean_of_ten_to_the_154_takes_few_evaluations(monkeypatch):
+    # -Var overflowed there, so every Newton step of _tilt became a bisection: 324
+    calls = _count_moments(monkeypatch)
+    value, alloc = _allocate({1: 100, 4: 1, 5: 5, 10: 10**12}, 20, 10**200)
+    assert len(calls) <= 40
+    assert value == pytest.approx(5.436563656341828e189, rel=1e-12)
+    assert alloc == pytest.approx({m: 20 / (10**12 + 106) for m in [1, 4, 5, 10]}, rel=1e-12)
 
 
 @pytest.mark.parametrize("steps", [1, 2])

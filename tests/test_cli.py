@@ -998,11 +998,38 @@ def test_json_report_is_one_line_of_the_report_value(capsys, monkeypatch, tmp_pa
     assert target.read_bytes() == out.encode()
 
 
+def _fresh_interpreter(code: str, **env_extra) -> subprocess.CompletedProcess:
+    # importing linsys set OPENBLAS_NUM_THREADS here: the child must start without it
+    env = dict(os.environ, PYTHONPATH=str(Path(linsys.__file__).parents[1]), **env_extra)
+    if "OPENBLAS_NUM_THREADS" not in env_extra:
+        env.pop("OPENBLAS_NUM_THREADS", None)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_importing_the_cli_leaves_the_acceptance_criteria_unloaded():
-    env = dict(os.environ, PYTHONPATH=str(Path(linsys.__file__).parents[1]))
-    code = "import sys, linsys.cli; print('linsys.acceptance' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    proc = _fresh_interpreter("import sys, linsys.cli; print('linsys.acceptance' in sys.modules)")
     assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread /proc entries")
+def test_a_linsys_process_runs_one_thread():
+    code = "\n".join([
+        "import contextlib, io, os",
+        "import linsys.cli",
+        "threads = [len(os.listdir('/proc/self/task'))]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = linsys.cli.main(['certify', '--system', 'S3AP', '--p', '7', '--n', '3', '--format', 'json'])",
+        "threads.append(len(os.listdir('/proc/self/task')))",
+        "print(code, *threads)",
+    ])
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == 0 and proc.stdout == "0 1 1\n", proc.stderr
+
+
+def test_a_preset_blas_thread_count_is_kept():
+    code = "import os, linsys.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = _fresh_interpreter(code, OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0 and proc.stdout == "2\n", proc.stderr
 
 
 def test_text_format_is_key_value(capsys):
