@@ -10,13 +10,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Optional
+from types import GeneratorType
+from typing import Any, Callable, Iterable, Optional
 
 from . import bounds, structure
 from .arith import power_exceeds
@@ -89,12 +92,12 @@ def _jsonable(obj: Any) -> Any:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        # a census table or any other map of plain leaves goes to the encoder as it is
+        # a map of plain leaves goes to the encoder as it is
         if set(map(type, obj)) <= _PLAIN_KEYS and set(map(type, obj.values())) <= _PLAIN_LEAVES:
             return obj
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) <= _PLAIN_LEAVES:  # point strings, witnesses
+        if set(map(type, obj)) <= _PLAIN_LEAVES:  # witnesses
             return obj if isinstance(obj, list) else list(obj)
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
@@ -102,27 +105,76 @@ def _jsonable(obj: Any) -> Any:
     return str(obj)
 
 
+def _text_entry(key: str, value: Any) -> str:
+    """One entry of a text report: ``key: value``, with a list or dict
+    written as JSON and a multi-line string indented below its key."""
+    if isinstance(value, str) and "\n" in value:
+        return "\n".join([f"{key}:", *("  " + ln for ln in value.splitlines())])
+    if isinstance(value, (dict, list)):
+        return f"{key}: {json.dumps(value)}"
+    return f"{key}: {value}"
+
+
+def _lazy_json(slices: Iterator) -> Iterator[str]:
+    """The JSON of a report value given lazily, in pieces: ``slices``, a
+    generator, yields at least one list (or dict) of plain leaves, and
+    their items in order make up the value.  Each slice is encoded by the
+    C encoder and written without its brackets, joined to the next by
+    ", ", which is what json.dumps writes for the whole value."""
+    closing = None
+    for piece in slices:
+        text = json.dumps(piece)
+        if closing is None:
+            yield text[0]
+            closing, sep = text[-1], ""
+        if len(text) > 2:
+            yield sep
+            yield text[1:-1]
+            sep = ", "
+    yield closing
+
+
+def _parts(report: dict, as_json: bool) -> list:
+    """The text of a report with lazy values, as a list of strings and, in
+    their places, the lazy values; every other value is encoded here."""
+    parts: list = []
+    for key, value in report.items():
+        lazy = type(value) is GeneratorType
+        if as_json:
+            parts += [", " if parts else "{", f"{json.dumps(str(key))}: ",
+                      value if lazy else json.dumps(_jsonable(value))]
+        else:
+            parts += [f"{key}: ", value, "\n"] if lazy else [_text_entry(str(key), _jsonable(value)), "\n"]
+    return parts + ["}\n"] if as_json else parts
+
+
 def _emit(report: Any, args: argparse.Namespace, text: Optional[str] = None) -> None:
     """Write ``report``, a dict or a dataclass, to stdout and to ``--out``:
     as JSON on one line (``python -m json.tool`` indents it), or as ``text``
-    when given and one ``key: value`` line per entry otherwise.  The CLI
+    when given and one ``key: value`` line per entry otherwise.  A value of
+    a dict report may be given lazily, as a generator of slices (see
+    _lazy_json); it is written a slice at a time, so that the report is
+    never held whole.  Every other value is encoded, and the ``--out`` file
+    opened, before the first byte goes out, so that a value the encoder
+    refuses or a file that cannot be opened leaves stdout empty.  The CLI
     writes stdout nowhere else."""
-    if args.format == "json":
-        text = json.dumps(_jsonable(report))  # no indent: only then is the C encoder used
-    elif text is None:
-        lines = []
-        for key, value in _jsonable(report).items():
-            if isinstance(value, str) and "\n" in value:
-                lines.append(f"{key}:")
-                lines.extend("  " + ln for ln in value.splitlines())
-            elif isinstance(value, (dict, list)):
-                lines.append(f"{key}: {json.dumps(value)}")
-            else:
-                lines.append(f"{key}: {value}")
-        text = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    as_json = args.format == "json"
+    if text is not None and not as_json:
+        pieces: Iterable[str] = (text, "\n")
+    elif isinstance(report, dict) and GeneratorType in map(type, report.values()):
+        pieces = itertools.chain.from_iterable(
+            (part,) if isinstance(part, str) else _lazy_json(part) for part in _parts(report, as_json))
+    elif as_json:
+        pieces = (json.dumps(_jsonable(report)), "\n")  # no indent: only then is the C encoder used
+    else:
+        pieces = ("\n".join(_text_entry(k, v) for k, v in _jsonable(report).items()), "\n")
+    if not args.out:
+        sys.stdout.writelines(pieces)
+        return
+    with open(args.out, "w") as copy:
+        for piece in pieces:
+            copy.write(piece)
+            sys.stdout.write(piece)
 
 
 #: decimal exponents past this are refused: Fraction builds 10^|exponent| exactly
@@ -325,6 +377,15 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+def _class_slices(counts: dict[int, int]) -> Iterator[dict[int, int]]:
+    """A census's classes as consecutive dicts of 1,024, at least one: a
+    count runs to hundreds of digits, so that a slice's JSON stays below
+    half a megabyte."""
+    items = iter(counts.items())
+    for _ in range(0, len(counts) or 1, 1024):
+        yield dict(itertools.islice(items, 1024))
+
+
 def cmd_behrend(args: argparse.Namespace) -> int:
     if args.p is not None:
         check_modulus(args.p, args.k)  # so that materialized rows are their own embedding
@@ -334,9 +395,11 @@ def cmd_behrend(args: argparse.Namespace) -> int:
         bound = float(pigeonhole_bound(args.n, args.k))
     except OverflowError:
         bound = math.inf  # null in JSON, as upper reports a bound past the float range
+    # classes and points are written a slice at a time; best_count, the largest count,
+    # is encoded before the first byte, so a count too long to print leaves stdout empty
     report: dict[str, Any] = {
         "n": args.n, "k": args.k,
-        "classes": table.counts,
+        "classes": _class_slices(table.counts),
         "best_norm_sq": radius_sq,
         "best_count": count,
         "pigeonhole_bound": bound,
@@ -344,8 +407,8 @@ def cmd_behrend(args: argparse.Namespace) -> int:
     if args.materialize:
         if args.p is not None:
             report["p"] = args.p
-        # the rows are freed before the report is written; only the strings stay
-        report["points"] = best_sphere_set(args.n, args.k, table).point_strings()
+        # the sphere is built here, before the first byte, so that its guard leaves stdout empty
+        report["points"] = best_sphere_set(args.n, args.k, table).point_string_chunks()
     _emit(report, args)
     return 0
 

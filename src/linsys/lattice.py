@@ -16,8 +16,9 @@ CENSUS_GUARD bytes is refused.
 Materialization is a separate, guarded step: a level-by-level walk in numpy
 that extends only the prefixes whose remaining squared norm the other
 coordinates can still reach, so it meets no dead ends and yields the class
-in lexicographic order, as int64 rows that are checked once and kept;
-a SphereSet builds the points as tuples only when they are asked for.
+in lexicographic order, as rows of the narrowest unsigned type that holds
+k, checked once a chunk at a time and kept; a SphereSet builds the points
+as tuples, or as the strings reports print, only when they are asked for.
 
 On a sphere no integer solutions of a dominant equation exist except the
 constant ones (strict convexity of the Euclidean norm), which is what
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +49,8 @@ from .oracle import Point, PointSet, _solution_table, iter_solutions
 MATERIALIZE_GUARD = 2**24
 #: bytes a census table may take, as _census_bytes estimates them
 CENSUS_GUARD = 2**28
+#: rows a SphereSet checks, or turns into tuples or strings, at a time
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -67,21 +70,22 @@ class NormClassTable:
 
 
 def integer_rows(points: Sequence[Point], n: int) -> Optional[np.ndarray]:
-    """The points as an (len(points), n) int64 array, or None when some
-    point is not n integers that fit in int64."""
+    """The points as an (len(points), n) array of a signed or unsigned
+    integer type, kept as given for an array, or None when some point is
+    not n integers that fit in 64 bits."""
     try:
         arr = np.asarray(points) if len(points) else np.zeros((0, n), dtype=np.int64)
     except (ValueError, OverflowError):  # ragged rows
         return None
-    if arr.dtype.kind != "i" or arr.shape != (len(points), n):
+    if arr.dtype.kind not in "iu" or arr.shape != (len(points), n):
         return None
-    return arr.astype(np.int64, copy=False)
+    return arr
 
 
 def lex_leads(arr: np.ndarray) -> np.ndarray:
     """Per pair of consecutive rows, the first nonzero entry of their
     difference (0 for equal rows): all >= 0 means sorted in lexicographic
-    order."""
+    order.  The rows must be signed: an unsigned difference wraps."""
     if len(arr) < 2:
         return np.zeros(0, dtype=np.int64)
     diff = arr[1:] - arr[:-1]
@@ -91,29 +95,39 @@ def lex_leads(arr: np.ndarray) -> np.ndarray:
 class SphereSet:
     """Points of {0..k}^n on the sphere of squared radius ``radius_sq``,
     sorted.  ``points`` is a collection of n-tuples or an integer array of
-    rows.  It is checked once, as int64 rows (box, norm, order), and kept
-    in ``rows``, read-only; ``points``, the rows as tuples of Python ints,
-    is built on first use a chunk of rows at a time, so that no list of
-    lists for the whole array is ever alive."""
+    rows, signed or unsigned.  It is checked once (box, norm, order) a
+    chunk of rows at a time, each chunk widened to int64, or to Python ints
+    once norms can pass 2^63, and kept in ``rows``, read-only, in the type
+    it came in.  ``points``, the rows as tuples of Python ints, is built on
+    first use a chunk at a time, so that no list of lists for the whole
+    array is ever alive."""
 
     def __init__(self, n: int, k: int, radius_sq: int,
                  points: Iterable[Point] | np.ndarray) -> None:
         self.n, self.k, self.radius_sq = n, k, radius_sq
         arr = integer_rows(points if isinstance(points, np.ndarray) else tuple(points), n)
-        if arr is None or (arr.size and (arr.min() < 0 or arr.max() > k)):
+        if arr is None:
             raise ValueError("points must lie in the box")
-        wide = arr.astype(object) if n * k ** 2 >= 2**63 else arr  # exact norms
-        if ((wide * wide).sum(axis=1) != radius_sq).any():
-            raise ValueError("point off the sphere")
-        arr = arr[np.lexsort(arr.T[::-1])] if (lex_leads(arr) < 0).any() else arr.view()
+        wide = object if n * k ** 2 >= 2**63 else np.int64  # exact norms
+        in_order = True
+        for start in range(0, len(arr), _CHUNK_ROWS):
+            # widened before any arithmetic, which wraps silently on narrow unsigned rows;
+            # each chunk after the first starts at its predecessor's last row, for the order
+            rows = arr[max(start - 1, 0):start + _CHUNK_ROWS].astype(wide, copy=False)
+            if rows.size and (rows.min() < 0 or rows.max() > k):
+                raise ValueError("points must lie in the box")
+            if ((rows * rows).sum(axis=1) != radius_sq).any():
+                raise ValueError("point off the sphere")
+            in_order = in_order and not (lex_leads(rows) < 0).any()
+        arr = arr.view() if in_order else arr[np.lexsort(arr.T[::-1])]
         arr.flags.writeable = False
         self.rows = arr
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
         out: list[Point] = []
-        for start in range(0, len(self.rows), 4096):
-            out.extend(map(tuple, self.rows[start:start + 4096].tolist()))
+        for start in range(0, len(self.rows), _CHUNK_ROWS):
+            out.extend(map(tuple, self.rows[start:start + _CHUNK_ROWS].tolist()))
         return tuple(out)
 
     def __len__(self) -> int:
@@ -122,17 +136,18 @@ class SphereSet:
     def __iter__(self):
         return iter(self.points)
 
-    def point_strings(self) -> list[str]:
-        """The points as comma-joined entries, the way reports print them.
-        Each chunk of 4,096 rows is written as uint8 text, every entry
-        right-aligned in a field of len(str(k)) bytes and followed by a
-        comma (a newline after a row's last entry); the padding is dropped,
-        and the bytes are decoded and split into lines once per chunk."""
+    def point_string_chunks(self) -> Iterator[list[str]]:
+        """The points as comma-joined entries, the way reports print them,
+        one list per chunk of 4,096 rows (one empty list for an empty set),
+        so that no list of every string is built.  Each chunk is written as
+        uint8 text, every entry right-aligned in a field of len(str(k))
+        bytes and followed by a comma (a newline after a row's last entry);
+        the padding is dropped, and the bytes are decoded and split into
+        lines once per chunk."""
         width = len(str(self.k))
         narrow = np.min_scalar_type(self.k)  # every entry and 10^place fit
-        out: list[str] = []
-        for start in range(0, len(self.rows), 4096):
-            rows = self.rows[start:start + 4096].astype(narrow)
+        for start in range(0, len(self.rows) or 1, _CHUNK_ROWS):
+            rows = self.rows[start:start + _CHUNK_ROWS].astype(narrow, copy=False)
             text = np.zeros(rows.shape + (width + 1,), dtype=np.uint8)  # 0: padding
             text[:, :, width] = ord(",")
             text[:, -1, width] = ord("\n")
@@ -142,8 +157,7 @@ class SphereSet:
                 if place:
                     digit[rows < power] = 0
                 text[:, :, width - 1 - place] = digit
-            out.extend(text[text != 0].tobytes().decode("ascii").splitlines())
-        return out
+            yield text[text != 0].tobytes().decode("ascii").splitlines()
 
 
 def _census_bytes(n: int, k: int) -> int:
@@ -250,19 +264,24 @@ def pigeonhole_bound(n: int, k: int) -> Fraction:
 
 def _materialize(n: int, k: int, target: int) -> np.ndarray:
     """The points of {0..k}^n with squared norm ``target``, the origin and
-    the corner (k,…,k) left out, in lexicographic order.
+    the corner (k,…,k) left out, in lexicographic order, as rows of
+    np.min_scalar_type(k).
 
     reach[i, s] says that i < n coordinates can have squares summing to
     s.  Coordinate by coordinate, each prefix keeps the values v whose
     remainder target - (prefix norm) - v² the coordinates after it can
     reach; np.nonzero over the (prefix, v) mask lists the extensions
     prefix by prefix and v ascending, so every level stays sorted and
-    every prefix completes.  The points, one row each, are rebuilt from
-    the per-level (prefix, value) arrays.
+    every prefix completes.  The prefixes are carried as whole rows of the
+    narrow type, each level gathered from the one before with its column
+    filled in, so no index arrays are kept from level to level; norms are
+    int32 wherever n k² allows.
     """
+    narrow = np.min_scalar_type(k)
     if not 0 < target < n * k * k:  # norm 0 and n k² hold only the two left-out corners
-        return np.zeros((0, n), dtype=np.int64)
-    squares = np.arange(k + 1) ** 2
+        return np.zeros((0, n), dtype=narrow)
+    norms = np.int32 if n * k * k < 2**31 else np.int64  # every squared norm fits
+    squares = np.arange(k + 1, dtype=norms) ** 2
     fitting = squares[squares <= target]
     reach = np.zeros((n, target + 1), dtype=bool)
     reach[0, 0] = True
@@ -270,21 +289,17 @@ def _materialize(n: int, k: int, target: int) -> np.ndarray:
     for i in range(2, n):
         for sq in fitting.tolist():
             reach[i, sq:] |= reach[i - 1, :target + 1 - sq]
-    rest = np.array([target])  # squared norm still to place, per prefix
-    parents, values = [], []
+    rest = np.array([target], dtype=norms)  # squared norm still to place, per prefix
+    pts = np.zeros((1, n), dtype=narrow)  # the prefixes, zero past their length
     for i in range(n):
         left = rest[:, None] - squares
         ok = left >= 0
         ok[ok] = reach[n - 1 - i, left[ok]]
         prefix, v = np.nonzero(ok)
-        parents.append(prefix)
-        values.append(v)
+        if len(prefix) != len(pts):  # else every prefix has its one extension: prefix is 0, 1, …
+            pts = pts[prefix]
+        pts[:, i] = v
         rest = left[prefix, v]
-    pts = np.empty((len(rest), n), dtype=np.int64)
-    at = np.arange(len(rest))
-    for i in range(n - 1, -1, -1):
-        pts[:, i] = values[i][at]
-        at = parents[i][at]
     return pts
 
 

@@ -7,8 +7,10 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings
@@ -979,6 +981,32 @@ def test_jsonable_matches_the_per_element_value(value):
     assert json.dumps(_jsonable(value), allow_nan=False) == json.dumps(want)
 
 
+def _joined(slices):
+    """A lazy report value's slices, listed, as the value they make up."""
+    if isinstance(slices[0], dict):
+        return {key: value for piece in slices for key, value in piece.items()}
+    return [item for piece in slices for item in piece]
+
+
+def _recorded_reports(monkeypatch):
+    """The reports _emit is given from now on, each lazy value listed whole;
+    _emit still writes each with its values given lazily, slice by slice."""
+    reports = []
+    real = linsys.cli._emit
+
+    def emit(report, *args):
+        if isinstance(report, dict):
+            slices = {key: list(value) for key, value in report.items() if isinstance(value, GeneratorType)}
+            reports.append({**report, **{key: _joined(s) for key, s in slices.items()}})
+            report = {**report, **{key: (piece for piece in s) for key, s in slices.items()}}
+        else:
+            reports.append(report)
+        real(report, *args)
+
+    monkeypatch.setattr(linsys.cli, "_emit", emit)
+    return reports
+
+
 @pytest.mark.parametrize("argv", [
     ["behrend", "--n", "10", "--k", "3", "--materialize", "--p", "7"],
     ["certify", "--system", "S3AP", "--p", "3", "--n", "4"],
@@ -987,15 +1015,100 @@ def test_jsonable_matches_the_per_element_value(value):
     ["selftest"],
 ])
 def test_json_report_is_one_line_of_the_report_value(capsys, monkeypatch, tmp_path, argv):
-    reports = []
-    real = linsys.cli._emit
-    monkeypatch.setattr(linsys.cli, "_emit", lambda report, *a: reports.append(report) or real(report, *a))
+    reports = _recorded_reports(monkeypatch)
     target = tmp_path / "report.json"
     code, out, err = run(capsys, *argv, "--format", "json", "--out", str(target))
     assert code == 0 and err == ""
     assert out.endswith("}\n") and out.count("\n") == 1
     assert json.loads(out) == _per_element_jsonable(reports[0])
     assert target.read_bytes() == out.encode()
+
+
+def _whole_report(report, fmt):
+    """The report written as one string, one json.dumps of the whole value
+    or one line per entry: what the writer must print byte for byte."""
+    value = _per_element_jsonable(report)
+    if fmt == "json":
+        return json.dumps(value) + "\n"
+    lines = []
+    for key, item in value.items():
+        if isinstance(item, str) and "\n" in item:
+            lines += [f"{key}:", *("  " + ln for ln in item.splitlines())]
+        else:
+            lines.append(f"{key}: {json.dumps(item) if isinstance(item, (dict, list)) else item}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", [
+    ["--n", "10", "--k", "3"],
+    ["--n", "10", "--k", "3", "--materialize"],       # 40,830 points: ten chunks
+    ["--n", "3", "--k", "100", "--materialize", "--p", "101"],
+    ["--n", "200", "--k", "10"],                      # 20,001 classes: twenty slices
+])
+def test_behrend_writes_the_bytes_of_the_whole_report(capsys, monkeypatch, tmp_path, fmt, argv):
+    reports = _recorded_reports(monkeypatch)
+    target = tmp_path / "report"
+    code, out, err = run(capsys, "behrend", *argv, "--format", fmt, "--out", str(target))
+    assert code == 0 and err == ""
+    assert out == _whole_report(reports[0], fmt)
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", [
+    ["--n", "25", "--k", "1", "--materialize"],  # past the materialization guard
+    ["--n", "3", "--k", "2", "--p", "4"],         # p not prime
+    ["--n", "2", "--k", "1000000"],               # past the census guard
+    ["--n", "15000", "--k", "1"],                 # counts past the 4,300 digits Python prints
+])
+def test_behrend_refusals_leave_stdout_and_out_empty(capsys, tmp_path, fmt, argv):
+    target = tmp_path / "report"
+    code, out, err = run(capsys, "behrend", *argv, "--format", fmt, "--out", str(target))
+    assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_out_file_that_cannot_be_opened_leaves_stdout_empty(capsys, tmp_path):
+    code, out, err = run(capsys, "behrend", "--n", "2", "--k", "1", "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+class _ByteCount(io.TextIOBase):
+    """A stdout that keeps only the number of bytes written to it (reports
+    are ASCII, one byte a character)."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+def _traced_peak(monkeypatch, *argv):
+    """Exit code, bytes written to stdout and the tracemalloc peak of main."""
+    out = _ByteCount()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out.written, peak
+
+
+def test_behrend_never_holds_its_json_report_whole(monkeypatch):
+    code, written, peak = _traced_peak(monkeypatch, "behrend", "--n", "200", "--k", "10", "--format", "json")
+    assert code == 0 and written > 3_000_000
+    assert peak < 1.5 * written
+
+
+def test_behrend_materializes_in_narrow_arrays(monkeypatch):
+    code, written, peak = _traced_peak(monkeypatch, "behrend", "--n", "10", "--k", "3", "--materialize",
+                                       "--format", "json")
+    assert code == 0 and written > 40830 * 20
+    assert peak < 4_000_000
 
 
 def _fresh_interpreter(code: str, **env_extra) -> subprocess.CompletedProcess:

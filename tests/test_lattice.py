@@ -177,6 +177,7 @@ def test_best_sphere_set_materializes_census():
     assert y.radius_sq == 1 and y.points == ((0, 1), (1, 0))
     y = best_sphere_set(10, 3)
     assert len(y) == 40830 and y.rows.shape == (40830, 10) and not y.rows.flags.writeable
+    assert y.rows.dtype == np.uint8  # the narrowest type that holds k
     assert y.rows.tolist() == [list(pt) for pt in y.points]
     y = best_sphere_set(3, 1)
     assert y.radius_sq == 1 and len(y) == 3
@@ -214,14 +215,45 @@ def test_sphere_set_validation():
     assert SphereSet(3, 2, 5, pts).points == pts
 
 
+def test_sphere_set_takes_unsigned_rows():
+    y = SphereSet(2, 1, 1, np.array([[0, 1], [1, 0]], dtype=np.uint8))
+    assert y.points == ((0, 1), (1, 0)) and y.rows.dtype == np.uint8
+    # unsigned differences and squares would wrap: the checks widen first
+    assert SphereSet(2, 1, 1, np.array([[1, 0], [0, 1]], dtype=np.uint8)).points == ((0, 1), (1, 0))
+    assert SphereSet(2, 20, 400, np.array([[0, 20]], dtype=np.uint8)).points == ((0, 20),)
+    with pytest.raises(ValueError, match="off the sphere"):
+        SphereSet(2, 20, 144, np.array([[0, 20]], dtype=np.uint8))  # 400 mod 256
+    with pytest.raises(ValueError, match="in the box"):
+        SphereSet(2, 3, 2**64 - 1, np.array([[0, 2**64 - 1]], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("at", [1, 4095, 4096, 4097, 8191])
+def test_sphere_set_checks_every_chunk_and_the_seams(at):
+    rows = _materialize(6, 10, 199)  # 11,160 rows: three chunks of 4,096
+    assert len(rows) == 11160 and rows.dtype == np.uint8
+    swapped = rows.copy()
+    swapped[[at - 1, at]] = swapped[[at, at - 1]]
+    y = SphereSet(6, 10, 199, swapped)
+    assert np.array_equal(y.rows, rows) and y.rows.dtype == np.uint8
+    off = rows.copy()
+    off[at] = (0, 0, 0, 0, 0, 1)
+    with pytest.raises(ValueError, match="off the sphere"):
+        SphereSet(6, 10, 199, off)
+    off[at] = (0, 0, 0, 0, 0, 11)
+    with pytest.raises(ValueError, match="in the box"):
+        SphereSet(6, 10, 199, off)
+
+
 @pytest.mark.parametrize("k", [1, 3, 9, 10, 12, 99, 100])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_point_strings_join_the_entries(n, k):
     # norm k² + 1 puts entries of one digit next to entries of len(str(k));
     # at n = 4 and k >= 99 the class spans two chunks of 4,096 rows
     y = SphereSet(n, k, k * k + 1, _materialize(n, k, k * k + 1))
-    assert y.point_strings() == [",".join(map(str, pt)) for pt in y.points]
-    assert SphereSet(n, k, 0, ()).point_strings() == []
+    chunks = list(y.point_string_chunks())
+    assert [len(c) for c in chunks] == [len(y.rows[i:i + 4096]) for i in range(0, len(y) or 1, 4096)]
+    assert [s for c in chunks for s in c] == [",".join(map(str, pt)) for pt in y.points]
+    assert list(SphereSet(n, k, 0, ()).point_string_chunks()) == [[]]
 
 
 @pytest.mark.parametrize("points, expected", [
