@@ -117,13 +117,14 @@ def _text_entry(key: str, value: Any) -> str:
 
 def _lazy_json(slices: Iterator) -> Iterator[str]:
     """The JSON of a report value given lazily, in pieces: ``slices``, a
-    generator, yields at least one list (or dict) of plain leaves, and
-    their items in order make up the value.  Each slice is encoded by the
-    C encoder and written without its brackets, joined to the next by
-    ", ", which is what json.dumps writes for the whole value."""
+    generator, yields at least one list (or dict) of plain leaves, or the
+    JSON text of one as a str, and their items in order make up the value.
+    Each slice that is not text yet is encoded by the C encoder; each is
+    written without its brackets, joined to the next by ", ", which is
+    what json.dumps writes for the whole value."""
     closing = None
     for piece in slices:
-        text = json.dumps(piece)
+        text = piece if isinstance(piece, str) else json.dumps(piece)
         if closing is None:
             yield text[0]
             closing, sep = text[-1], ""
@@ -408,7 +409,7 @@ def cmd_behrend(args: argparse.Namespace) -> int:
         if args.p is not None:
             report["p"] = args.p
         # the sphere is built here, before the first byte, so that its guard leaves stdout empty
-        report["points"] = best_sphere_set(args.n, args.k, table).point_string_chunks()
+        report["points"] = best_sphere_set(args.n, args.k, table).json_chunks()
     _emit(report, args)
     return 0
 
@@ -583,7 +584,7 @@ def _fill(name: str, sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--format", choices=("json", "text"), default="text")
         sp.add_argument("--out", help="also write the report to this file")
         if epsilon:
-            sp.add_argument("--epsilon", type=_epsilon, default="1/16",
+            sp.add_argument("--epsilon", type=_epsilon, default=Fraction(1, 16),
                             help="slack in the strong bound, a fraction in (0,1)")
         if system:
             sp.add_argument("--system", required=True,

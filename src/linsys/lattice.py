@@ -13,12 +13,16 @@ grow with n.  The two cost about the same at the switch.  Before either
 allocates anything, the table's memory is estimated and a census past
 CENSUS_GUARD bytes is refused.
 
-Materialization is a separate, guarded step: a level-by-level walk in numpy
-that extends only the prefixes whose remaining squared norm the other
-coordinates can still reach, so it meets no dead ends and yields the class
-in lexicographic order, as rows of the narrowest unsigned type that holds
-k, checked once a chunk at a time and kept; a SphereSet builds the points
-as tuples, or as the strings reports print, only when they are asked for.
+Materialization is a separate, guarded step: a depth-first walk in numpy,
+over blocks of prefixes, that extends only the prefixes whose remaining
+squared norm the other coordinates can still reach, so it meets no dead
+ends.  It writes the class in lexicographic order into one array of the
+narrowest unsigned type that holds k, allocated at the census count, so
+it holds little more than the class's rows; a fill that does not end at
+that count is an error.  A SphereSet checks the rows once, a chunk at a
+time, and keeps them; it builds the points as tuples only when they are
+asked for, and writes them as reports print them, as JSON text built in
+numpy a chunk at a time, with no string per point.
 
 On a sphere no integer solutions of a dominant equation exist except the
 constant ones (strict convexity of the Euclidean norm), which is what
@@ -49,8 +53,10 @@ from .oracle import Point, PointSet, _solution_table, iter_solutions
 MATERIALIZE_GUARD = 2**24
 #: bytes a census table may take, as _census_bytes estimates them
 CENSUS_GUARD = 2**28
-#: rows a SphereSet checks, or turns into tuples or strings, at a time
+#: rows a SphereSet checks, or turns into tuples or JSON text, at a time
 _CHUNK_ROWS = 4096
+#: (prefix, value) pairs a step of _materialize's walk looks at, about
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -136,36 +142,85 @@ class SphereSet:
     def __iter__(self):
         return iter(self.points)
 
-    def point_string_chunks(self) -> Iterator[list[str]]:
-        """The points as comma-joined entries, the way reports print them,
-        one list per chunk of 4,096 rows (one empty list for an empty set),
-        so that no list of every string is built.  Each chunk is written as
-        uint8 text, every entry right-aligned in a field of len(str(k))
-        bytes and followed by a comma (a newline after a row's last entry);
-        the padding is dropped, and the bytes are decoded and split into
-        lines once per chunk."""
+    def json_chunks(self) -> Iterator[str]:
+        """The points the way reports print them, as the JSON text of a
+        list of strings of comma-joined entries (json.dumps of that list,
+        byte for byte), one text per chunk of 4,096 rows, "[]" for an empty
+        set.  A chunk is written into a uint8 array, one row of it per
+        point: its quotes, its commas and each entry right-aligned in a
+        field of len(str(k)) bytes, then ", "; the padding (zero bytes) is
+        dropped, and the bytes are decoded once.  No string is built per
+        point."""
+        if not len(self.rows):
+            yield "[]"
+            return
         width = len(str(self.k))
         narrow = np.min_scalar_type(self.k)  # every entry and 10^place fit
-        for start in range(0, len(self.rows) or 1, _CHUNK_ROWS):
+        # a quote, n fields of width digit places each closed by a comma
+        # (the last by a quote), then ", "
+        size = self.n * (width + 1) + 3
+        template = np.zeros(size, dtype=np.uint8)  # 0: padding
+        template[width + 1::width + 1] = ord(",")
+        template[[0, -3]] = ord('"')
+        template[-2:] = (ord(","), ord(" "))
+        for start in range(0, len(self.rows), _CHUNK_ROWS):
             rows = self.rows[start:start + _CHUNK_ROWS].astype(narrow, copy=False)
-            text = np.zeros(rows.shape + (width + 1,), dtype=np.uint8)  # 0: padding
-            text[:, :, width] = ord(",")
-            text[:, -1, width] = ord("\n")
-            for place in range(width):
-                power = 10 ** place
-                digit = (rows // power % 10 + ord("0")).astype(np.uint8)
+            buf = np.empty(len(rows) * size + 1, dtype=np.uint8)
+            text = buf[1:].reshape(len(rows), size)
+            text[:] = template
+            for place in range(width):  # k < 10: one place, no division
+                high = rows // 10 ** place if place else rows
+                digit = high % 10 + ord("0") if width > 1 else high + ord("0")
                 if place:
-                    digit[rows < power] = 0
-                text[:, :, width - 1 - place] = digit
-            yield text[text != 0].tobytes().decode("ascii").splitlines()
+                    digit[high == 0] = 0  # padding ahead of a shorter entry
+                text[:, width - place:-2:width + 1] = digit
+            buf[0], buf[-2] = ord("["), ord("]")  # the last row's ", " becomes "]"
+            buf = buf[:-1]
+            yield str(buf[buf != 0].data if width > 1 else buf.data, "ascii")
 
 
 def _census_bytes(n: int, k: int) -> int:
-    """The census table's memory, estimated before anything is allocated:
-    n k² + 1 classes, each a count below (k+1)^n held up to four times
-    over (the two arrays of int64 limbs, then the Python int), plus about
-    100 bytes for its int object, list slot and dict entry."""
-    return (n * k * k + 1) * (4 * math.ceil(n * math.log2(k + 1) / 8) + 100)
+    """The census table's memory, estimated before anything is allocated,
+    for the method _census chooses.  The recurrence is counted as up to
+    four copies of each count's bytes plus 100 bytes, per class of the
+    n k² + 1.  The limbs are counted at the most they hold at once: their
+    two int64 arrays of all the limbs a count needs; or, while the limbs
+    are joined, one array and three lists (the high part of each count, the
+    next limb, the longer ints they make); or the table: the list of counts
+    and, per class, an entry of up to 90 bytes in a resizing dict.  The int
+    objects the join leaves are counted in the table too, since the
+    allocator keeps their memory (the table's keys take the freed blocks);
+    with one limb there is no join, and the keys are 32 bytes each.  Only
+    C(n+k, k) classes can be nonempty, one per multiset of n values; an
+    empty class's count is the shared zero."""
+    classes = n * k * k + 1
+    if _by_recurrence(n, k):
+        return classes * (4 * math.ceil(n * math.log2(k + 1) / 8) + 100)
+    nonempty = min(classes, math.comb(n + k, k))
+    bits = ((k + 1) ** n).bit_length()
+    limbs = -(-bits // _limb_bits(k))
+    if limbs == 1:  # the counts and the table's keys
+        ints, join = _int_bytes(bits) + 32, 0
+    else:  # the three lists of the join
+        ints = 2 * _int_bytes(bits) + _int_bytes(_limb_bits(k))
+        join = (8 * limbs + 24) * classes + ints * nonempty
+    return max(16 * limbs * classes, join, 8 * classes + (ints + 90) * nonempty)
+
+
+def _int_bytes(bits: int) -> int:
+    """The memory of a Python int of ``bits`` bits: 24 bytes and 4 per 30
+    bits, in blocks of 16."""
+    return 16 * -(-(24 + 4 * -(-bits // 30)) // 16)
+
+
+def _by_recurrence(n: int, k: int) -> bool:
+    """Whether _census takes the recurrence rather than the limbs."""
+    return n >= min(8 * k, 96)
+
+
+def _limb_bits(k: int) -> int:
+    """Bits per int64 limb, so that k+1 limbs add without overflow."""
+    return 62 - (k + 1).bit_length()
 
 
 def norm_class_counts(n: int, k: int) -> NormClassTable:
@@ -191,7 +246,7 @@ def _census(n: int, k: int) -> list[int]:
     if need > CENSUS_GUARD:
         raise GuardExceeded(f"a census of {n * k * k + 1} norm classes with counts below (k+1)^n "
                             f"needs about {need} bytes, past the census guard ({CENSUS_GUARD})")
-    vals = _power_recurrence(n, k) if n >= min(8 * k, 96) else _limb_convolution(n, k)
+    vals = _power_recurrence(n, k) if _by_recurrence(n, k) else _limb_convolution(n, k)
     vals[0] -= 1
     vals[-1] -= 1
     return vals
@@ -228,10 +283,10 @@ def _limb_convolution(n: int, k: int) -> list[int]:
     i coordinates is held in int64 limbs of 62 - bit_length(k+1) bits, so
     k+1 of them add without overflow; only the limbs in use are touched,
     carries are propagated once per coordinate, and the Python integers
-    are built once at the end.
+    are built once at the end, after the second array is freed.
     """
     kk = k * k
-    bits = 62 - (k + 1).bit_length()
+    bits = _limb_bits(k)
     mask = (1 << bits) - 1
     squares = np.arange(k + 1, dtype=np.int64) ** 2
     acc = np.zeros((-(-((k + 1) ** n).bit_length() // bits), n * kk + 1), dtype=np.int64)
@@ -251,6 +306,7 @@ def _limb_convolution(n: int, k: int) -> list[int]:
             nxt[j, :span] &= mask
         acc, nxt = nxt, acc
         used, top = grown, top + kk
+    del nxt
     vals = acc[used - 1].tolist()
     for j in range(used - 2, -1, -1):
         vals = [hi << bits | lo for hi, lo in zip(vals, acc[j].tolist())]
@@ -262,45 +318,61 @@ def pigeonhole_bound(n: int, k: int) -> Fraction:
     return Fraction((k + 1) ** n, n * k * k)
 
 
-def _materialize(n: int, k: int, target: int) -> np.ndarray:
-    """The points of {0..k}^n with squared norm ``target``, the origin and
-    the corner (k,…,k) left out, in lexicographic order, as rows of
-    np.min_scalar_type(k).
+def _materialize(n: int, k: int, target: int, count: int) -> np.ndarray:
+    """The ``count`` points of {0..k}^n with squared norm ``target``, the
+    origin and the corner (k,…,k) left out, in lexicographic order, as rows
+    of np.min_scalar_type(k); raises RuntimeError when the class does not
+    fill exactly ``count`` rows.
 
-    reach[i, s] says that i < n coordinates can have squares summing to
-    s.  Coordinate by coordinate, each prefix keeps the values v whose
-    remainder target - (prefix norm) - v² the coordinates after it can
-    reach; np.nonzero over the (prefix, v) mask lists the extensions
-    prefix by prefix and v ascending, so every level stays sorted and
-    every prefix completes.  The prefixes are carried as whole rows of the
-    narrow type, each level gathered from the one before with its column
-    filled in, so no index arrays are kept from level to level; norms are
-    int32 wherever n k² allows.
+    reach[i, k² + s] says that i < n coordinates can have squares summing
+    to s; its first k² columns, for s < 0, are False.  Coordinate by
+    coordinate, each prefix keeps the values v whose remainder
+    target - (prefix norm) - v² the coordinates after it can reach: one
+    gather from a row of reach at k² plus the remainder, never negative.
+    The extensions are listed prefix by prefix and v ascending, so every
+    prefix completes and the order is kept.  The walk is depth first over
+    blocks of _BLOCK // (k+1) prefixes (at least one), carried as whole
+    rows of the narrow type with k² plus their remainders (int32 wherever
+    n k² allows): the rest of a block waits on a stack while its first part
+    goes on, and a block that has every coordinate is copied to the next
+    free rows of the output, allocated at ``count`` rows up front.  So the
+    memory is the rows plus about one block per coordinate.
     """
     narrow = np.min_scalar_type(k)
-    if not 0 < target < n * k * k:  # norm 0 and n k² hold only the two left-out corners
-        return np.zeros((0, n), dtype=narrow)
-    norms = np.int32 if n * k * k < 2**31 else np.int64  # every squared norm fits
-    squares = np.arange(k + 1, dtype=norms) ** 2
-    fitting = squares[squares <= target]
-    reach = np.zeros((n, target + 1), dtype=bool)
-    reach[0, 0] = True
-    reach[1, fitting] = True
-    for i in range(2, n):
-        for sq in fitting.tolist():
-            reach[i, sq:] |= reach[i - 1, :target + 1 - sq]
-    rest = np.array([target], dtype=norms)  # squared norm still to place, per prefix
-    pts = np.zeros((1, n), dtype=narrow)  # the prefixes, zero past their length
-    for i in range(n):
-        left = rest[:, None] - squares
-        ok = left >= 0
-        ok[ok] = reach[n - 1 - i, left[ok]]
-        prefix, v = np.nonzero(ok)
-        if len(prefix) != len(pts):  # else every prefix has its one extension: prefix is 0, 1, …
-            pts = pts[prefix]
-        pts[:, i] = v
-        rest = left[prefix, v]
-    return pts
+    out = np.empty((count, n), dtype=narrow)
+    filled = 0
+    if 0 < target < n * k * k:  # norm 0 and n k² hold only the two left-out corners
+        norms = np.int32 if n * k * k < 2**31 else np.int64  # every squared norm fits
+        squares = np.arange(k + 1, dtype=norms) ** 2
+        fitting = squares[squares <= target]
+        kk = k * k
+        reach = np.zeros((n, kk + target + 1), dtype=bool)
+        reach[0, kk] = True
+        reach[1, kk + fitting] = True
+        for i in range(2, n):
+            for sq in fitting.tolist():
+                reach[i, kk + sq:] |= reach[i - 1, kk:kk + target + 1 - sq]
+        step = max(1, _BLOCK // (k + 1))
+        stack = [(np.zeros((1, n), dtype=narrow), np.array([kk + target], dtype=norms), 0)]
+        while stack:
+            pts, rest, i = stack.pop()  # prefixes of length i, zero past it
+            for i in range(i, n):
+                if len(pts) > step:  # the rest waits at this coordinate, after this block
+                    stack.append((pts[step:], rest[step:], i))
+                    pts, rest = pts[:step], rest[:step]
+                left = (rest[:, None] - squares).ravel()
+                at = reach[n - 1 - i].take(left).nonzero()[0]  # prefix * (k+1) + v
+                if len(at) != len(pts):  # else every prefix has its one extension
+                    pts = pts.take(at // (k + 1), axis=0)
+                pts[:, i] = at % (k + 1)
+                rest = left.take(at)
+            if filled + len(pts) <= count:
+                out[filled:filled + len(pts)] = pts
+            filled += len(pts)
+    if filled != count:
+        raise RuntimeError(f"the class of squared norm {target} in {{0..{k}}}^{n} has {filled} points, "
+                           f"but the census counts {count}")
+    return out
 
 
 def best_sphere_set(n: int, k: int, table: Optional[NormClassTable] = None) -> SphereSet:
@@ -312,7 +384,9 @@ def best_sphere_set(n: int, k: int, table: Optional[NormClassTable] = None) -> S
     of a census list, with no table built.
 
     Enumeration is guarded at (k+1)^n <= 2^24; the counts themselves stay
-    available through norm_class_counts for any size.
+    available through norm_class_counts for any size.  The rows are
+    allocated at the census count, and a walk that does not fill exactly
+    that many raises RuntimeError.
     """
     if power_exceeds(k + 1, n, MATERIALIZE_GUARD):
         raise GuardExceeded(f"(k+1)^n = {k + 1}^{n} points exceed the materialization guard "
@@ -323,9 +397,7 @@ def best_sphere_set(n: int, k: int, table: Optional[NormClassTable] = None) -> S
         radius_sq = vals.index(count)
     else:
         radius_sq, count = table.best()
-    rows = _materialize(n, k, radius_sq)
-    assert len(rows) == count, "materialized class disagrees with the census"
-    return SphereSet(n, k, radius_sq, rows)
+    return SphereSet(n, k, radius_sq, _materialize(n, k, radius_sq, count))
 
 
 def check_modulus(p: int, k: int) -> None:

@@ -982,7 +982,9 @@ def test_jsonable_matches_the_per_element_value(value):
 
 
 def _joined(slices):
-    """A lazy report value's slices, listed, as the value they make up."""
+    """A lazy report value's slices, listed, as the value they make up; a
+    slice given as text is the JSON of its items."""
+    slices = [json.loads(piece) if isinstance(piece, str) else piece for piece in slices]
     if isinstance(slices[0], dict):
         return {key: value for piece in slices for key, value in piece.items()}
     return [item for piece in slices for item in piece]
@@ -1189,6 +1191,15 @@ def test_top_level_usage_keeps_its_exit_code_and_first_line(capsys, monkeypatch,
     captured = capsys.readouterr()
     assert got == code
     assert getattr(captured, stream).splitlines()[0] == first_line
+
+
+def test_the_epsilon_default_is_not_parsed_again(monkeypatch):
+    # argparse passes a str default through --epsilon's type on every parse
+    monkeypatch.setattr(linsys.cli, "_epsilon", lambda text: pytest.fail(f"parsed {text!r}"))
+    for name in ("lower-bound", "certify"):
+        parser = _build_parser.__wrapped__(name)  # built now, with the patched type
+        args = parser.parse_args(["--system", "S3", "--p", "7"])
+        assert args.epsilon == Fraction(1, 16) and type(args.epsilon) is Fraction
 
 
 def test_back_to_back_runs_share_no_values(capsys):

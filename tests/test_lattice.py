@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -12,8 +13,10 @@ from linsys.arith import is_prime
 from linsys.errors import GuardExceeded
 from linsys.eqsys import parse_system, reduce_mod_p
 from linsys.lattice import (
+    CENSUS_GUARD,
     NormClassTable,
     SphereSet,
+    _census_bytes,
     _limb_convolution,
     _materialize,
     _power_recurrence,
@@ -68,7 +71,29 @@ def test_census_and_classes_match_the_box(box):
     n, k, target = box
     classes = _box_census(n, k)
     assert norm_class_counts(n, k).counts == {q: len(pts) for q, pts in classes.items()}
-    assert list(map(tuple, _materialize(n, k, target).tolist())) == classes.get(target, [])
+    want = classes.get(target, [])
+    assert list(map(tuple, _materialize(n, k, target, len(want)).tolist())) == want
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 64])
+@pytest.mark.parametrize("n, k", [(5, 1), (6, 2), (4, 4), (3, 9), (7, 2)])
+def test_the_walk_across_its_block_seams(monkeypatch, n, k, block):
+    # blocks of block // (k+1) prefixes, at least one: every class of the
+    # box goes through many splits of the depth-first walk
+    monkeypatch.setattr(linsys.lattice, "_BLOCK", block)
+    for target, want in _box_census(n, k).items():
+        rows = _materialize(n, k, target, len(want))
+        assert list(map(tuple, rows.tolist())) == want, target
+
+
+@pytest.mark.parametrize("wrong", [-1, 1])
+def test_best_sphere_set_raises_when_the_fill_misses_the_census(wrong):
+    radius_sq, count = norm_class_counts(4, 3).best()
+    table = NormClassTable(4, 3, {radius_sq: count + wrong})
+    with pytest.raises(RuntimeError, match=f"has {count} points, but the census counts {count + wrong}"):
+        best_sphere_set(4, 3, table)
+    with pytest.raises(RuntimeError, match="has 0 points, but the census counts 1"):
+        _materialize(4, 3, 0, 1)  # the origin is left out
 
 
 def _dict_power(n, k):
@@ -108,6 +133,18 @@ def test_census_guard_refuses_before_allocating():
             norm_class_counts(n, k)
     with pytest.raises(GuardExceeded, match="census guard"):
         best_sphere_set(2, 4095)  # admitted by the 2^24 materialization guard
+
+
+def test_census_guard_edges_by_the_estimate_alone():
+    # the estimates only: the admitted cases take seconds and most of the guard
+    # limbs just below the recurrence's n = 96: twelve limbs a count, joined
+    assert _census_bytes(95, 86) <= CENSUS_GUARD < _census_bytes(95, 87)
+    # two limbs: the table, with the ints the join leaves
+    assert _census_bytes(8, 385) <= CENSUS_GUARD < _census_bytes(8, 386)
+    # one limb: at n = 2 only the C(k+2, 2) classes of a pair of values can be nonempty
+    assert _census_bytes(2, 1697) <= CENSUS_GUARD < _census_bytes(2, 1698)
+    with pytest.raises(GuardExceeded, match="census guard"):
+        norm_class_counts(95, 87)  # refused before anything is allocated
 
 
 def test_census_pins():
@@ -229,7 +266,7 @@ def test_sphere_set_takes_unsigned_rows():
 
 @pytest.mark.parametrize("at", [1, 4095, 4096, 4097, 8191])
 def test_sphere_set_checks_every_chunk_and_the_seams(at):
-    rows = _materialize(6, 10, 199)  # 11,160 rows: three chunks of 4,096
+    rows = _materialize(6, 10, 199, 11160)  # three chunks of 4,096 rows
     assert len(rows) == 11160 and rows.dtype == np.uint8
     swapped = rows.copy()
     swapped[[at - 1, at]] = swapped[[at, at - 1]]
@@ -247,13 +284,22 @@ def test_sphere_set_checks_every_chunk_and_the_seams(at):
 @pytest.mark.parametrize("k", [1, 3, 9, 10, 12, 99, 100])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_point_strings_join_the_entries(n, k):
-    # norm k² + 1 puts entries of one digit next to entries of len(str(k));
-    # at n = 4 and k >= 99 the class spans two chunks of 4,096 rows
-    y = SphereSet(n, k, k * k + 1, _materialize(n, k, k * k + 1))
-    chunks = list(y.point_string_chunks())
-    assert [len(c) for c in chunks] == [len(y.rows[i:i + 4096]) for i in range(0, len(y) or 1, 4096)]
-    assert [s for c in chunks for s in c] == [",".join(map(str, pt)) for pt in y.points]
-    assert list(SphereSet(n, k, 0, ()).point_string_chunks()) == [[]]
+    # each chunk's text is json.dumps of its points' comma-joined strings;
+    # norm k² + 1 puts entries of one digit next to entries of len(str(k)),
+    # and at n = 4 and k >= 99 the class spans two or three chunks of 4,096 rows
+    target = k * k + 1
+    y = SphereSet(n, k, target, _materialize(n, k, target, linsys.lattice._census(n, k)[target]))
+    strings = [",".join(map(str, pt)) for pt in y.points]
+    assert list(y.json_chunks()) == [json.dumps(strings[i:i + 4096]) for i in range(0, len(y) or 1, 4096)]
+    assert list(SphereSet(n, k, 0, ()).json_chunks()) == ["[]"]
+
+
+def test_json_chunks_of_rows_given_as_tuples():
+    # rows stored as int64, not the narrow type the walk writes
+    pts = ((0, 0, 10), (0, 6, 8), (6, 0, 8), (8, 6, 0), (10, 0, 0))
+    y = SphereSet(3, 10, 100, pts)
+    assert y.rows.dtype == np.int64
+    assert list(y.json_chunks()) == ['["0,0,10", "0,6,8", "6,0,8", "8,6,0", "10,0,0"]']
 
 
 @pytest.mark.parametrize("points, expected", [
