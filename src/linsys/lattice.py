@@ -227,12 +227,13 @@ def norm_class_counts(n: int, k: int) -> NormClassTable:
     """Exact counts of the squared norms over {0..k}^n, the two corners
     left out: the coefficients of P^n with P(x) = Σ_{v≤k} x^{v²}, by
     _power_recurrence when n >= min(8k, 96) and by _limb_convolution below.
-    Measured, the recurrence overtakes the limbs at about n = 8.5k for
-    k = 4, 9k for k = 5, 12k for k = 6, 11k for k = 10 and n = 108 for
-    k = 12, then at n = 84-92 for k = 16 to 34, where the limbs' cost
-    grows with the limb count; it is about 4× faster at n = 200, k = 10
-    and 10× at n = 271, k = 34.  A census whose table _census_bytes puts
-    past CENSUS_GUARD is refused before either method allocates anything.
+    Measured, the recurrence overtakes the limbs at about n = 6.5k for
+    k = 4, 8k for k = 5, 9k for k = 6 and 8.5k for k = 10, then at
+    n = 86 for k = 12 and 16 and n = 66-74 for k = 24 and 34, where the
+    limbs' cost grows with the limb count; it is about 5× faster at
+    n = 200, k = 10 and 12× at n = 271, k = 34.  A census whose table
+    _census_bytes puts past CENSUS_GUARD is refused before either method
+    allocates anything.
     """
     return NormClassTable(n, k, {q: c for q, c in enumerate(_census(n, k)) if c > 0})
 
@@ -256,22 +257,27 @@ def _power_recurrence(n: int, k: int) -> list[int]:
     """The coefficients q_0 … q_{n k²} of Q = P^n by J.C.P. Miller's
     recurrence.  P·Q' = n·P'·Q gives, coefficient by coefficient,
     m q_m = Σ_{v=1..k} ((n+1) v² - m) q_{m-v²} with q_0 = 1; it is summed
-    as (n+1)·Σ v² q_{m-v²} - m·Σ q_{m-v²}, on Python ints, and every
-    division by m is exact.
+    term by term into one Python int, a product and an add a term, with
+    the weights (n+1) v² computed once, and every division by m is exact.
+    Below m = k² only the squares up to m have a term; from there on all
+    k do, and the loop runs over them with no bound test.
     """
     top = n * k * k
-    squares = [v * v for v in range(1, k + 1)]
+    terms = [(v * v, (n + 1) * v * v) for v in range(1, k + 1)]
     q = [0] * (top + 1)
     q[0] = 1
-    for m in range(1, top + 1):
-        weighted = plain = 0
-        for sq in squares:
+    for m in range(1, k * k):
+        acc = 0
+        for sq, weight in terms:
             if sq > m:
                 break
-            c = q[m - sq]
-            weighted += sq * c
-            plain += c
-        q[m] = ((n + 1) * weighted - m * plain) // m
+            acc += (weight - m) * q[m - sq]
+        q[m] = acc // m
+    for m in range(k * k, top + 1):
+        acc = 0
+        for sq, weight in terms:
+            acc += (weight - m) * q[m - sq]
+        q[m] = acc // m
     return q
 
 

@@ -121,8 +121,11 @@ def test_census_across_limb_boundaries(n, k):
 
 
 def test_census_methods_agree_across_the_rule():
-    # norm_class_counts switches from the limbs to the recurrence at n = min(8k, 96)
+    # norm_class_counts switches from the limbs to the recurrence at n = min(8k, 96);
+    # the recurrence tests v² <= m only below m = k²: never at k = 1, and in about a half
+    # and a third of its steps at n = 2 and 3
     cases = [(n, k) for k in range(1, 7) for n in range(2, 41)] + [(80, 10), (100, 10), (95, 16), (96, 16)]
+    cases += [(n, k) for k in (10, 12, 16) for n in (2, 3)] + [(100, 12)]
     for n, k in cases:
         assert _power_recurrence(n, k) == _limb_convolution(n, k), (n, k)
 
