@@ -39,7 +39,6 @@ from .eqsys import (
 )
 from .errors import GuardExceeded, ParseError
 from .lattice import (
-    NormClassTable,
     SphereSet,
     best_sphere_set,
     embed_mod_p,
@@ -79,7 +78,7 @@ __all__ = [
     "FpSystem", "ZSystem",
     "parse_system", "reduce_mod_p", "render_system", "subsystem",
     "GuardExceeded", "ParseError",
-    "NormClassTable", "SphereSet", "best_sphere_set", "embed_mod_p",
+    "SphereSet", "best_sphere_set", "embed_mod_p",
     "norm_class_counts", "pigeonhole_bound", "verify_construction",
     "Matching", "PointSet", "SearchResult", "build_colored_subcollection",
     "extendable_pairs", "is_multicolored_free", "is_strongly_free", "is_weakly_free",

@@ -17,6 +17,7 @@ import re
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from types import GeneratorType
 from typing import Any, Callable, Iterable, Optional
@@ -32,7 +33,6 @@ from .dominance import (
 from .eqsys import FpSystem, ZSystem, parse_system, reduce_mod_p, render_system
 from .errors import GuardExceeded, ParseError
 from .lattice import (
-    MATERIALIZE_GUARD,
     best_sphere_set,
     check_modulus,
     norm_class_counts,
@@ -378,20 +378,23 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _class_slices(counts: dict[int, int]) -> Iterator[dict[int, int]]:
-    """A census's classes as consecutive dicts of 1,024, at least one: a
-    count runs to hundreds of digits, so that a slice's JSON stays below
-    half a megabyte."""
-    items = iter(counts.items())
-    for _ in range(0, len(counts) or 1, 1024):
-        yield dict(itertools.islice(items, 1024))
+def _class_slices(counts: list[int]) -> Iterator[dict[int, int]]:
+    """A census's nonempty classes, norm -> count, as consecutive dicts of
+    1,024, at least one: a count runs to hundreds of digits, so that a
+    slice's JSON stays below half a megabyte."""
+    items = filter(itemgetter(1), enumerate(counts))
+    chunk = dict(itertools.islice(items, 1024))
+    yield chunk
+    while chunk := dict(itertools.islice(items, 1024)):
+        yield chunk
 
 
 def cmd_behrend(args: argparse.Namespace) -> int:
     if args.p is not None:
         check_modulus(args.p, args.k)  # so that materialized rows are their own embedding
-    table = norm_class_counts(args.n, args.k)
-    radius_sq, count = table.best()
+    counts = norm_class_counts(args.n, args.k)
+    count = max(counts)
+    radius_sq = counts.index(count)  # the smallest norm of the largest classes
     try:
         bound = float(pigeonhole_bound(args.n, args.k))
     except OverflowError:
@@ -400,7 +403,7 @@ def cmd_behrend(args: argparse.Namespace) -> int:
     # is encoded before the first byte, so a count too long to print leaves stdout empty
     report: dict[str, Any] = {
         "n": args.n, "k": args.k,
-        "classes": _class_slices(table.counts),
+        "classes": _class_slices(counts),
         "best_norm_sq": radius_sq,
         "best_count": count,
         "pigeonhole_bound": bound,
@@ -409,7 +412,7 @@ def cmd_behrend(args: argparse.Namespace) -> int:
         if args.p is not None:
             report["p"] = args.p
         # the sphere is built here, before the first byte, so that its guard leaves stdout empty
-        report["points"] = best_sphere_set(args.n, args.k, table).json_chunks()
+        report["points"] = best_sphere_set(args.n, args.k, counts).json_chunks()
     _emit(report, args)
     return 0
 
@@ -494,16 +497,21 @@ def cmd_certify(args: argparse.Namespace) -> int:
         else:
             report["lower_strong"] = lower["strong"]
             k = (p - 1) // trace.b_tilde
-            if args.n is not None and args.n >= 2 and not power_exceeds(k + 1, args.n, MATERIALIZE_GUARD):
-                sphere = best_sphere_set(args.n, k)
-                report["sphere"] = {"k": k, "radius_sq": sphere.radius_sq, "size": len(sphere)}
+            if args.n is not None and args.n >= 2:
                 try:
-                    constant, free = sphere_set_checks(s, sphere, p)
-                    checks += [("sphere set has only constant solutions", constant),
-                               ("embedded sphere set is strongly free mod p", free)]
-                except GuardExceeded as exc:  # both checks, or neither
-                    report["sphere_check"] = None
-                    report["sphere_check_note"] = f"sphere checks refused: {exc}; not checked"
+                    sphere = best_sphere_set(args.n, k)
+                except GuardExceeded as exc:  # the materialization or the census guard
+                    report["sphere"] = None
+                    report["sphere_note"] = f"sphere set refused: {exc}; not checked"
+                else:
+                    report["sphere"] = {"k": k, "radius_sq": sphere.radius_sq, "size": len(sphere)}
+                    try:
+                        constant, free = sphere_set_checks(s, sphere, p)
+                        checks += [("sphere set has only constant solutions", constant),
+                                   ("embedded sphere set is strongly free mod p", free)]
+                    except GuardExceeded as exc:  # both checks, or neither
+                        report["sphere_check"] = None
+                        report["sphere_check_note"] = f"sphere checks refused: {exc}; not checked"
     report["lower_weak"] = lower["weak"]
     if "weak_note" in lower:
         report["weak_note"] = lower["weak_note"]

@@ -1,16 +1,18 @@
 """Sphere sets inside the integer box {0,…,k}^n.
 
 The census of squared norms is the coefficient list of P^n, where
-P(x) = Σ_{v≤k} x^{v²}, so the largest norm class can be located exactly
-even when the box itself is far too big to enumerate.  Two exact methods
-compute it, chosen by the input size.  Below n = min(8k, 96) it is a
-coordinate-by-coordinate convolution: the counts reach (k+1)^n, so they are
-held in int64 limbs, each as wide as the sum of k+1 of them allows, with
-carries propagated once per coordinate.  From there on it is J.C.P.
-Miller's recurrence for the powers of a polynomial (Knuth, TAOCP vol. 2,
-§4.7): n k³ steps on Python ints instead of n convolutions over limbs that
-grow with n.  The two cost about the same at the switch.  Before either
-allocates anything, the table's memory is estimated and a census past
+P(x) = Σ_{v≤k} x^{v²}: norm_class_counts returns it as that list of
+n k² + 1 counts, zeros included, so the largest norm class, its first
+largest entry, can be located exactly even when the box itself is far
+too big to enumerate.  Two exact methods compute it, chosen by the
+input size.  Below n = min(8k, 96) it is a coordinate-by-coordinate
+convolution: the counts reach (k+1)^n, so they are held in int64 limbs,
+each as wide as the sum of k+1 of them allows, with carries propagated
+once per coordinate.  From there on it is J.C.P. Miller's recurrence for
+the powers of a polynomial (Knuth, TAOCP vol. 2, §4.7): n k³ steps on
+Python ints instead of n convolutions over limbs that grow with n.  The
+two cost about the same at the switch.  Before either allocates
+anything, the census's memory is estimated and a census past
 CENSUS_GUARD bytes is refused.
 
 Materialization is a separate, guarded step: a depth-first walk in numpy,
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -51,28 +52,12 @@ from .errors import GuardExceeded
 from .oracle import Point, PointSet, _solution_table, iter_solutions
 
 MATERIALIZE_GUARD = 2**24
-#: bytes a census table may take, as _census_bytes estimates them
+#: bytes a census may take, as _census_bytes estimates them
 CENSUS_GUARD = 2**28
 #: rows a SphereSet checks, or turns into tuples or JSON text, at a time
 _CHUNK_ROWS = 4096
 #: (prefix, value) pairs a step of _materialize's walk looks at, about
 _BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class NormClassTable:
-    """Exact census of squared Euclidean norms over the box minus its two
-    corners (the origin and (k,…,k))."""
-
-    n: int
-    k: int
-    counts: dict[int, int]
-
-    def best(self) -> tuple[int, int]:
-        """(squared norm, count) of the largest class; ties go to the
-        smallest norm so the pigeonhole radius is deterministic."""
-        count = max(self.counts.values())
-        return min(q for q, c in self.counts.items() if c == count), count
 
 
 def integer_rows(points: Sequence[Point], n: int) -> Optional[np.ndarray]:
@@ -180,31 +165,30 @@ class SphereSet:
 
 
 def _census_bytes(n: int, k: int) -> int:
-    """The census table's memory, estimated before anything is allocated,
-    for the method _census chooses.  The recurrence is counted as up to
-    four copies of each count's bytes plus 100 bytes, per class of the
+    """The census's memory, estimated before anything is allocated, for
+    the method norm_class_counts chooses.  The recurrence is counted as up
+    to four copies of each count's bytes plus 100 bytes, per class of the
     n k² + 1.  The limbs are counted at the most they hold at once: their
-    two int64 arrays of all the limbs a count needs; or, while the limbs
-    are joined, one array and three lists (the high part of each count, the
-    next limb, the longer ints they make); or the table: the list of counts
-    and, per class, an entry of up to 90 bytes in a resizing dict.  The int
-    objects the join leaves are counted in the table too, since the
-    allocator keeps their memory (the table's keys take the freed blocks);
-    with one limb there is no join, and the keys are 32 bytes each.  Only
-    C(n+k, k) classes can be nonempty, one per multiset of n values; an
-    empty class's count is the shared zero."""
+    two int64 arrays of all the limbs a count needs; or one array while
+    its limbs become Python ints, together with the list tolist makes of
+    a single limb, or with the three lists of a join of several (the high
+    part of each count, the next limb, the longer ints they make).  The
+    int objects of a join are all counted, since the allocator keeps the
+    memory of those it frees.  Only C(n+k, k) classes can be nonempty,
+    one per multiset of n values; an empty class's count is the shared
+    zero.  Measured, whole behrend runs at the edges this admits peak at
+    186-286 MiB of RSS, the interpreter's 30 MiB included."""
     classes = n * k * k + 1
     if _by_recurrence(n, k):
         return classes * (4 * math.ceil(n * math.log2(k + 1) / 8) + 100)
     nonempty = min(classes, math.comb(n + k, k))
     bits = ((k + 1) ** n).bit_length()
     limbs = -(-bits // _limb_bits(k))
-    if limbs == 1:  # the counts and the table's keys
-        ints, join = _int_bytes(bits) + 32, 0
-    else:  # the three lists of the join
-        ints = 2 * _int_bytes(bits) + _int_bytes(_limb_bits(k))
-        join = (8 * limbs + 24) * classes + ints * nonempty
-    return max(16 * limbs * classes, join, 8 * classes + (ints + 90) * nonempty)
+    if limbs == 1:
+        lists, ints = 1, _int_bytes(bits)
+    else:
+        lists, ints = 3, 2 * _int_bytes(bits) + _int_bytes(_limb_bits(k))
+    return max(16 * limbs * classes, 8 * (limbs + lists) * classes + ints * nonempty)
 
 
 def _int_bytes(bits: int) -> int:
@@ -214,7 +198,7 @@ def _int_bytes(bits: int) -> int:
 
 
 def _by_recurrence(n: int, k: int) -> bool:
-    """Whether _census takes the recurrence rather than the limbs."""
+    """Whether norm_class_counts takes the recurrence rather than the limbs."""
     return n >= min(8 * k, 96)
 
 
@@ -223,24 +207,18 @@ def _limb_bits(k: int) -> int:
     return 62 - (k + 1).bit_length()
 
 
-def norm_class_counts(n: int, k: int) -> NormClassTable:
-    """Exact counts of the squared norms over {0..k}^n, the two corners
-    left out: the coefficients of P^n with P(x) = Σ_{v≤k} x^{v²}, by
-    _power_recurrence when n >= min(8k, 96) and by _limb_convolution below.
-    Measured, the recurrence overtakes the limbs at about n = 6.5k for
-    k = 4, 8k for k = 5, 9k for k = 6 and 8.5k for k = 10, then at
-    n = 86 for k = 12 and 16 and n = 66-74 for k = 24 and 34, where the
-    limbs' cost grows with the limb count; it is about 5× faster at
-    n = 200, k = 10 and 12× at n = 271, k = 34.  A census whose table
-    _census_bytes puts past CENSUS_GUARD is refused before either method
-    allocates anything.
+def norm_class_counts(n: int, k: int) -> list[int]:
+    """The counts of every squared norm 0 … n k² over {0..k}^n, zeros
+    included, the two corners left out: the coefficients of P^n with
+    P(x) = Σ_{v≤k} x^{v²}, by _power_recurrence when n >= min(8k, 96) and
+    by _limb_convolution below.  Measured, the recurrence overtakes the
+    limbs at about n = 6.5k for k = 4, 8k for k = 5, 9k for k = 6 and 8.5k
+    for k = 10, then at n = 86 for k = 12 and 16 and n = 66-74 for k = 24
+    and 34, where the limbs' cost grows with the limb count; it is about
+    5× faster at n = 200, k = 10 and 12× at n = 271, k = 34.  A census
+    whose memory _census_bytes puts past CENSUS_GUARD is refused before
+    either method allocates anything.
     """
-    return NormClassTable(n, k, {q: c for q, c in enumerate(_census(n, k)) if c > 0})
-
-
-def _census(n: int, k: int) -> list[int]:
-    """The counts of every squared norm 0 … n k², zeros included, the two
-    corners left out; refused as norm_class_counts says."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
     need = _census_bytes(n, k)
@@ -289,16 +267,23 @@ def _limb_convolution(n: int, k: int) -> list[int]:
     i coordinates is held in int64 limbs of 62 - bit_length(k+1) bits, so
     k+1 of them add without overflow; only the limbs in use are touched,
     carries are propagated once per coordinate, and the Python integers
-    are built once at the end, after the second array is freed.
+    are built once at the end, after the second array is freed (n = 2
+    needs none: its census is the bincount).
     """
     kk = k * k
     bits = _limb_bits(k)
     mask = (1 << bits) - 1
     squares = np.arange(k + 1, dtype=np.int64) ** 2
-    acc = np.zeros((-(-((k + 1) ** n).bit_length() // bits), n * kk + 1), dtype=np.int64)
-    nxt = np.empty_like(acc)  # each step zeroes the part it writes
-    # (k+1)² fits one limb for any k whose table could be allocated at all
-    acc[0, :2 * kk + 1] = np.bincount((squares[:, None] + squares).ravel())
+    limbs = -(-((k + 1) ** n).bit_length() // bits)
+    # (k+1)² fits one limb for any k whose census could be allocated at all
+    pairs = np.bincount((squares[:, None] + squares).ravel(), minlength=n * kk + 1)
+    if limbs == 1:
+        acc = pairs[None]
+    else:
+        acc = np.zeros((limbs, pairs.size), dtype=np.int64)
+        acc[0] = pairs
+    del pairs
+    nxt = np.empty_like(acc) if n > 2 else None  # each step zeroes the part it writes
     top, used, reach = 2 * kk, 1, (k + 1) ** 2  # largest norm, limbs in use, (k+1)^i
     for _ in range(n - 2):
         reach *= k + 1
@@ -381,28 +366,26 @@ def _materialize(n: int, k: int, target: int, count: int) -> np.ndarray:
     return out
 
 
-def best_sphere_set(n: int, k: int, table: Optional[NormClassTable] = None) -> SphereSet:
+def best_sphere_set(n: int, k: int, counts: Optional[list[int]] = None) -> SphereSet:
     """Materialize the largest norm class (smallest norm on ties) by the
     reach-guided walk of _materialize: numpy work O(n k r²) for the reach
     table of squared radius r², then O(n · class size) for the points.
-    The class is read off ``table``, the norm_class_counts(n, k) census,
-    when the caller has it at hand; otherwise it is the first largest entry
-    of a census list, with no table built.
+    The class is the first largest entry of ``counts``, the
+    norm_class_counts(n, k) census, taken here when the caller does not
+    have it at hand.
 
-    Enumeration is guarded at (k+1)^n <= 2^24; the counts themselves stay
-    available through norm_class_counts for any size.  The rows are
-    allocated at the census count, and a walk that does not fill exactly
-    that many raises RuntimeError.
+    Enumeration is guarded at (k+1)^n <= 2^24, before any census; the
+    counts themselves stay available through norm_class_counts for any
+    size.  The rows are allocated at the census count, and a walk that
+    does not fill exactly that many raises RuntimeError.
     """
     if power_exceeds(k + 1, n, MATERIALIZE_GUARD):
         raise GuardExceeded(f"(k+1)^n = {k + 1}^{n} points exceed the materialization guard "
                             f"({MATERIALIZE_GUARD}); norm_class_counts still works")
-    if table is None:
-        vals = _census(n, k)
-        count = max(vals)
-        radius_sq = vals.index(count)
-    else:
-        radius_sq, count = table.best()
+    if counts is None:
+        counts = norm_class_counts(n, k)
+    count = max(counts)
+    radius_sq = counts.index(count)
     return SphereSet(n, k, radius_sq, _materialize(n, k, radius_sq, count))
 
 
@@ -422,13 +405,14 @@ def embed_mod_p(y: SphereSet, p: int) -> PointSet:
     return PointSet(p, y.n, y.points)
 
 
-def verify_construction(s: ZSystem, y: Union[SphereSet, Iterable[Point]], guard: int = 10**8) -> bool:
+def verify_construction(s: ZSystem, y: Union[SphereSet, Iterable[Point]]) -> bool:
     """Every integer solution of s with entries drawn from y (a SphereSet or
     any collection of integer points) is constant; the work is bounded by
-    (#points)^(free positions) <= guard.  Checked mod the least prime P above
-    max(2, largest row Σ|a_i|)·max(1, largest |entry|): a row's value at a
-    tuple from y lies strictly between -P and P, so it vanishes mod P only
-    when it vanishes, and distinct points stay distinct mod P."""
+    (#points)^(free positions) <= ENUMERATION_GUARD.  Checked mod the least
+    prime P above max(2, largest row Σ|a_i|)·max(1, largest |entry|): a
+    row's value at a tuple from y lies strictly between -P and P, so it
+    vanishes mod P only when it vanishes, and distinct points stay distinct
+    mod P."""
     points = list(y.points if isinstance(y, SphereSet) else (tuple(pt) for pt in y))
     if not points:
         return True
@@ -436,7 +420,7 @@ def verify_construction(s: ZSystem, y: Union[SphereSet, Iterable[Point]], guard:
     bound = max([2, *(sum(map(abs, row)) for row in rows)]) * max([1, *(abs(c) for pt in points for c in pt)])
     prime = next(q for q in itertools.count(bound + 1) if is_prime(q))
     cols = [[tuple(c % prime for c in pt) for pt in points]] * s.r
-    return all(len(set(sol)) == 1 for sol in iter_solutions(rows, cols, prime, guard=guard))
+    return all(len(set(sol)) == 1 for sol in iter_solutions(rows, cols, prime))
 
 
 def sphere_set_checks(s: ZSystem, y: Union[SphereSet, Iterable[Point]], p: int) -> tuple[bool, bool]:

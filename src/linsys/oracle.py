@@ -175,20 +175,20 @@ def _pin_rows(rows: Sequence[Sequence[int]], r: int, p: int) -> list[tuple[tuple
 
 
 def _solution_table(rows: Sequence[Sequence[int]], sets: Sequence[Sequence[Point]], p: int,
-                    distinct: bool = False, guard: int = ENUMERATION_GUARD) -> Iterator[np.ndarray]:
+                    distinct: bool = False) -> Iterator[np.ndarray]:
     """The solutions mod p with x_i from sets[i] in lexicographic order, as
     nonempty chunks of rows of indices into the distinct set objects laid
     end to end in order of first appearance.  Each set is a sorted sequence
     (or array) of distinct points with entries in [0, p).  ``distinct`` keeps
-    tuples with pairwise distinct entries only.  ``guard`` bounds the
-    product of the free positions' set sizes before any work."""
+    tuples with pairwise distinct entries only.  ENUMERATION_GUARD bounds
+    the product of the free positions' set sizes before any work."""
     r = len(sets)
     pins = {col: row for row, col in _pin_rows(rows, r, p)}
     if any(len(s) == 0 for s in sets):
         return
     work = math.prod(len(s) for v, s in enumerate(sets) if v not in pins)
-    if work > guard:
-        raise GuardExceeded(f"enumeration would take ~{work} frontier entries (> {guard})")
+    if work > ENUMERATION_GUARD:
+        raise GuardExceeded(f"enumeration would take ~{work} frontier entries (> {ENUMERATION_GUARD})")
 
     uniq = {id(s): s for s in sets}
     start = dict(zip(uniq, itertools.accumulate((len(s) for s in uniq.values()), initial=0)))
@@ -247,13 +247,13 @@ def _solution_table(rows: Sequence[Sequence[int]], sets: Sequence[Sequence[Point
 
 
 def iter_solutions(rows: Sequence[Sequence[int]], sets: Sequence[Iterable[Point]], p: int, *,
-                   distinct: bool = False, guard: int = ENUMERATION_GUARD) -> Iterator[tuple[Point, ...]]:
+                   distinct: bool = False) -> Iterator[tuple[Point, ...]]:
     """Stream all tuples (x_1..x_r), x_i from sets[i], solving every row
     mod p, in lexicographic order; entries must lie in [0, p).
     ``distinct`` keeps only tuples with pairwise distinct entries."""
     by_id = {key: sorted({tuple(pt) for pt in s}) for key, s in {id(s): s for s in sets}.items()}
     flat = [pt for s in by_id.values() for pt in s]
-    for chunk in _solution_table(rows, [by_id[id(s)] for s in sets], p, distinct, guard):
+    for chunk in _solution_table(rows, [by_id[id(s)] for s in sets], p, distinct):
         for idx in chunk.tolist():
             yield tuple(flat[i] for i in idx)
 
@@ -305,22 +305,22 @@ class CompiledSystem:
     forbid: tuple[list, ...]   # per q: the root of its trie
 
 
-def compile_system(t: FpSystem, n: int, weak: bool, guard: int = COMPILE_GUARD) -> CompiledSystem:
+def compile_system(t: FpSystem, n: int, weak: bool) -> CompiledSystem:
     """Enumerate every solution of t over F_p^n once and file its support.
 
     The solution engine runs over all of F_p^n, whose points it indexes in
     lexicographic order.  Row reduction mod p leaves r - rank free
-    positions, so there are p^(n (r - rank)) solutions.  ``guard`` bounds
-    that count times r (the entries of the solution table) and p^n, and is
-    checked before any work.
+    positions, so there are p^(n (r - rank)) solutions.  COMPILE_GUARD
+    bounds that count times r (the entries of the solution table) and
+    p^n, and is checked before any work.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     p, r = t.p, t.r
     free = r - len(_pin_rows(t.rows, r, p))
-    if power_exceeds(p, n * free, guard // r) or power_exceeds(p, n, guard):
+    if power_exceeds(p, n * free, COMPILE_GUARD // r) or power_exceeds(p, n, COMPILE_GUARD):
         raise GuardExceeded(f"compiling {p}^{n * free} solutions over {p}^{n} points "
-                            f"exceeds the guard ({guard} table entries)")
+                            f"exceeds the guard ({COMPILE_GUARD} table entries)")
     size, count = p**n, p ** (n * free)
 
     space = np.indices((p,) * n).reshape(n, size).T

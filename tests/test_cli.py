@@ -431,8 +431,10 @@ def test_behrend_prints_points_without_building_tuples(capsys, monkeypatch):
 
 def test_behrend_takes_one_census(capsys, monkeypatch):
     calls = []
-    real = linsys.lattice._census
-    monkeypatch.setattr(linsys.lattice, "_census", lambda n, k: calls.append((n, k)) or real(n, k))
+    real = linsys.lattice.norm_class_counts
+    count = lambda n, k: calls.append((n, k)) or real(n, k)
+    monkeypatch.setattr(linsys.lattice, "norm_class_counts", count)
+    monkeypatch.setattr(linsys.cli, "norm_class_counts", count)
     code, rep, err = run_json(capsys, "behrend", "--n", "6", "--k", "3", "--materialize")
     assert code == 0 and len(rep["points"]) == rep["best_count"]
     assert calls == [(6, 3)]
@@ -694,7 +696,20 @@ def test_certify_at_a_huge_n_decides_its_guards_without_the_powers(capsys):
     assert time.monotonic() - start < 1
     assert code == 0 and rep["verified"] is True
     assert rep["upper_strong"] is None  # inf past the float range
-    assert not [key for key in rep if key.startswith(("exact", "sphere"))]
+    assert not [key for key in rep if key.startswith("exact")]
+    assert rep["sphere"] is None and "materialization guard" in rep["sphere_note"]
+    assert "sphere_check" not in rep and not [c for c in rep["checks"] if "sphere" in c["name"]]
+
+
+def test_certify_reports_a_sphere_refused_by_the_census_guard_as_null(capsys):
+    # k = 4095: 4096^2 box points pass the materialization guard, but the census of
+    # 33,538,051 norm classes is refused; bounds and reductions are still reported
+    code, rep, err = run_json(capsys, "certify", "--system", "S3AP", "--p", "8191", "--n", "2")
+    assert code == 0 and rep["verified"] is True and err == ""
+    assert rep["sphere"] is None and "census guard" in rep["sphere_note"]
+    assert rep["sphere_note"].startswith("sphere set refused: a census of 33538051 norm classes")
+    assert rep["b_tilde"] == 2 and rep["lower_strong"] and rep["upper_strong"] > 0
+    assert not [c for c in rep["checks"] if "sphere" in c["name"]]
 
 
 @pytest.mark.parametrize("system, kind", [("S3AP", "strong"), ("SW", "weak")])
@@ -1104,6 +1119,14 @@ def test_behrend_never_holds_its_json_report_whole(monkeypatch):
     code, written, peak = _traced_peak(monkeypatch, "behrend", "--n", "200", "--k", "10", "--format", "json")
     assert code == 0 and written > 3_000_000
     assert peak < 1.5 * written
+
+
+def test_behrend_holds_its_census_as_one_list(monkeypatch):
+    # 180,001 classes: the bincount of the pairwise sums and the list of counts made of it
+    # take 2.9 MB; a dict of the 45,451 nonempty classes beside that list took 4 MB
+    code, written, peak = _traced_peak(monkeypatch, "behrend", "--n", "2", "--k", "300", "--format", "json")
+    assert code == 0 and written > 300_000
+    assert peak < 3_500_000
 
 
 def test_behrend_materializes_in_narrow_arrays(monkeypatch):

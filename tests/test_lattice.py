@@ -14,7 +14,6 @@ from linsys.errors import GuardExceeded
 from linsys.eqsys import parse_system, reduce_mod_p
 from linsys.lattice import (
     CENSUS_GUARD,
-    NormClassTable,
     SphereSet,
     _census_bytes,
     _limb_convolution,
@@ -32,20 +31,20 @@ from linsys.systems import builtin
 
 
 def test_norm_class_counts_hand_cases():
-    assert norm_class_counts(2, 1).counts == {1: 2}
-    assert norm_class_counts(2, 2).counts == {1: 2, 2: 1, 4: 2, 5: 2}
-    assert norm_class_counts(3, 1).counts == {1: 3, 2: 3}
+    # every norm 0 … n k², zeros included, the two corners left out
+    assert norm_class_counts(2, 1) == [0, 2, 0]
+    assert norm_class_counts(2, 2) == [0, 2, 1, 0, 2, 2, 0, 0, 0]
+    assert norm_class_counts(3, 1) == [0, 3, 3, 0]
 
 
 def test_norm_class_counts_match_enumeration():
     for n, k in [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1)]:
-        census: dict[int, int] = {}
+        census = [0] * (n * k * k + 1)
         for pt in itertools.product(range(k + 1), repeat=n):
             if pt == (0,) * n or pt == (k,) * n:
                 continue
-            q = sum(c * c for c in pt)
-            census[q] = census.get(q, 0) + 1
-        assert norm_class_counts(n, k).counts == census
+            census[sum(c * c for c in pt)] += 1
+        assert norm_class_counts(n, k) == census
 
 
 def _box_census(n, k):
@@ -56,6 +55,17 @@ def _box_census(n, k):
         if pt != (0,) * n and pt != (k,) * n:
             classes.setdefault(sum(c * c for c in pt), []).append(pt)
     return classes
+
+
+def _box_counts(n, k):
+    """The census list of {0..k}^n by enumeration of the box."""
+    classes = _box_census(n, k)
+    return [len(classes.get(q, ())) for q in range(n * k * k + 1)]
+
+
+def _largest(counts):
+    """(squared norm, count) of the first largest class of a census list."""
+    return counts.index(max(counts)), max(counts)
 
 
 @st.composite
@@ -70,7 +80,7 @@ def small_boxes(draw):
 def test_census_and_classes_match_the_box(box):
     n, k, target = box
     classes = _box_census(n, k)
-    assert norm_class_counts(n, k).counts == {q: len(pts) for q, pts in classes.items()}
+    assert norm_class_counts(n, k) == _box_counts(n, k)
     want = classes.get(target, [])
     assert list(map(tuple, _materialize(n, k, target, len(want)).tolist())) == want
 
@@ -88,10 +98,11 @@ def test_the_walk_across_its_block_seams(monkeypatch, n, k, block):
 
 @pytest.mark.parametrize("wrong", [-1, 1])
 def test_best_sphere_set_raises_when_the_fill_misses_the_census(wrong):
-    radius_sq, count = norm_class_counts(4, 3).best()
-    table = NormClassTable(4, 3, {radius_sq: count + wrong})
+    radius_sq, count = _largest(norm_class_counts(4, 3))
+    counts = [0] * (4 * 3 * 3 + 1)
+    counts[radius_sq] = count + wrong
     with pytest.raises(RuntimeError, match=f"has {count} points, but the census counts {count + wrong}"):
-        best_sphere_set(4, 3, table)
+        best_sphere_set(4, 3, counts)
     with pytest.raises(RuntimeError, match="has 0 points, but the census counts 1"):
         _materialize(4, 3, 0, 1)  # the origin is left out
 
@@ -142,23 +153,25 @@ def test_census_guard_edges_by_the_estimate_alone():
     # the estimates only: the admitted cases take seconds and most of the guard
     # limbs just below the recurrence's n = 96: twelve limbs a count, joined
     assert _census_bytes(95, 86) <= CENSUS_GUARD < _census_bytes(95, 87)
-    # two limbs: the table, with the ints the join leaves
-    assert _census_bytes(8, 385) <= CENSUS_GUARD < _census_bytes(8, 386)
-    # one limb: at n = 2 only the C(k+2, 2) classes of a pair of values can be nonempty
-    assert _census_bytes(2, 1697) <= CENSUS_GUARD < _census_bytes(2, 1698)
+    # two limbs: the array, the join's three lists and the ints it leaves
+    assert _census_bytes(8, 446) <= CENSUS_GUARD < _census_bytes(8, 447)
+    # one limb: the array and the list of ints tolist makes of it
+    assert _census_bytes(5, 1057) <= CENSUS_GUARD < _census_bytes(5, 1058)
+    # at n = 2 only the C(k+2, 2) classes of a pair of values can be nonempty
+    assert _census_bytes(2, 2364) <= CENSUS_GUARD < _census_bytes(2, 2365)
     with pytest.raises(GuardExceeded, match="census guard"):
         norm_class_counts(95, 87)  # refused before anything is allocated
 
 
 def test_census_pins():
-    table = norm_class_counts(2, 44)
-    assert table.counts == {q: len(pts) for q, pts in _box_census(2, 44).items()}
-    assert table.best() == (1105, 8)
-    table = norm_class_counts(2, 1000)
-    assert table.best() == (801125, 32)
-    assert (len(table.counts), sum(table.counts.values())) == (299847, 1001**2 - 2)
-    assert table.counts[1] == 2 and table.counts[999**2 + 1000**2] == 2
-    best_norm, best_count = norm_class_counts(200, 10).best()
+    counts = norm_class_counts(2, 44)
+    assert counts == _box_counts(2, 44)
+    assert _largest(counts) == (1105, 8)
+    counts = norm_class_counts(2, 1000)
+    assert _largest(counts) == (801125, 32)
+    assert (len(counts), sum(map(bool, counts)), sum(counts)) == (2 * 1000**2 + 1, 299847, 1001**2 - 2)
+    assert counts[1] == 2 and counts[999**2 + 1000**2] == 2
+    best_norm, best_count = _largest(norm_class_counts(200, 10))
     assert best_norm == 6989
     assert best_count == int(
         "16304550801684439217385530430434331862096062003165744575729150840452151039036841170376"
@@ -167,33 +180,32 @@ def test_census_pins():
 
 
 def test_best_class_tie_breaks_to_smaller_norm():
-    assert norm_class_counts(3, 1).best() == (1, 3)   # {1: 3, 2: 3}
-    assert norm_class_counts(2, 2).best() == (1, 2)   # three classes of size 2
-    assert norm_class_counts(3, 2).best() == (5, 6)
-    # a table need not list its norms in order
-    assert NormClassTable(2, 3, {9: 4, 5: 4, 2: 1, 7: 4}).best() == (5, 4)
+    for (n, k), want in {(3, 1): (1, 3),    # [0, 3, 3, 0]
+                         (2, 2): (1, 2),    # three classes of size 2
+                         (3, 2): (5, 6)}.items():
+        y = best_sphere_set(n, k)
+        assert (y.radius_sq, len(y)) == want
+    assert best_sphere_set(2, 2).radius_sq == 1
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 8) for k in range(1, 5)] + [(2, 44), (12, 3)])
 def test_best_sphere_set_takes_the_tables_best_class(n, k):
-    # the census list's first largest entry, read without building a table
-    radius_sq, count = norm_class_counts(n, k).best()
+    # the census list's first largest entry
     y = best_sphere_set(n, k)
-    assert (y.radius_sq, len(y)) == (radius_sq, count)
+    assert (y.radius_sq, len(y)) == _largest(norm_class_counts(n, k))
 
 
 def test_best_sphere_set_reads_a_given_table_without_a_census(monkeypatch):
-    table = norm_class_counts(4, 3)
-    monkeypatch.setattr(linsys.lattice, "_census", lambda n, k: pytest.fail("census taken again"))
-    y = best_sphere_set(4, 3, table)
-    assert (y.radius_sq, len(y)) == table.best()
+    counts = norm_class_counts(4, 3)
+    monkeypatch.setattr(linsys.lattice, "norm_class_counts", lambda n, k: pytest.fail("census taken again"))
+    y = best_sphere_set(4, 3, counts)
+    assert (y.radius_sq, len(y)) == _largest(counts)
 
 
 def test_best_class_meets_pigeonhole():
     for n in range(2, 9):
         for k in range(1, 4):
-            _, count = norm_class_counts(n, k).best()
-            assert count >= pigeonhole_bound(n, k)
+            assert max(norm_class_counts(n, k)) >= pigeonhole_bound(n, k)
 
 
 def test_pigeonhole_bound_is_exact_rational():
@@ -291,7 +303,7 @@ def test_point_strings_join_the_entries(n, k):
     # norm k² + 1 puts entries of one digit next to entries of len(str(k)),
     # and at n = 4 and k >= 99 the class spans two or three chunks of 4,096 rows
     target = k * k + 1
-    y = SphereSet(n, k, target, _materialize(n, k, target, linsys.lattice._census(n, k)[target]))
+    y = SphereSet(n, k, target, _materialize(n, k, target, norm_class_counts(n, k)[target]))
     strings = [",".join(map(str, pt)) for pt in y.points]
     assert list(y.json_chunks()) == [json.dumps(strings[i:i + 4096]) for i in range(0, len(y) or 1, 4096)]
     assert list(SphereSet(n, k, 0, ()).json_chunks()) == ["[]"]
@@ -356,10 +368,10 @@ def test_verify_construction_detects_solutions():
 
 
 def test_verify_construction_guard():
-    s = builtin("SW")  # five free-ish positions
-    pts = list(itertools.product(range(3), repeat=9))  # 19683^2 pinned ways
+    s = builtin("SW")  # five positions, two pinned by its two rows
+    pts = list(itertools.product(range(3), repeat=9))  # 19683^3 tuples, past 10^8
     with pytest.raises(GuardExceeded):
-        verify_construction(s, pts, guard=10**4)
+        verify_construction(s, pts)
 
 
 def test_embedded_sphere_is_strongly_free_mod_p():

@@ -97,7 +97,7 @@ def test_iter_solutions_empty_set_short_circuits():
 def test_iter_solutions_validation_and_guard():
     cols5 = [[(v,) for v in range(10)]] * 3
     with pytest.raises(GuardExceeded):
-        list(iter_solutions([], cols5, 3, guard=99))  # 10^3 free nodes
+        list(iter_solutions([], [[(v,) for v in range(500)]] * 3, 503))  # 500^3 free nodes, past 10^8
     with pytest.raises(ValueError):
         list(iter_solutions([(1, -1)], cols5, 3))     # row width 2 != 3
     with pytest.raises(ValueError):
@@ -263,7 +263,7 @@ def test_compile_guard_fails_fast():
     with pytest.raises(GuardExceeded):
         max_weakly_free(sw(3), 5)
     with pytest.raises(GuardExceeded):
-        compile_system(s3ap(3), 2, weak=False, guard=100)
+        compile_system(s3ap(3), 7, weak=False)  # 3^14 solutions of 3 entries, past 4,000,000
 
 
 def test_search_dimension_validation():

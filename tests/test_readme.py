@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from linsys.cli import main
+from linsys.lattice import CENSUS_GUARD, _census_bytes
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -45,3 +46,13 @@ def test_cli_example_lines_appear_in_order(command):
     lines = iter(out.getvalue().splitlines())
     missing = [line for line in shown if line != "..." and line not in lines]
     assert missing == []
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_limits_table_names_the_census_edges(n):
+    # the row "`--n N --k K`, the largest K at N = n" of the limits table
+    row = re.search(rf"^\| \| `--n (\d+) --k (\d+)`, the largest K at N = {n}\b.*$", README, re.M)
+    assert row is not None, f"no limits-table row for the largest K at N = {n}"
+    k = int(row.group(2))
+    assert int(row.group(1)) == n
+    assert _census_bytes(n, k) <= CENSUS_GUARD < _census_bytes(n, k + 1)
