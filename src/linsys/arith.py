@@ -15,6 +15,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % q == 0:
             return False
+    if n < 41 * 41:  # no prime factor up to 37, so none up to sqrt(n)
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

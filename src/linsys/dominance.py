@@ -8,10 +8,15 @@ equations b*x_i - b*x_j = 0 are dominant from both ends.
 
 Reducing by a dominant subsystem S' contracts each connected component of
 S'-variables to a single merged variable and drops the equations of S'
-(they become 0 = 0 because every equation is balanced).  A sequence of
-such reductions ending at the empty system in one variable yields b~, the
-maximum dominant coefficient used along the way, which converts into
-asymptotic lower bounds on free-set sizes via box/sphere constructions.
+(they become 0 = 0 because every equation is balanced).  A reduction is one
+list of groups: per new variable, in new order, the old variables it stands
+for (a component at its least member, every other variable alone).  The new
+rows are the old rows summed over the groups, a merged variable is named
+x_{...} after the sorted original variables it holds, and the merge map pairs
+each old variable of a merged group with that name.  A sequence of reductions
+ending at the empty system in one variable yields b~, the maximum dominant
+coefficient used along the way, which converts into asymptotic lower bounds
+on free-set sizes via box/sphere constructions.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from .eqsys import ZSystem, subsystem
 from .errors import GuardExceeded
 from .structure import build_hypergraph
 
-#: reductions the exhaustive strategy may perform (about 0.1 ms each)
+#: reductions the exhaustive strategy may perform (0.05-0.2 ms each)
 EXHAUSTIVE_REDUCTION_CAP = 100_000
 
 
@@ -129,67 +134,40 @@ def _merged_name(atom_sets: list[tuple[int, ...]]) -> str:
     return "x_{" + "_".join(str(a) for a in atoms) + "}"
 
 
-def _reduce_detailed(s: ZSystem, sub: tuple[int, ...]) -> tuple[ZSystem, tuple[tuple[str, str], ...], int]:
+def _reduce_detailed(s: ZSystem, sub: tuple[int, ...]) -> ReductionStep:
     if not sub:
         raise ValueError("subsystem must be nonempty")
     sub = tuple(sorted(set(sub)))
-    doms = []
+    coefficient = 0
     for i in sub:
         if not 0 <= i < s.L:
             raise IndexError(f"equation index {i} out of range")
         d = dominance_of(s.rows[i])
         if d is None:
             raise ValueError(f"equation {i} is not dominant")
-        doms.append(d)
-    coefficient = max(d.coefficient for d in doms)
+        coefficient = max(coefficient, d.coefficient)
 
-    sub_sys = subsystem(s, sub)
-    h = build_hypergraph(sub_sys)
-    comp_of: dict[int, int] = {}
-    for ci, comp in enumerate(h.components):
-        for v in comp:
-            comp_of[v] = ci
-
-    # new variable order: untouched variables keep relative order, each
-    # merged component sits at the position of its smallest member
-    slots: list[tuple[int, object]] = []
-    for v in range(s.r):
-        if v in comp_of:
-            comp = h.components[comp_of[v]]
-            if v == comp[0]:
-                slots.append((v, comp))
-        else:
-            slots.append((v, v))
-    new_names: list[str] = []
-    old_to_new: dict[int, int] = {}
-    merge_map: list[tuple[str, str]] = []
-    for new_idx, (_, what) in enumerate(slots):
-        if isinstance(what, tuple):
-            name = _merged_name([_atoms(s.names[v]) for v in what])
-            for v in what:
-                old_to_new[v] = new_idx
-                merge_map.append((s.names[v], name))
-        else:
-            name = s.names[what]
-            old_to_new[what] = new_idx
-        new_names.append(name)
-
-    new_r = len(slots)
-    assert new_r == s.r - (len(h.vertices) - len(h.components)), "variable bookkeeping broke"
-
-    new_rows = []
+    # groups: the old variables of each new one, in new order (module docstring)
+    components = build_hypergraph(subsystem(s, sub)).components
+    lead = {comp[0]: comp for comp in components}
+    absorbed = {v for comp in components for v in comp[1:]}
+    groups = [lead.get(v, (v,)) for v in range(s.r) if v not in absorbed]
+    names = [s.names[g[0]] if len(g) == 1 else _merged_name([_atoms(s.names[v]) for v in g])
+             for g in groups]
+    merge_map = tuple((s.names[v], name) for g, name in zip(groups, names) if len(g) > 1 for v in g)
+    position = {v: new for new, g in enumerate(groups) for v in g}
+    rows = []
     for row in s.rows:
-        merged = [0] * new_r
-        for i, c in enumerate(row):
-            merged[old_to_new[i]] += c
-        nz = [c for c in merged if c != 0]
-        if not nz:
-            continue  # 0 = 0, dropped
-        # a single surviving term would mean c * x_K = 0, impossible for
-        # balanced input since the row sum is preserved by merging
-        assert len(nz) >= 2, "balanced equation collapsed to a single term"
-        new_rows.append(tuple(merged))
-    return ZSystem(new_r, tuple(new_rows), tuple(new_names)), tuple(merge_map), coefficient
+        merged = [0] * len(groups)
+        for v, c in enumerate(row):
+            merged[position[v]] += c
+        terms = len(merged) - merged.count(0)
+        # 0 = 0 is dropped; a single surviving term would mean c * x_K = 0,
+        # impossible for balanced input since merging keeps the row sum
+        assert terms != 1, "balanced equation collapsed to a single term"
+        if terms:
+            rows.append(tuple(merged))
+    return ReductionStep(sub, coefficient, merge_map, ZSystem(len(groups), tuple(rows), tuple(names)))
 
 
 def _is_terminal(s: ZSystem) -> bool:
@@ -219,7 +197,7 @@ def _exhaustive_steps(s: ZSystem) -> Optional[tuple[ReductionStep, ...]]:
     reductions = cap = 0
     # a lower cap's pass reduced some (state, subset) pairs already; each is
     # reduced once, and every visit still counts as a reduction below
-    memo: dict[tuple[ZSystem, tuple[int, ...]], tuple] = {}
+    memo: dict[tuple[ZSystem, tuple[int, ...]], ReductionStep] = {}
     while True:
         seen = {s}
         layer: list[tuple[ZSystem, tuple[ReductionStep, ...]]] = [(s, ())]
@@ -245,14 +223,14 @@ def _exhaustive_steps(s: ZSystem) -> Optional[tuple[ReductionStep, ...]]:
                     if reductions > EXHAUSTIVE_REDUCTION_CAP:
                         raise GuardExceeded(f"exhaustive reduction stopped after "
                                             f"{EXHAUSTIVE_REDUCTION_CAP} reductions")
-                    found = memo.get((state, subset))
-                    if found is None:
-                        found = memo[state, subset] = _reduce_detailed(state, subset)
-                    reduced, merge_map, coeff = found
+                    step = memo.get((state, subset))
+                    if step is None:
+                        step = memo[state, subset] = _reduce_detailed(state, subset)
+                    reduced = step.result
                     if reduced in seen:
                         continue
                     seen.add(reduced)
-                    steps = chain + (ReductionStep(subset, coeff, merge_map, reduced),)
+                    steps = chain + (step,)
                     if _is_terminal(reduced):
                         return steps
                     next_layer.append((reduced, steps))
@@ -268,10 +246,8 @@ def reduction_sequence(s: ZSystem, strategy: str = "greedy") -> Optional[Reducti
 
     greedy: always reduce by the maximal dominant subsystem (all dominant
     equations at once).  exhaustive: the trace minimizing (b~, #steps,
-    lexicographic step encoding) over all subsystem choices, found by one
-    breadth-first pass per coefficient cap, caps ascending.  Each pass meets
-    states in (#steps, encoding) order, so the first chain it finds to the
-    terminal system is the least.  It raises GuardExceeded after
+    lexicographic step encoding) over all subsystem choices, found as
+    _exhaustive_steps describes; it raises GuardExceeded after
     EXHAUSTIVE_REDUCTION_CAP reductions, or when a pass starts whose first
     step alone has more subsets than the reductions left.
     """
@@ -284,9 +260,8 @@ def reduction_sequence(s: ZSystem, strategy: str = "greedy") -> Optional[Reducti
             dom = tuple(i for i, row in enumerate(current.rows) if dominance_of(row) is not None)
             if not dom:
                 return None
-            reduced, merge_map, coeff = _reduce_detailed(current, dom)
-            steps.append(ReductionStep(dom, coeff, merge_map, reduced))
-            current = reduced
+            steps.append(_reduce_detailed(current, dom))
+            current = steps[-1].result
         return ReductionTrace(s, tuple(steps))
     if strategy != "exhaustive":
         raise ValueError("strategy must be 'greedy' or 'exhaustive'")

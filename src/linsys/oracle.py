@@ -349,7 +349,10 @@ def compile_system(t: FpSystem, n: int, weak: bool) -> CompiledSystem:
         for v in reversed(row[:-2]):
             if v < 0:
                 break
-            node = node[1].setdefault(v, [0, {}])
+            child = node[1].get(v)
+            if child is None:
+                child = node[1][v] = [0, {}]
+            node = child
         node[0] |= 1 << x
     return CompiledSystem(size, count, len(table), blocked, forbid)
 

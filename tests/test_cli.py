@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -351,6 +352,22 @@ def test_reduce_exhaustive_star17_is_refused_at_once(capsys):
     assert code == 1 and out == ""
     assert err == ("error: exhaustive reduction would exceed 100000 reductions: "
                    "its first step alone has 131071 subsets\n")
+
+
+# sha256 over every built-in's and STAR1-STAR16's greedy and exhaustive
+# reduce reports in JSON: any change to a reduction trace changes it
+REDUCE_TRACES_SHA256 = "452ea695b2fe0dff5f5045f3350d8c58800070d7bf4d1ee75ce57cd11d2cbf4e"
+
+
+def test_reduce_traces_are_pinned(capsys):
+    digest = hashlib.sha256()
+    names = [n for n in builtin_names() if n != "STAR<k>"] + [f"STAR{k}" for k in range(1, 17)]
+    for name in names:
+        for strategy in ("greedy", "exhaustive"):
+            code, out, err = run(capsys, "reduce", "--system", name, "--strategy", strategy, "--format", "json")
+            assert code == 0 and err == ""
+            digest.update(f"{name} {strategy}\n{out}".encode())
+    assert digest.hexdigest() == REDUCE_TRACES_SHA256
 
 
 def test_lower_bound_s3(capsys):

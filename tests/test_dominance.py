@@ -65,8 +65,9 @@ def test_greedy_reduction_s3_frozen_trace():
 
 def test_dominant_reduce_matches_first_greedy_step():
     s3 = builtin("S3")
-    reduced, _, _ = _reduce_detailed(s3, (2,))
-    assert render_system(reduced) == "-x3 + x4 = 0\nx_{1_2_6} - x3 - x4 + x5 = 0"
+    step = _reduce_detailed(s3, (2,))
+    assert step == reduction_sequence(s3, "greedy").steps[0]
+    assert render_system(step.result) == "-x3 + x4 = 0\nx_{1_2_6} - x3 - x4 + x5 = 0"
 
 
 def test_greedy_vs_exhaustive_s2():

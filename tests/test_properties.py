@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from linsys.arith import is_prime, power_exceeds
 from linsys.bounds import _allocate, count_theta, lambda_min
 from linsys.dominance import (
-    ReductionStep,
     ReductionTrace,
     _reduce_detailed,
     dominance_of,
@@ -238,11 +237,10 @@ def _reference_exhaustive(s):
         dom = [i for i, row in enumerate(current.rows) if dominance_of(row) is not None]
         for size in range(1, len(dom) + 1):
             for subset in itertools.combinations(dom, size):
-                reduced, merge_map, coeff = _reduce_detailed(current, subset)
-                if best is not None and max(running, coeff) > best[0][0]:
+                step = _reduce_detailed(current, subset)
+                if best is not None and max(running, step.coefficient) > best[0][0]:
                     continue
-                step = ReductionStep(subset, coeff, merge_map, reduced)
-                dfs(reduced, steps + (step,), max(running, coeff), encoding + (subset,))
+                dfs(step.result, steps + (step,), max(running, step.coefficient), encoding + (subset,))
 
     dfs(s, (), 0, ())
     return None if best is None else ReductionTrace(s, best[1])
@@ -270,6 +268,64 @@ def dominant_systems(draw):
 @given(st.one_of(dominant_systems(), balanced_systems()))
 def test_exhaustive_reduction_matches_plain_search(s):
     assert reduction_sequence(s, "exhaustive") == _reference_exhaustive(s)
+
+
+# ---------------------------------------------------------------------------
+# chained reductions against a partition of the original variables: after
+# each step the system is its input summed over the blocks merged so far
+# (zero rows dropped), each block is named after its sorted members, and a
+# step's merge map lists each old variable of every group of two or more
+
+def _block_name(block):
+    return f"x{block[0] + 1}" if len(block) == 1 else "x_{" + "_".join(str(a + 1) for a in block) + "}"
+
+
+def _merged_blocks(current, blocks, subset):
+    """(block, group) per variable after reducing ``current`` by ``subset``,
+    ordered by block: a group lists the variables of ``current`` that share
+    a chosen equation, found by union-find, and its block their originals."""
+    root = list(range(current.r))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for i in subset:
+        support = [v for v, c in enumerate(current.rows[i]) if c]
+        for v in support[1:]:
+            root[find(v)] = find(support[0])
+    groups = {}
+    for v in range(current.r):
+        groups.setdefault(find(v), []).append(v)
+    return sorted((tuple(sorted(a for v in g for a in blocks[v])), g) for g in groups.values())
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(dominant_systems(), balanced_systems()), st.data())
+def test_chained_reductions_match_a_partition_model(s, data):
+    # every subset of each state along a drawn chain; the chain ends because
+    # each reduction drops the rows it reduces by
+    blocks = [(v,) for v in range(s.r)]  # per variable of ``current``, its original variables
+    current = s
+    while True:
+        dominant = [i for i, row in enumerate(current.rows) if dominance_of(row) is not None]
+        subsets = [c for size in range(1, len(dominant) + 1) for c in itertools.combinations(dominant, size)]
+        if not subsets:
+            break
+        for subset in subsets:
+            step = _reduce_detailed(current, subset)
+            merged = _merged_blocks(current, blocks, subset)
+            assert step.subsystem == subset
+            assert step.coefficient == max(dominance_of(current.rows[i]).coefficient for i in subset)
+            assert step.result.names == tuple(_block_name(b) for b, _ in merged)
+            rows = (tuple(sum(row[a] for a in b) for b, _ in merged) for row in s.rows)
+            assert step.result.rows == tuple(row for row in rows if any(row))
+            assert step.merge_map == tuple((current.names[v], _block_name(b))
+                                           for b, g in merged if len(g) > 1 for v in g)
+        subset = data.draw(st.sampled_from(subsets))
+        blocks = [b for b, _ in _merged_blocks(current, blocks, subset)]
+        current = _reduce_detailed(current, subset).result
 
 
 # ---------------------------------------------------------------------------
@@ -534,3 +590,15 @@ def test_power_exceeds_matches_the_power(base, exp, limit):
 def test_power_exceeds_without_the_power():
     assert power_exceeds(2, 10**12, 2**24) and power_exceeds(7, 10**12, 81)
     assert not power_exceeds(1, 10**12, 1) and not power_exceeds(0, 10**12, 0)
+
+
+# ---------------------------------------------------------------------------
+# is_prime against a sieve of Eratosthenes
+
+def test_is_prime_matches_a_sieve():
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, limit, q))
+    assert [n for n in range(-1, limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
