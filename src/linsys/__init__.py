@@ -20,7 +20,6 @@ from .bounds import (
     wshape_upper,
 )
 from .dominance import (
-    Dominance,
     LowerBoundReport,
     ReductionStep,
     ReductionTrace,
@@ -73,7 +72,7 @@ __all__ = [
     "BoundReport", "bound_small_p", "c_tilde", "count_theta",
     "g_value", "lambda_min", "optimize_allocation", "parallelogram_upper",
     "star_inequality", "upper_bound_strong", "wshape_upper",
-    "Dominance", "LowerBoundReport", "ReductionStep", "ReductionTrace",
+    "LowerBoundReport", "ReductionStep", "ReductionTrace",
     "dominance_of", "lower_bound_strong", "lower_bound_weak", "reduction_sequence",
     "FpSystem", "ZSystem",
     "parse_system", "reduce_mod_p", "render_system", "subsystem",

@@ -4,7 +4,9 @@ A balanced equation is *dominant* when one variable's coefficient opposes
 all the others: either exactly one coefficient is positive, or exactly one
 is negative.  Writing it as b'_j x_j = sum b'_i x_i with every b'_i >= 0
 (the standard form), b'_j is the dominant coefficient.  Two-sided
-equations b*x_i - b*x_j = 0 are dominant from both ends.
+equations b*x_i - b*x_j = 0 are dominant from both ends, with coefficient b
+either way.  The bounds read only the coefficient, so dominance_of returns
+just that and not which variable dominates.
 
 Reducing by a dominant subsystem S' contracts each connected component of
 S'-variables to a single merged variable and drops the equations of S'
@@ -32,15 +34,6 @@ from .structure import build_hypergraph
 
 #: reductions the exhaustive strategy may perform (0.05-0.2 ms each)
 EXHAUSTIVE_REDUCTION_CAP = 100_000
-
-
-@dataclass(frozen=True)
-class Dominance:
-    """Witnesses of dominance for one equation: 0-based variable positions
-    (two for b*x_i - b*x_j, else one) and the dominant coefficient."""
-
-    indices: tuple[int, ...]
-    coefficient: int
 
 
 @dataclass(frozen=True)
@@ -84,21 +77,16 @@ class LowerBoundReport:
     simple_base: Optional[float]    # p/b when b >= 2
 
 
-def dominance_of(row: tuple[int, ...]) -> Optional[Dominance]:
-    """Dominance witnesses of a balanced equation's coefficient row, or None."""
+def dominance_of(row: tuple[int, ...]) -> Optional[int]:
+    """The dominant coefficient of a balanced equation's coefficient row
+    (the lone positive one, else the lone negative one negated), or None."""
     if sum(row) != 0:
         raise ValueError("equation is not balanced")
-    pos = [i for i, c in enumerate(row) if c > 0]
-    neg = [i for i, c in enumerate(row) if c < 0]
-    if len(pos) == 1 and len(neg) == 1:
-        # b x_i - b x_j: dominant from both ends (coefficients match by balance)
-        i, j = sorted((pos[0], neg[0]))
-        return Dominance((i, j), abs(row[pos[0]]))
+    pos = [c for c in row if c > 0]
     if len(pos) == 1:
-        return Dominance((pos[0],), row[pos[0]])
-    if len(neg) == 1:
-        return Dominance((neg[0],), -row[neg[0]])
-    return None
+        return pos[0]
+    neg = [c for c in row if c < 0]
+    return -neg[0] if len(neg) == 1 else None
 
 
 def _subsets(indices: tuple[int, ...]):
@@ -142,10 +130,10 @@ def _reduce_detailed(s: ZSystem, sub: tuple[int, ...]) -> ReductionStep:
     for i in sub:
         if not 0 <= i < s.L:
             raise IndexError(f"equation index {i} out of range")
-        d = dominance_of(s.rows[i])
-        if d is None:
+        b = dominance_of(s.rows[i])
+        if b is None:
             raise ValueError(f"equation {i} is not dominant")
-        coefficient = max(coefficient, d.coefficient)
+        coefficient = max(coefficient, b)
 
     # groups: the old variables of each new one, in new order (module docstring)
     components = build_hypergraph(subsystem(s, sub)).components
@@ -207,13 +195,13 @@ def _exhaustive_steps(s: ZSystem) -> Optional[tuple[ReductionStep, ...]]:
             for state, chain in layer:
                 within = []
                 for i, row in enumerate(state.rows):
-                    d = dominance_of(row)
-                    if d is None:
+                    b = dominance_of(row)
+                    if b is None:
                         continue
-                    if d.coefficient <= cap:
+                    if b <= cap:
                         within.append(i)
-                    elif next_cap is None or d.coefficient < next_cap:
-                        next_cap = d.coefficient
+                    elif next_cap is None or b < next_cap:
+                        next_cap = b
                 first_step = 2 ** len(within) - 1
                 if not chain and first_step > EXHAUSTIVE_REDUCTION_CAP - reductions:
                     raise GuardExceeded(f"exhaustive reduction would exceed {EXHAUSTIVE_REDUCTION_CAP} "
@@ -294,12 +282,7 @@ def lower_bound_weak(s: ZSystem, p: int) -> Optional[LowerBoundReport]:
         raise ValueError(f"p={p} is not prime")
     if not s.is_balanced:
         raise ValueError("system must be balanced")
-    candidates = []
-    for row in s.rows:
-        d = dominance_of(row)
-        if d is not None and d.coefficient >= 2 and p > d.coefficient:
-            candidates.append(d.coefficient)
-    if not candidates:
+    b = min((c for c in map(dominance_of, s.rows) if c is not None and 2 <= c < p), default=None)
+    if b is None:
         return None
-    b = min(candidates)
     return LowerBoundReport("weak", p, b, p / b, None, True, None, p / b)

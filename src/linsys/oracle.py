@@ -19,7 +19,10 @@ so the lexicographically least maximum witness contains 0.  The search fixes
 0 into every nonempty candidate and runs one include-first depth-first pass
 over ascending point indices, keeping a mask of the points that may still
 join.  A branch dies when even all of those could not beat the record, so
-the first maximum set found is the lexicographically least one.
+the first maximum set found is the lexicographically least one.  A weak
+search of a one-variable system is answered before compiling: balance mod p
+makes its row vanish, so every point alone is a solution and only the empty
+set is weakly free.
 
 Every linear bijection of F_p^n also maps free sets to free sets of the
 same size, so a set that takes a unit vector never tries the branch that
@@ -289,7 +292,7 @@ class CompiledSystem:
     Points are indices into ``space_points(p, n)`` and sets are Python-int
     bitmasks of them.  A support is the set of entries of a forbidden
     solution: a non-constant one for strong freeness, one with r distinct
-    entries for weak freeness.  A set is free exactly when it contains no
+    entries (r >= 2) for weak freeness.  A set is free exactly when it contains no
     support.  A search that adds points in ascending order only needs, when
     it adds q, the supports whose second-largest point is q: if the rest of
     such a support, below q, is already chosen, its largest point x can no
@@ -301,7 +304,6 @@ class CompiledSystem:
     size: int
     solutions: int
     supports: int
-    blocked: int               # points that alone form a support
     forbid: tuple[list, ...]   # per q: the root of its trie
 
 
@@ -317,6 +319,8 @@ def compile_system(t: FpSystem, n: int, weak: bool) -> CompiledSystem:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     p, r = t.p, t.r
+    if weak and r < 2:
+        raise ValueError("a weak compile needs at least two variables: every point alone is a support")
     free = r - len(_pin_rows(t.rows, r, p))
     if power_exceeds(p, n * free, COMPILE_GUARD // r) or power_exceeds(p, n, COMPILE_GUARD):
         raise GuardExceeded(f"compiling {p}^{n * free} solutions over {p}^{n} points "
@@ -338,13 +342,9 @@ def compile_system(t: FpSystem, n: int, weak: bool) -> CompiledSystem:
     first[1:] = (table[1:] != table[:-1]).any(axis=1)
     table = table[first]
 
-    blocked = 0
     forbid = tuple([0, {}] for _ in range(size))
     for row in table.tolist():
         x = row[-1]
-        if len(row) < 2:
-            blocked |= 1 << x
-            continue
         node = forbid[row[-2]]
         for v in reversed(row[:-2]):
             if v < 0:
@@ -354,7 +354,7 @@ def compile_system(t: FpSystem, n: int, weak: bool) -> CompiledSystem:
                 child = node[1][v] = [0, {}]
             node = child
         node[0] |= 1 << x
-    return CompiledSystem(size, count, len(table), blocked, forbid)
+    return CompiledSystem(size, count, len(table), forbid)
 
 
 def _forbidden(node: list, members: list[int], end: int) -> int:
@@ -395,6 +395,9 @@ def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]
         # fewer points than positions: no tuple can have r distinct entries
         pts = space_points(p, n)
         return SearchResult(len(pts), PointSet(p, n, pts), 0, True)
+    if weak and t.r == 1:
+        # balance mod p makes the row vanish, so every point alone is a solution
+        return SearchResult(0, PointSet(p, n, ()), 0, True)
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     comp = compile_system(t, n, weak)
 
@@ -402,7 +405,7 @@ def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]
     # frame holds the points that may still join its set
     units = {p**j for j in range(n)}  # the indices of e_n, e_{n-1}, ..., e_1
     members = [0]
-    allowed = ((1 << comp.size) - 2) & ~comp.blocked & ~comp.forbid[0][0]
+    allowed = ((1 << comp.size) - 2) & ~comp.forbid[0][0]
     stack = [allowed]
     best = [0]
     nodes = 1
@@ -444,7 +447,8 @@ def max_strongly_free(t: FpSystem, n: int, node_budget: Optional[int] = None) ->
 
 def max_weakly_free(t: FpSystem, n: int, node_budget: Optional[int] = None) -> SearchResult:
     """Like max_strongly_free but forbidding only pairwise-distinct
-    solutions; p^n < r short-circuits to the whole space."""
+    solutions; p^n < r short-circuits to the whole space, and r = 1 to
+    the empty set."""
     return _search_max_free(t, n, weak=True, node_budget=node_budget)
 
 

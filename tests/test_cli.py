@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -193,6 +194,9 @@ def test_usage_errors_exit_1_with_one_line(capsys):
     code, out, err = run(capsys, "upper", "--system", "SW", "--p", "three", "--n", "2")
     assert code == 1 and err.startswith("error: argument --p: invalid int value")
     assert err.count("\n") == 1
+    code, out, err = run(capsys, "search", "--system", "S3AP", "--p", "3", "--n", "abc")
+    assert code == 1 and out == ""
+    assert err == "error: argument --n: invalid int value: 'abc'\n"
     with pytest.raises(SystemExit) as exc:
         main(["lambda", "--help"])
     assert exc.value.code == 0
@@ -536,6 +540,22 @@ def test_search_past_the_compile_guard_is_input_error(capsys):
     assert code == 1 and "guard" in err
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_weak_search_and_verify_agree_on_one_variable(capsys, tmp_path, n):
+    # 3x1 = 0 vanishes mod 3: verify refuses every one-point set, so the maximum is empty
+    system, points = tmp_path / "system.lineq", tmp_path / "pts.csv"
+    system.write_text("3x1 = 0\n")
+    code, rep, err = run_json(capsys, "search", "--system", str(system), "--p", "3", "--n", str(n),
+                              "--kind", "weak")
+    assert code == 0
+    assert (rep["value"], rep["witness"], rep["nodes_explored"], rep["exhaustive"]) == (0, [], 0, True)
+    for pt in itertools.product(range(3), repeat=n):
+        points.write_text(",".join(map(str, pt)) + "\n")
+        code, rep, err = run_json(capsys, "verify", "--system", str(system), "--p", "3", "--kind", "weak",
+                                  "--set", str(points))
+        assert code == 2 and rep["holds"] is False
+
+
 # ---------------------------------------------------------------------------
 # verification gates
 
@@ -620,13 +640,16 @@ def test_verify_multicolor_bad_width(capsys, tmp_path):
 
 def test_verify_refuses_a_ragged_file_naming_its_line(capsys, tmp_path):
     path = tmp_path / "rows.csv"
-    for kind, text, line, want, got in (("multicolor", "1 1 2 2 3\n4 4 0 0 1 7\n", 2, 5, 6),
-                                        ("strong", "# points\n0 1\n2\n", 3, 2, 1)):
+    for kind, text, message in (
+            ("multicolor", "1 1 2 2 3\n4 4 0 0 1 7\n", "line 2: expected 5 columns like the first row, got 6"),
+            ("strong", "# points\n0 1\n2\n", "line 3: expected 2 columns like the first row, got 1"),
+            ("strong", "0 1\n1 x\n", "line 2: not a row of integers"),
+            ("weak", "# no points\n\n", f"{path}: no point rows found")):
         path.write_text(text)
         code, out, err = run(capsys, "verify", "--system", "SW", "--p", "5", "--kind", kind,
                              "--set", str(path))
         assert code == 1 and out == ""
-        assert err == f"error: line {line}: expected {want} columns like the first row, got {got}\n"
+        assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +665,13 @@ def test_certify_s3_full_chain(capsys):
     assert all(c["ok"] for c in rep["checks"])
     # star fails for this system, so no strong upper bound is claimed
     assert rep["star"] is False and "upper_strong" not in rep
+
+
+def test_certify_exits_2_when_a_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(linsys.cli, "sphere_set_checks", lambda s, sphere, p: (True, False))
+    code, rep, err = run_json(capsys, "certify", "--system", "S3AP", "--p", "7", "--n", "2")
+    assert code == 2 and rep["verified"] is False
+    assert err == "verification failed: embedded sphere set is strongly free mod p\n"
 
 
 def test_certify_w_system_weak_chain(capsys):

@@ -19,13 +19,14 @@ from linsys.systems import builtin
 def test_dominance_of_single_sided():
     sw = builtin("SW")
     assert dominance_of(sw.rows[0]) is None  # x1 - x2 - x3 + x4
-    d = dominance_of(sw.rows[1])             # x1 - 2x3 + x5
-    assert d.indices == (2,) and d.coefficient == 2
+    assert dominance_of(sw.rows[1]) == 2     # x1 - 2x3 + x5
+    assert dominance_of((-1, -2, 3)) == 3    # one positive coefficient
+    assert dominance_of((1, 2, 4, -7)) == 7  # one negative coefficient
 
 
 def test_dominance_of_two_sided():
-    d = dominance_of((0, 3, 0, 0, -3))
-    assert d.indices == (1, 4) and d.coefficient == 3
+    assert dominance_of((0, 3, 0, 0, -3)) == 3
+    assert dominance_of((0, -3, 0, 0, 3)) == 3
 
 
 def test_dominance_of_requires_balance():
@@ -37,16 +38,14 @@ def test_dominant_subsystems_s2():
     table = [dominance_of(row) for row in builtin("S2").rows]
     assert [i for i, d in enumerate(table) if d is not None] == [0, 2]
     assert table[1] is None
-    assert table[0].coefficient == 4 and table[2].coefficient == 2
+    assert table[0] == 4 and table[2] == 2
     # the maximal dominant subsystem is the pair, reduced at coefficient 4
     step = reduction_sequence(builtin("S2"), "greedy").steps[0]
     assert step.subsystem == (0, 2) and step.coefficient == 4
 
 
 def test_dominant_subsystems_sw_and_spp():
-    table = [dominance_of(row) for row in builtin("SW").rows]
-    assert [d is not None for d in table] == [False, True]
-    assert table[1].indices == (2,)  # 2x3 = x1 + x5
+    assert [dominance_of(row) for row in builtin("SW").rows] == [None, 2]  # 2x3 = x1 + x5
     assert [dominance_of(row) for row in builtin("SPP").rows] == [None, None]
     assert reduction_sequence(builtin("SPP"), "greedy") is None
 

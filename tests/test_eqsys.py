@@ -65,6 +65,11 @@ def test_parse_r_is_largest_suffix():
     ("x1 ? x2 = 0", "unexpected character"),
     ("0x1 + 0x2 = 0", "all-zero equation"),
     ("x1 * x2 = 0", "unexpected character"),
+    ("x1 - = 0", "expected a term like '2x3'"),
+    ("x1 x2 = 0", "expected '+', '-' or '='"),
+    ("x1 - x65 = 0", "variable index 65 exceeds the supported limit (64)"),
+    (f"{2**63 - 1}x1 + x1 - x2 = 0", "accumulated coefficient overflows the 64-bit range"),
+    pytest.param("x1 - x2 = 0\n" * 65, "more than 64 equations", id="65 equations"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
@@ -126,8 +131,20 @@ def test_zsystem_validation():
         ZSystem(0, ())
     with pytest.raises(ValueError, match="row width does not match r"):
         ZSystem(2, ((1, -1, 0),))
+    with pytest.raises(ValueError, match="r=65 exceeds the supported limit"):
+        ZSystem(65, ((1, -1) + (0,) * 63,))
+    with pytest.raises(ValueError, match="L=65 exceeds the supported limit"):
+        ZSystem(2, ((1, -1),) * 65)
+    with pytest.raises(ValueError, match="names must match the variable count"):
+        ZSystem(2, ((1, -1),), ("x1",))
+    with pytest.raises(ValueError, match="p=4 is not prime"):
+        FpSystem(4, 2, ((1, 3),))
+    with pytest.raises(ValueError, match="rows must hold least nonnegative residues"):
+        FpSystem(3, 2, ((1, -1),))
     terminal = ZSystem(1, ())  # the reduction target: no equations, one variable
     assert terminal.L == 0 and terminal.names == ("x1",)
+    with pytest.raises(ValueError, match="cannot render a system with no equations"):
+        render_system(terminal)
 
 
 def test_is_balanced():
@@ -174,3 +191,5 @@ def test_subsystem_keeps_all_variables():
         subsystem(s, [4])
     with pytest.raises(ValueError):
         subsystem(s, [0, 0])
+    with pytest.raises(ValueError, match="a subsystem needs at least one equation"):
+        subsystem(s, [])

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from linsys.eqsys import parse_system, reduce_mod_p
+from linsys.eqsys import FpSystem, parse_system, reduce_mod_p
 from linsys.errors import GuardExceeded
 from linsys.oracle import (
     Matching,
@@ -269,6 +269,11 @@ def test_compile_guard_fails_fast():
 def test_search_dimension_validation():
     with pytest.raises(ValueError):
         max_strongly_free(s3ap(3), 0)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        compile_system(s3ap(3), 0, weak=False)
+    # every point alone is a weak support of a one-variable system: the search answers it
+    with pytest.raises(ValueError, match="a weak compile needs at least two variables"):
+        compile_system(FpSystem(3, 1, ((0,),)), 1, weak=True)
 
 
 def test_search_refuses_a_system_not_balanced_mod_p():
@@ -321,6 +326,8 @@ def test_extendable_pairs_full_line():
         extendable_pairs(t, [space_points(3, 1)] * 3, 1, 1)
     with pytest.raises(ValueError):
         extendable_pairs(t, [space_points(3, 1)] * 3, 0, 3)
+    with pytest.raises(ValueError, match="expected 3 candidate sets, got 2"):
+        extendable_pairs(t, [space_points(3, 1)] * 2, 0, 1)
 
 
 def test_build_colored_subcollection_single_progression():

@@ -96,8 +96,12 @@ SMALL_SPACES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2),
 
 
 @st.composite
-def small_balanced_systems(draw):
-    r = draw(st.integers(min_value=2, max_value=4))
+def small_balanced_systems(draw, p):
+    """1-2 rows in 1-4 variables, balanced mod p: over Z in 2-4 variables,
+    and c x1 with p | c in one."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    if r == 1:
+        return ZSystem(1, ((p * draw(st.sampled_from([-2, -1, 1, 2])),),))
     rows = []
     for _ in range(draw(st.integers(min_value=1, max_value=2))):
         head = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(r - 1)]
@@ -143,9 +147,12 @@ def _brute_force_maximum(t, n, weak):
 
 
 @settings(deadline=None, max_examples=60)
-@given(small_balanced_systems(), st.sampled_from(SMALL_SPACES), st.booleans())
-def test_compiled_search_matches_brute_force(s, space, weak):
-    p, n = space
+@given(st.sampled_from(SMALL_SPACES).flatmap(
+           lambda space: st.tuples(st.just(space), small_balanced_systems(space[0]))),
+       st.booleans())
+@example(((3, 2), ZSystem(1, ((3,),))), True)
+def test_compiled_search_matches_brute_force(case, weak):
+    (p, n), s = case
     t = reduce_mod_p(s, p)
     res = (max_weakly_free if weak else max_strongly_free)(t, n)
     assert res.exhaustive
@@ -317,7 +324,7 @@ def test_chained_reductions_match_a_partition_model(s, data):
             step = _reduce_detailed(current, subset)
             merged = _merged_blocks(current, blocks, subset)
             assert step.subsystem == subset
-            assert step.coefficient == max(dominance_of(current.rows[i]).coefficient for i in subset)
+            assert step.coefficient == max(dominance_of(current.rows[i]) for i in subset)
             assert step.result.names == tuple(_block_name(b) for b, _ in merged)
             rows = (tuple(sum(row[a] for a in b) for b, _ in merged) for row in s.rows)
             assert step.result.rows == tuple(row for row in rows if any(row))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from linsys.cli import main
-from linsys.lattice import CENSUS_GUARD, _census_bytes
+from linsys.lattice import CENSUS_GUARD, _by_recurrence, _census_bytes
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -48,11 +48,21 @@ def test_cli_example_lines_appear_in_order(command):
     assert missing == []
 
 
-@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("n", [2, 5, 18])
 def test_limits_table_names_the_census_edges(n):
     # the row "`--n N --k K`, the largest K at N = n" of the limits table
     row = re.search(rf"^\| \| `--n (\d+) --k (\d+)`, the largest K at N = {n}\b.*$", README, re.M)
     assert row is not None, f"no limits-table row for the largest K at N = {n}"
     k = int(row.group(2))
     assert int(row.group(1)) == n
+    assert _census_bytes(n, k) <= CENSUS_GUARD < _census_bytes(n, k + 1)
+
+
+def test_limits_table_names_the_largest_k_on_the_limbs():
+    # the row "`--n N --k K`, the largest K on the limbs just below N = N + 1"
+    row = re.search(r"^\| \| `--n (\d+) --k (\d+)`, the largest K on the limbs just below N = (\d+)\b.*$",
+                    README, re.M)
+    assert row is not None, "no limits-table row for the largest K on the limbs"
+    n, k, switch = map(int, row.groups())
+    assert n + 1 == switch and not _by_recurrence(n, k) and _by_recurrence(switch, k)
     assert _census_bytes(n, k) <= CENSUS_GUARD < _census_bytes(n, k + 1)
