@@ -43,7 +43,6 @@ from .lattice import (
 from .oracle import (
     DEFAULT_NODE_BUDGET,
     Matching,
-    PointSet,
     SearchResult,
     is_multicolored_free,
     is_strongly_free,
@@ -77,14 +76,7 @@ def _load_system(name_or_path: str) -> ZSystem:
                          f"({', '.join(builtin_names())})")
 
 
-#: what the C encoder writes just as _jsonable would write it: no float,
-#: whose inf and nan JSON lacks, and no bool key, which it writes as "true"
-_PLAIN_KEYS = frozenset({int, str})
-_PLAIN_LEAVES = frozenset({int, str, bool, type(None)})
-
-
 def _jsonable(obj: Any) -> Any:
-    # leaves first: reports carry tens of thousands of them
     if isinstance(obj, (str, bool, int)) or obj is None:
         return obj
     if isinstance(obj, float):
@@ -92,13 +84,8 @@ def _jsonable(obj: Any) -> Any:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        # a map of plain leaves goes to the encoder as it is
-        if set(map(type, obj)) <= _PLAIN_KEYS and set(map(type, obj.values())) <= _PLAIN_LEAVES:
-            return obj
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) <= _PLAIN_LEAVES:  # witnesses
-            return obj if isinstance(obj, list) else list(obj)
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator, "value": float(obj)}
@@ -225,7 +212,8 @@ def _epsilon(text: str) -> Fraction:
 
 
 def _read_points(path: str) -> list[tuple[int, ...]]:
-    """The rows of integers in ``path``, all as wide as the first."""
+    """The rows of integers in ``path``, all as wide as the first; a file
+    of none is the empty list."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -239,8 +227,6 @@ def _read_points(path: str) -> list[tuple[int, ...]]:
             raise ParseError(f"line {lineno}: expected {len(rows[0])} columns like the first row, "
                              f"got {len(entries)}")
         rows.append(entries)
-    if not rows:
-        raise ParseError(f"{path}: no point rows found")
     return rows
 
 
@@ -431,18 +417,16 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     s = _load_system(args.system)
     t = reduce_mod_p(s, args.p)
+    rows = _read_points(args.set)
     if args.kind == "multicolor":
-        flat = _read_points(args.set)
-        width = len(flat[0])
+        width = len(rows[0]) if rows else 0  # no rows: Matching refuses them
         if width % t.r:
             raise ParseError(f"matching rows need r*n = {t.r}*n columns, got {width}")
         n = width // t.r
-        rows = tuple(tuple(row[i * n:(i + 1) * n] for i in range(t.r)) for row in flat)
-        holds = is_multicolored_free(t, Matching(rows))
-    else:
-        pts = _read_points(args.set)
-        a = PointSet(args.p, len(pts[0]), tuple(pts))
-        holds = is_strongly_free(t, a) if args.kind == "strong" else is_weakly_free(t, a)
+        matching = Matching(tuple(tuple(row[i * n:(i + 1) * n] for i in range(t.r)) for row in rows))
+        holds = is_multicolored_free(t, matching)
+    else:  # no rows: the empty set
+        holds = (is_strongly_free if args.kind == "strong" else is_weakly_free)(t, rows)
     _emit({"kind": args.kind, "holds": holds}, args)
     if not holds:
         raise VerificationFailure(f"{args.kind} freeness does not hold")
@@ -497,7 +481,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
         else:
             report["lower_strong"] = lower["strong"]
             k = (p - 1) // trace.b_tilde
-            if args.n is not None and args.n >= 2:
+            if args.n == 1:
+                report["sphere"] = None
+                report["sphere_note"] = "sphere sets need n >= 2; not built"
+            elif args.n is not None:
                 try:
                     sphere = best_sphere_set(args.n, k)
                 except GuardExceeded as exc:  # the materialization or the census guard

@@ -22,7 +22,8 @@ join.  A branch dies when even all of those could not beat the record, so
 the first maximum set found is the lexicographically least one.  A weak
 search of a one-variable system is answered before compiling: balance mod p
 makes its row vanish, so every point alone is a solution and only the empty
-set is weakly free.
+set is weakly free.  A compile that files no support is answered by the
+whole space, which is then free.
 
 Every linear bijection of F_p^n also maps free sets to free sets of the
 same size, so a set that takes a unit vector never tries the branch that
@@ -34,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ from .systems import builtin
 
 #: largest product of the free positions' set sizes an enumeration takes on
 ENUMERATION_GUARD = 10**8
-#: largest solution table (solutions times r) and point count a search compiles
+#: largest solution table (rows times r) a search compiles; an eighth of it caps its points
 COMPILE_GUARD = 4_000_000
 #: sets a search visits before it stops with exhaustive=False
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -80,13 +80,6 @@ class PointSet:
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
-
-    @cached_property
-    def _lookup(self) -> frozenset:
-        return frozenset(self.points)
-
-    def __contains__(self, pt: object) -> bool:
-        return pt in self._lookup
 
 
 @dataclass(frozen=True)
@@ -187,13 +180,14 @@ def _solution_table(rows: Sequence[Sequence[int]], sets: Sequence[Sequence[Point
     the product of the free positions' set sizes before any work."""
     r = len(sets)
     pins = {col: row for row, col in _pin_rows(rows, r, p)}
-    if any(len(s) == 0 for s in sets):
+    uniq = {id(s): s for s in sets}
+    # an empty set, or fewer points in all than r distinct entries need, leaves no solution
+    if any(len(s) == 0 for s in sets) or distinct and sum(map(len, uniq.values())) < r:
         return
     work = math.prod(len(s) for v, s in enumerate(sets) if v not in pins)
     if work > ENUMERATION_GUARD:
         raise GuardExceeded(f"enumeration would take ~{work} frontier entries (> {ENUMERATION_GUARD})")
 
-    uniq = {id(s): s for s in sets}
     start = dict(zip(uniq, itertools.accumulate((len(s) for s in uniq.values()), initial=0)))
     dim = len(sets[0][0])
     # point keys and products of entries stay below 2^63, or Python ints are used
@@ -278,8 +272,8 @@ def is_strongly_free(t: FpSystem, a) -> bool:
 
 def is_weakly_free(t: FpSystem, a) -> bool:
     """No solution within ``a`` whose r entries are pairwise distinct."""
-    pts = _canonical_points(t.p, a)  # fewer than r points hold no r distinct entries
-    return len(pts) < t.r or next(_solution_table(t.rows, [pts] * t.r, t.p, distinct=True), None) is None
+    pts = _canonical_points(t.p, a)
+    return next(_solution_table(t.rows, [pts] * t.r, t.p, distinct=True), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +306,14 @@ def compile_system(t: FpSystem, n: int, weak: bool) -> CompiledSystem:
 
     The solution engine runs over all of F_p^n, whose points it indexes in
     lexicographic order.  Row reduction mod p leaves r - rank free
-    positions, so there are p^(n (r - rank)) solutions.  COMPILE_GUARD
-    bounds that count times r (the entries of the solution table) and
-    p^n, and is checked before any work.
+    positions, so there are p^(n (r - rank)) solutions, and a weak table
+    keeps only those with r distinct entries, at most p^n (p^n - 1) ...
+    (p^n - r + 1).  Before any work, COMPILE_GUARD bounds the table's rows
+    times r, and an eighth of it bounds p^n: a point costs about eight
+    times what a table entry does.  A system with a support has two free
+    positions or more, so the table clause holds it to about p^(2n) r
+    entries; past that many points only a system with no support gets
+    through, and the search answers it with the whole space.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -322,10 +321,12 @@ def compile_system(t: FpSystem, n: int, weak: bool) -> CompiledSystem:
     if weak and r < 2:
         raise ValueError("a weak compile needs at least two variables: every point alone is a support")
     free = r - len(_pin_rows(t.rows, r, p))
-    if power_exceeds(p, n * free, COMPILE_GUARD // r) or power_exceeds(p, n, COMPILE_GUARD):
+    if power_exceeds(p, n, COMPILE_GUARD // 8):
+        raise GuardExceeded(f"compiling over {p}^{n} points exceeds the guard ({COMPILE_GUARD // 8} points)")
+    size, count = p**n, p ** (n * free)
+    if r * (min(count, math.perm(size, r)) if weak else count) > COMPILE_GUARD:
         raise GuardExceeded(f"compiling {p}^{n * free} solutions over {p}^{n} points "
                             f"exceeds the guard ({COMPILE_GUARD} table entries)")
-    size, count = p**n, p ** (n * free)
 
     space = np.indices((p,) * n).reshape(n, size).T
     table = np.concatenate([np.empty((0, r), dtype=np.int64), *_solution_table(t.rows, [space] * r, p, distinct=weak)])
@@ -391,15 +392,13 @@ def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]
     if not t.is_balanced:  # the zero vector in every set needs translation invariance
         raise ValueError(f"system is not balanced mod {t.p}: the search needs every row to sum to 0 mod {t.p}")
     p = t.p
-    if weak and not power_exceeds(p, n, t.r - 1):
-        # fewer points than positions: no tuple can have r distinct entries
-        pts = space_points(p, n)
-        return SearchResult(len(pts), PointSet(p, n, pts), 0, True)
     if weak and t.r == 1:
         # balance mod p makes the row vanish, so every point alone is a solution
         return SearchResult(0, PointSet(p, n, ()), 0, True)
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     comp = compile_system(t, n, weak)
+    if not comp.supports:  # nothing to avoid: the whole space is free
+        return SearchResult(comp.size, PointSet(p, n, space_points(p, n)), 0, True)
 
     # include-first DFS over ascending point indices from {0}; each stack
     # frame holds the points that may still join its set
@@ -447,8 +446,7 @@ def max_strongly_free(t: FpSystem, n: int, node_budget: Optional[int] = None) ->
 
 def max_weakly_free(t: FpSystem, n: int, node_budget: Optional[int] = None) -> SearchResult:
     """Like max_strongly_free but forbidding only pairwise-distinct
-    solutions; p^n < r short-circuits to the whole space, and r = 1 to
-    the empty set."""
+    solutions; r = 1 gives the empty set."""
     return _search_max_free(t, n, weak=True, node_budget=node_budget)
 
 

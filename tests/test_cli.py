@@ -540,6 +540,23 @@ def test_search_past_the_compile_guard_is_input_error(capsys):
     assert code == 1 and "guard" in err
 
 
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+def test_search_answers_a_system_with_no_support_up_to_the_point_clause(capsys, tmp_path, kind):
+    system = tmp_path / "system.lineq"
+    system.write_text("x1 - x2 = 0\n")
+    code, rep, err = run_json(capsys, "search", "--system", str(system), "--p", "211", "--n", "2",
+                              "--kind", kind)
+    assert code == 0 and err == ""
+    assert (rep["value"], rep["nodes_explored"], rep["exhaustive"]) == (211**2, 0, True)
+    assert rep["witness"][:2] == ["0,0", "0,1"] and len(rep["witness"]) == 211**2
+    for p in ("709", "1409"):  # one prime past the point clause's edge (701^2 points), and far past it
+        start = time.monotonic()
+        code, out, err = run(capsys, "search", "--system", str(system), "--p", p, "--n", "2", "--kind", kind)
+        assert time.monotonic() - start < 1
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err == f"error: compiling over {p}^2 points exceeds the guard (500000 points)\n"
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_weak_search_and_verify_agree_on_one_variable(capsys, tmp_path, n):
     # 3x1 = 0 vanishes mod 3: verify refuses every one-point set, so the maximum is empty
@@ -549,6 +566,10 @@ def test_weak_search_and_verify_agree_on_one_variable(capsys, tmp_path, n):
                               "--kind", "weak")
     assert code == 0
     assert (rep["value"], rep["witness"], rep["nodes_explored"], rep["exhaustive"]) == (0, [], 0, True)
+    points.write_text("".join(pt + "\n" for pt in rep["witness"]))  # the reported witness itself
+    code, rep, err = run_json(capsys, "verify", "--system", str(system), "--p", "3", "--kind", "weak",
+                              "--set", str(points))
+    assert code == 0 and rep["holds"] is True
     for pt in itertools.product(range(3), repeat=n):
         points.write_text(",".join(map(str, pt)) + "\n")
         code, rep, err = run_json(capsys, "verify", "--system", str(system), "--p", "3", "--kind", "weak",
@@ -644,12 +665,22 @@ def test_verify_refuses_a_ragged_file_naming_its_line(capsys, tmp_path):
             ("multicolor", "1 1 2 2 3\n4 4 0 0 1 7\n", "line 2: expected 5 columns like the first row, got 6"),
             ("strong", "# points\n0 1\n2\n", "line 3: expected 2 columns like the first row, got 1"),
             ("strong", "0 1\n1 x\n", "line 2: not a row of integers"),
-            ("weak", "# no points\n\n", f"{path}: no point rows found")):
+            ("multicolor", "# no rows\n\n", "matching needs at least one row")):
         path.write_text(text)
         code, out, err = run(capsys, "verify", "--system", "SW", "--p", "5", "--kind", kind,
                              "--set", str(path))
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+def test_verify_reads_a_file_of_no_rows_as_the_empty_set(capsys, tmp_path, kind):
+    path = tmp_path / "pts.csv"
+    for text in ("", "# no points\n\n"):
+        path.write_text(text)
+        code, rep, err = run_json(capsys, "verify", "--system", "SW", "--p", "5", "--kind", kind,
+                                  "--set", str(path))
+        assert code == 0 and rep == {"kind": kind, "holds": True} and err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +788,14 @@ def test_certify_reports_a_sphere_refused_by_the_census_guard_as_null(capsys):
     assert rep["sphere_note"].startswith("sphere set refused: a census of 33538051 norm classes")
     assert rep["b_tilde"] == 2 and rep["lower_strong"] and rep["upper_strong"] > 0
     assert not [c for c in rep["checks"] if "sphere" in c["name"]]
+
+
+def test_certify_at_n_1_says_why_it_builds_no_sphere(capsys):
+    code, rep, err = run_json(capsys, "certify", "--system", "S3AP", "--p", "7", "--n", "1")
+    assert code == 0 and rep["verified"] is True and err == ""
+    assert rep["lower_strong"]["b"] == 2
+    assert rep["sphere"] is None and rep["sphere_note"] == "sphere sets need n >= 2; not built"
+    assert "sphere_check" not in rep and not [c for c in rep["checks"] if "sphere" in c["name"]]
 
 
 @pytest.mark.parametrize("system, kind", [("S3AP", "strong"), ("SW", "weak")])

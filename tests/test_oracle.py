@@ -5,6 +5,7 @@ import pytest
 from linsys.eqsys import FpSystem, parse_system, reduce_mod_p
 from linsys.errors import GuardExceeded
 from linsys.oracle import (
+    COMPILE_GUARD,
     Matching,
     compile_system,
     PointSet,
@@ -194,9 +195,15 @@ def test_max_strongly_free_w_system_is_trivial():
 
 
 def test_max_weakly_free_shortcut_below_arity():
-    r = max_weakly_free(sw(3), 1)  # 3 points < 5 positions
+    r = max_weakly_free(sw(3), 1)  # 3 points < 5 positions: the compile files no support
     assert r.value == 3 and r.nodes_explored == 0 and r.exhaustive
     assert r.witness.points == space_points(3, 1)
+    # 9 points < 11 positions, 3 < 33: no table or enumeration bound stands in the way
+    for name, n in (("STAR5", 2), ("STAR16", 1)):
+        t = reduce_mod_p(builtin(name), 3)
+        r = max_weakly_free(t, n)
+        assert (r.value, r.nodes_explored, r.exhaustive) == (3**n, 0, True)
+        assert is_weakly_free(t, space_points(3, n))
 
 
 def test_max_weakly_free_matches_brute_force():
@@ -264,6 +271,19 @@ def test_compile_guard_fails_fast():
         max_weakly_free(sw(3), 5)
     with pytest.raises(GuardExceeded):
         compile_system(s3ap(3), 7, weak=False)  # 3^14 solutions of 3 entries, past 4,000,000
+
+
+@pytest.mark.parametrize("search", [max_strongly_free, max_weakly_free])
+def test_a_system_with_no_support_is_answered_by_the_whole_space(search):
+    # x1 = x2: every solution is constant, and none has two distinct entries
+    p, past = 701, 709  # the point clause's edge at n = 2, and the next prime
+    assert p * p <= COMPILE_GUARD // 8 < past * past
+    t = reduce_mod_p(parse_system("x1 - x2 = 0"), p)
+    r = search(t, 2, node_budget=1)  # a walk would keep a p^2-bit mask per point it takes
+    assert (r.value, r.nodes_explored, r.exhaustive) == (p * p, 0, True)
+    assert r.witness.points == space_points(p, 2)
+    with pytest.raises(GuardExceeded, match=f"over {past}\\^2 points"):
+        search(reduce_mod_p(parse_system("x1 - x2 = 0"), past), 2)
 
 
 def test_search_dimension_validation():

@@ -15,7 +15,7 @@ from linsys.dominance import (
     dominance_of,
     reduction_sequence,
 )
-from linsys.eqsys import ZSystem, parse_system, reduce_mod_p, render_system
+from linsys.eqsys import FpSystem, ZSystem, parse_system, reduce_mod_p, render_system
 from linsys.lattice import norm_class_counts, sphere_set_checks, verify_construction
 from linsys.oracle import (
     is_strongly_free,
@@ -157,6 +157,28 @@ def test_compiled_search_matches_brute_force(case, weak):
     res = (max_weakly_free if weak else max_strongly_free)(t, n)
     assert res.exhaustive
     assert (res.value, res.witness.points) == _brute_force_maximum(t, n, weak)
+
+
+def test_search_matches_brute_force_on_every_small_system():
+    # every system over F_p in r <= 3 variables with L <= 2 rows balanced mod p (zero
+    # rows and L = 0 included), at each p^n <= 9, strong and weak: most have no
+    # support (constant solutions only, weak ones on fewer points than variables)
+    # and are answered by the whole space without a set visited
+    whole = 0
+    for p, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
+        for r in (1, 2, 3):
+            rows = [row for row in itertools.product(range(p), repeat=r) if sum(row) % p == 0]
+            for count in (0, 1, 2):
+                for chosen in itertools.combinations_with_replacement(rows, count):
+                    t = FpSystem(p, r, chosen)
+                    for weak in (False, True):
+                        res = (max_weakly_free if weak else max_strongly_free)(t, n)
+                        assert res.exhaustive
+                        assert (res.value, res.witness.points) == _brute_force_maximum(t, n, weak)
+                        if res.value == p**n:
+                            whole += 1
+                            assert res.nodes_explored == 0
+    assert whole == 3004
 
 
 def test_supermultiplicativity_spot_check():

@@ -1,14 +1,20 @@
 """The README's examples still run and still show what they say."""
 import contextlib
 import io
+import itertools
 import math
 import re
 from pathlib import Path
 
 import pytest
 
+import linsys.oracle
+from linsys.arith import is_prime
 from linsys.cli import main
+from linsys.eqsys import parse_system, reduce_mod_p
+from linsys.errors import GuardExceeded
 from linsys.lattice import CENSUS_GUARD, _by_recurrence, _census_bytes
+from linsys.oracle import compile_system
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -56,6 +62,30 @@ def test_limits_table_names_the_census_edges(n):
     k = int(row.group(2))
     assert int(row.group(1)) == n
     assert _census_bytes(n, k) <= CENSUS_GUARD < _census_bytes(n, k + 1)
+
+
+class _Admitted(Exception):
+    """Raised in place of the enumeration, once the compile guard has let a system through."""
+
+
+def test_limits_table_names_the_point_clause_edge(monkeypatch):
+    # the row "search point clause ... `--p P --n N`, the largest p at n = N"
+    row = re.search(r"^\| search point clause .* --p (\d+) --n (\d+)`, the largest p at n = (\d+)\b.*$",
+                    README, re.M)
+    assert row is not None, "no limits-table row for the point clause's edge"
+    p, n, at = map(int, row.groups())
+    assert n == at
+    past = next(q for q in itertools.count(p + 1) if is_prime(q))
+
+    def admitted(*args, **kwargs):
+        raise _Admitted
+
+    monkeypatch.setattr(linsys.oracle, "_solution_table", admitted)
+    t = parse_system("x1 - x2 = 0")
+    with pytest.raises(_Admitted):
+        compile_system(reduce_mod_p(t, p), n, weak=False)
+    with pytest.raises(GuardExceeded, match=f"over {past}\\^{n} points"):
+        compile_system(reduce_mod_p(t, past), n, weak=False)
 
 
 def test_limits_table_names_the_largest_k_on_the_limbs():
