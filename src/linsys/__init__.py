@@ -3,18 +3,16 @@ solution-free subsets of F_p^n under balanced systems of linear equations."""
 
 import os
 
-# set before .bounds loads numpy: linsys makes no BLAS call, and OpenBLAS's idle pool spins
+# set before .lattice loads numpy: linsys makes no BLAS call, and OpenBLAS's idle pool spins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .bounds import (
     BoundReport,
-    bound_small_p,
     c_tilde,
     count_theta,
     g_value,
     lambda_min,
     optimize_allocation,
-    parallelogram_upper,
     star_inequality,
     upper_bound_strong,
     wshape_upper,
@@ -69,9 +67,8 @@ from .systems import builtin, builtin_names
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "bound_small_p", "c_tilde", "count_theta",
-    "g_value", "lambda_min", "optimize_allocation", "parallelogram_upper",
-    "star_inequality", "upper_bound_strong", "wshape_upper",
+    "BoundReport", "c_tilde", "count_theta", "g_value", "lambda_min",
+    "optimize_allocation", "star_inequality", "upper_bound_strong", "wshape_upper",
     "LowerBoundReport", "ReductionStep", "ReductionTrace",
     "dominance_of", "lower_bound_strong", "lower_bound_weak", "reduction_sequence",
     "FpSystem", "ZSystem",

@@ -38,9 +38,10 @@ m0/2, l is unpinned.  Where the steps run out, the allocation reached is
 rescaled to sum to L, so its value is still a bound.
 
 Every report's ``value`` is G at u = e^(-t), computed from the t found
-itself, so it is never below the corresponding infimum.  The reported
-optimizer is that u rounded to a float, and G there matches ``value``
-within 3e-15 relative only up to h = 10^9 (see lambda_min).
+itself, so it is never below the corresponding infimum.  g_value computes
+G the same way, from t = -ln u.  The reported optimizer is that u rounded
+to a float, and G there matches ``value`` within 4e-15 relative only up
+to h = 10^9 (see lambda_min).
 """
 from __future__ import annotations
 
@@ -49,8 +50,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
-
-import numpy as np
 
 from .arith import is_prime
 from .eqsys import FpSystem
@@ -70,11 +69,9 @@ class BoundReport:
 
 
 def g_value(m: int, alpha, h: int, u: float) -> float:
-    """Evaluate G_{m,alpha,h}(u) in extended (80-bit) precision.
-
-    Uses the closed geometric form away from u = 1; returns inf when the
-    value exceeds the double range (possible for tiny u and large alpha*h).
-    """
+    """Evaluate G_{m,alpha,h}(u) as exp(alpha*h*t + ln S(t)) at t = -ln u,
+    the form lambda_min computes its value in; m*h + 1 at u = 1, and inf
+    where G passes the float range (tiny u and large alpha*h)."""
     if m < 1 or h < 1:
         raise ValueError("need m >= 1 and h >= 1")
     af = float(alpha)
@@ -82,16 +79,13 @@ def g_value(m: int, alpha, h: int, u: float) -> float:
         raise ValueError("alpha must be >= 0")
     if not (0.0 < u <= 1.0):
         raise ValueError("u must lie in (0, 1]")
-    M = m * h
     if u == 1.0:
-        return float(M + 1)
-    ud = np.longdouble(u)
-    lu = np.log(ud)
-    num = -np.expm1((M + 1) * lu)      # 1 - u^(M+1)
-    den = -np.expm1(lu)                # 1 - u
-    with np.errstate(over="ignore"):
-        val = np.exp(-np.longdouble(af) * h * lu) * num / den
-    return float(val)
+        return float(m * h + 1)
+    t = -math.log(u)
+    try:
+        return math.exp(af * h * t + _log_s(m * h, t))
+    except OverflowError:
+        return math.inf
 
 
 def _log_s(M: int, t: float) -> float:
@@ -174,9 +168,10 @@ def lambda_min(m: int, alpha, h: int) -> BoundReport:
     mean of the tilted geometric weights on {0..m*h}.  The returned value
     is G at that u, computed from t itself, so never below the true
     minimum.  The reported optimizer is u rounded to a float: g_value there
-    matches value within 3e-15 relative up to h = 10^9, but rounding u
-    loses t as h grows past that (g_value is 6.5e-11 higher at h = 10^12,
-    5.3e-5 at 10^15, and 19% at 10^18 + 2, where u rounds to 1.0).
+    matches value within 4e-15 relative up to h = 10^9, but rounding u
+    loses t as h grows past that (for m = 1, alpha = 1/3, g_value is
+    6.5e-11 higher at h = 10^12, 5.3e-5 at 10^15, and 19% at 10^18 + 2,
+    where u rounds to 1.0).
     """
     if m < 1 or h < 1:
         raise ValueError("need m >= 1 and h >= 1")
@@ -361,38 +356,12 @@ def upper_bound_strong(t: FpSystem, n: int, allocation: Optional[BoundReport] = 
     return _power(rep.value, n)
 
 
-def bound_small_p(t: FpSystem, N: int) -> BoundReport:
-    """Tensor-power form: (1/p) * c_tilde(r1,r2,L,m; q)^(1/N) with q = p^N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    q = t.p**N
-    if q > 2**62:
-        raise ValueError(f"q = p^N = {q} overflows the working integer range (2^62)")
-    h = build_hypergraph(t)
-    if h.r1 == 0 and h.r2 == 0:
-        raise ValueError("system has no equations")
-    rep = c_tilde(h.r1, h.r2, h.L, max(h.m_max, 1), q)
-    return BoundReport(rep.value ** (1.0 / N) / t.p, None, f"tensor-power(N={N},q={q})")
-
-
-def _seven_half_power(p: int, n: int, base: Callable[[int], float]) -> float:
-    """7 * (base(p) * p)^(n/2) for a prime p >= 3; math.inf when it
-    overflows a float."""
+def wshape_upper(p: int, n: int) -> float:
+    """7 * (C_W(p) * p)^(n/2), the distinct-point-solution-free set bound
+    attached to the five-variable W system, for a prime p >= 3;
+    C_W(p) = c_tilde(3,2,2,2,p).  math.inf when it overflows a float."""
     if p < 3 or not is_prime(p):
         raise ValueError("p must be a prime >= 3")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return 7.0 * _power(base(p) * p, n / 2.0)
-
-
-def wshape_upper(p: int, n: int) -> float:
-    """7 * (C_W(p) * p)^(n/2), the distinct-point-solution-free set bound
-    attached to the five-variable W system; C_W(p) = c_tilde(3,2,2,2,p).
-    math.inf when it overflows a float."""
-    return _seven_half_power(p, n, lambda q: c_tilde(3, 2, 2, 2, q).value)
-
-
-def parallelogram_upper(p: int, n: int) -> float:
-    """7 * (sqrt(Lambda_{1,1/4,p-1} * p))^n for the four-variable
-    parallelogram system; math.inf when it overflows a float."""
-    return _seven_half_power(p, n, lambda q: lambda_min(1, 0.25, q - 1).value)
+    return 7.0 * _power(c_tilde(3, 2, 2, 2, p).value * p, n / 2.0)

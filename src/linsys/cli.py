@@ -196,6 +196,14 @@ def _float_range_int(text: str) -> int:
     return value
 
 
+def _alpha(text: str) -> Fraction:
+    """``--alpha``, checked while parsing: the bounds read it as a float."""
+    alpha = _fraction(text)
+    if abs(alpha) > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"values {_FLOAT_RANGE}")
+    return alpha
+
+
 def _check_top(top: int, options: str) -> None:
     """Refuse a top exponent M = m*h past the float range, naming the
     options it is made of: the bounds read M as a float."""
@@ -597,7 +605,7 @@ def _fill(name: str, sp: argparse.ArgumentParser) -> None:
     elif name == "lambda":
         common()
         sp.add_argument("--m", type=_float_range_int, required=True)
-        sp.add_argument("--alpha", type=_fraction, required=True,
+        sp.add_argument("--alpha", type=_alpha, required=True,
                         help="a decimal or a fraction: 0.5, 1e-3 or 1/3")
         sp.add_argument("--h", type=_float_range_int, required=True)
         sp.set_defaults(func=cmd_lambda)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -56,9 +57,25 @@ _CHUNK = 1 << 16
 Point = tuple[int, ...]
 
 
+def _is_canonical(points, p: int, n: int) -> bool:
+    """Whether ``points`` is a tuple of n-tuples of ints in [0, p), in
+    strictly ascending order."""
+    if type(points) is not tuple or not set(map(type, points)) <= {tuple}:
+        return False
+    if not set(map(len, points)) <= {n}:
+        return False
+    entries = itertools.chain.from_iterable
+    if not set(map(type, entries(points))) <= {int}:
+        return False
+    values = set(entries(points))
+    return (min(values, default=0) >= 0 and max(values, default=0) < p
+            and all(map(operator.lt, points, itertools.islice(points, 1, None))))
+
+
 @dataclass(frozen=True)
 class PointSet:
-    """A canonical subset of F_p^n: entries reduced mod p, sorted, deduped."""
+    """A canonical subset of F_p^n: entries reduced mod p, sorted, deduped.
+    A tuple of points that is already canonical is kept as given."""
 
     p: int
     n: int
@@ -69,6 +86,8 @@ class PointSet:
             raise ValueError(f"p={self.p} is not prime")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
+        if _is_canonical(self.points, self.p, self.n):
+            return
         norm = sorted({tuple(c % self.p for c in pt) for pt in self.points})
         for pt in norm:
             if len(pt) != self.n:
@@ -292,13 +311,14 @@ class CompiledSystem:
     such a support, below q, is already chosen, its largest point x can no
     longer join.  ``forbid[q]`` files those supports in a trie keyed by the
     rest's points in descending order; a trie node is ``[xs, children]``,
-    xs the mask of the x's whose rest ends at that node.
+    xs the mask of the x's whose rest ends at that node.  Only a q that
+    files a support has a root.
     """
 
     size: int
     solutions: int
     supports: int
-    forbid: tuple[list, ...]   # per q: the root of its trie
+    forbid: dict[int, list]   # q -> the root of its trie
 
 
 def compile_system(t: FpSystem, n: int, weak: bool) -> CompiledSystem:
@@ -309,11 +329,14 @@ def compile_system(t: FpSystem, n: int, weak: bool) -> CompiledSystem:
     positions, so there are p^(n (r - rank)) solutions, and a weak table
     keeps only those with r distinct entries, at most p^n (p^n - 1) ...
     (p^n - r + 1).  Before any work, COMPILE_GUARD bounds the table's rows
-    times r, and an eighth of it bounds p^n: a point costs about eight
-    times what a table entry does.  A system with a support has two free
-    positions or more, so the table clause holds it to about p^(2n) r
-    entries; past that many points only a system with no support gets
-    through, and the search answers it with the whole space.
+    times r, and an eighth of it bounds p^n: the engine works on the n
+    digits of every point, so a point costs the compile up to about nine
+    times the memory of a table entry (740 against 78 bytes at p = 2,
+    n = 18; 120 bytes at n = 2).  Only a point that files a support gets a
+    trie root.  A system with a support has two free positions or more, so
+    the table clause holds it to about p^(2n) r entries; past that many
+    points only a system with no support gets through, and the search
+    answers it with the whole space.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -343,10 +366,12 @@ def compile_system(t: FpSystem, n: int, weak: bool) -> CompiledSystem:
     first[1:] = (table[1:] != table[:-1]).any(axis=1)
     table = table[first]
 
-    forbid = tuple([0, {}] for _ in range(size))
+    forbid: dict[int, list] = {}
     for row in table.tolist():
         x = row[-1]
-        node = forbid[row[-2]]
+        node = forbid.get(row[-2])
+        if node is None:
+            node = forbid[row[-2]] = [0, {}]
         for v in reversed(row[:-2]):
             if v < 0:
                 break
@@ -404,7 +429,8 @@ def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]
     # frame holds the points that may still join its set
     units = {p**j for j in range(n)}  # the indices of e_n, e_{n-1}, ..., e_1
     members = [0]
-    allowed = ((1 << comp.size) - 2) & ~comp.forbid[0][0]
+    root = comp.forbid.get(0)
+    allowed = ((1 << comp.size) - 2) & ~(root[0] if root else 0)
     stack = [allowed]
     best = [0]
     nodes = 1
@@ -423,7 +449,9 @@ def _search_max_free(t: FpSystem, n: int, weak: bool, node_budget: Optional[int]
         allowed ^= low
         # a frame that takes a unit vector skips the sets without it (see the docstring)
         stack[-1] = 0 if q in units else allowed
-        allowed &= ~_forbidden(comp.forbid[q], members, len(members))
+        root = comp.forbid.get(q)
+        if root is not None:  # only a q that files a support has a root
+            allowed &= ~_forbidden(root, members, len(members))
         members.append(q)
         nodes += 1
         if len(members) > len(best):

@@ -10,13 +10,11 @@ from linsys.bounds import (
     _allocate,
     _root,
     _tilt,
-    bound_small_p,
     c_tilde,
     count_theta,
     g_value,
     lambda_min,
     optimize_allocation,
-    parallelogram_upper,
     star_inequality,
     upper_bound_strong,
     wshape_upper,
@@ -38,6 +36,13 @@ def test_g_value_basics():
     assert g_value(1, 0.5, 2, 1.0) == 3.0
     val = g_value(1, 1 / 3, 2, 0.5930703359495244)
     assert abs(val - LAMBDA_1_3RD_2) < 1e-9
+
+
+def test_g_value_past_the_float_range_is_inf():
+    # u^(-alpha h) alone is at least 10^3000 in the first two; the third stays just inside
+    assert g_value(1, 10.0, 1, 1e-300) == math.inf
+    assert g_value(3, 10**6, 10**3, 1e-300) == math.inf
+    assert math.isfinite(g_value(1, 1.0, 700, math.exp(-1.0)))
 
 
 def test_g_value_validation():
@@ -196,45 +201,21 @@ def test_upper_bound_strong():
     assert upper_bound_strong(t, 0) == 1.0
 
 
-def test_bound_small_p_tensor_power_helps_w_system():
-    t = reduce_mod_p(builtin("SW"), 3)
-    base1 = bound_small_p(t, 1)
-    base2 = bound_small_p(t, 2)
-    assert abs(base1.value - c_tilde(3, 2, 2, 2, 3).value / 3) < 1e-12
-    # frozen comparison: squaring the modulus improves the per-point ratio
-    assert base2.value < base1.value
-    assert abs(base2.value - 0.99038) < 1e-3
-
-
-def test_bound_small_p_guard():
-    t = reduce_mod_p(builtin("SW"), 1009)
-    with pytest.raises(ValueError):
-        bound_small_p(t, 7)  # 1009^7 > 2^62
-
-
 def test_wshape_upper_matches_composition():
     # 7 * sqrt(C_W(p) * p)^n with C_W(p) the (3,2,2,2) blended constant
     cw = c_tilde(3, 2, 2, 2, 3).value
     assert abs(wshape_upper(3, 2) - 7 * cw * 3) < 1e-6
     assert abs(wshape_upper(3, 1) - 7 * math.sqrt(cw * 3)) < 1e-6
     assert 20.8 <= wshape_upper(3, 1) <= 21.0
+    for p, n in ((2, 1), (4, 1), (3, -1)):
+        with pytest.raises(ValueError):
+            wshape_upper(p, n)
 
 
 def test_upper_bounds_past_the_float_range_are_inf():
     t = reduce_mod_p(builtin("S3AP"), 3)
     assert upper_bound_strong(t, 2000) == math.inf
     assert wshape_upper(3, 4000) == math.inf
-    assert parallelogram_upper(3, 4000) == math.inf
-
-
-def test_parallelogram_upper_matches_composition():
-    lam = lambda_min(1, 0.25, 2).value
-    assert abs(parallelogram_upper(3, 1) - 7 * math.sqrt(lam * 3)) < 1e-9
-    assert abs(lam - LAMBDA_1_4TH_2) < 1e-8
-    with pytest.raises(ValueError):
-        parallelogram_upper(4, 1)
-    with pytest.raises(ValueError):
-        wshape_upper(2, 1)
 
 
 def test_root_stops_at_a_converged_step_on_the_bracket_end():

@@ -142,6 +142,13 @@ def test_integers_past_the_float_range_are_refused_while_parsing(capsys, argv, f
     assert err == f"error: argument {flag}: integers must lie within the float range (±1.8e+308)\n"
 
 
+@pytest.mark.parametrize("text", ["1e400", _PAST_FLOAT], ids=["exponent", "digits"])
+def test_alpha_past_the_float_range_is_refused_while_parsing(capsys, text):
+    code, out, err = run(capsys, "lambda", "--m", "1", "--alpha", text, "--h", "2")
+    assert code == 1 and out == ""
+    assert err == "error: argument --alpha: values must lie within the float range (±1.8e+308)\n"
+
+
 def test_lambda_missing_argument_exits(capsys):
     code, out, err = run(capsys, "lambda", "--m", "1", "--alpha", "0.5")
     assert code == 1 and out == ""

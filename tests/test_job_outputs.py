@@ -62,11 +62,28 @@ def job_digests(workdir: Path) -> dict[str, str]:
     return digests
 
 
-def test_every_job_prints_its_recorded_output(tmp_path):
+def changed_jobs(got: dict[str, str]) -> list[str]:
+    """The jobs whose digests in ``got`` differ from job_outputs.json, or
+    that only one of the two holds, sorted."""
     want = json.loads(DIGESTS.read_text())
-    got = job_digests(tmp_path)
-    changed = sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
-    assert changed == []
+    return sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
+
+
+def test_every_job_prints_its_recorded_output(tmp_path):
+    assert changed_jobs(job_digests(tmp_path)) == []
+
+
+def test_one_extra_byte_names_its_job(tmp_path, monkeypatch):
+    job, real_main = "behrend --n 40 --k 5", main
+
+    def main_with_a_byte(argv):
+        code = real_main(argv)
+        if argv == [*job.split(), "--format", "json"]:
+            print(end=" ")
+        return code
+
+    monkeypatch.setitem(globals(), "main", main_with_a_byte)
+    assert changed_jobs(job_digests(tmp_path)) == [f"seed {seed}: {job}" for seed in SEEDS]
 
 
 if __name__ == "__main__":

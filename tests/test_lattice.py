@@ -256,6 +256,9 @@ def test_sphere_set_validation():
         SphereSet(2, 1, 1, ((0, 1), (1,)))   # ragged
     with pytest.raises(ValueError):
         SphereSet(3, 2, 5, np.array([[0, 1, 2], [2, 2, 2]]))  # off the sphere, as an array
+    with pytest.raises(ValueError, match="in the box"):
+        # a cast to 32 bits would wrap 2^32 + 1 to 1, in the box and on the sphere
+        SphereSet(2, 1, 1, np.array([[0, 2**32 + 1]], dtype=np.int64))
     # construction sorts and freezes; duplicates stay, as before
     y = SphereSet(2, 1, 1, ((1, 0), (0, 1)))
     assert y.points == ((0, 1), (1, 0))

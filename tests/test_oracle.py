@@ -38,6 +38,12 @@ def test_point_set_normalizes():
     assert a.points == ((0,), (1,))  # 4 = 1, -2 = 1 mod 3
     assert len(a) == 2 and (1,) in a and (2,) not in a
     assert list(a) == [(0,), (1,)]
+    # points already reduced, sorted and distinct are kept as given
+    pts = space_points(5, 2)
+    assert PointSet(5, 2, pts).points is pts
+    for given in (((1,), (0,)), ((0,), (0,)), ((0,), (3,)), ((True,),), ([0],), [(0,)]):
+        assert PointSet(3, 1, given).points == tuple(sorted({(int(pt[0]) % 3,) for pt in given}))
+        assert all(type(pt) is tuple and type(pt[0]) is int for pt in PointSet(3, 1, given).points)
 
 
 def test_point_set_validation():
@@ -258,6 +264,9 @@ def test_compile_counts_solutions_and_supports():
     c = compile_system(s3ap(3), 2, weak=False)
     assert c.size == 9 and c.solutions == 81
     assert c.supports == 12  # the lines of AG(2,3)
+    # a trie root only for the points second-largest in some line
+    assert sorted(c.forbid) == [1, 3, 4, 5, 7]
+    assert compile_system(reduce_mod_p(parse_system("x1 - x2 = 0"), 5), 2, weak=False).forbid == {}
     # STAR systems share one variable among all equations; row reduction
     # handles them without enumerating free positions
     star = compile_system(reduce_mod_p(builtin("STAR3"), 5), 2, weak=False)
