@@ -223,6 +223,8 @@ def count_theta(m: int, alpha, h: int, n: int) -> int:
 
 def star_inequality(r1: int, r2: int, L: int) -> tuple[bool, float]:
     """Check r1/2 + r2/e > L; returns (verdict, margin)."""
+    if r1 < 0 or r2 < 0 or L < 1:
+        raise ValueError("need r1, r2 >= 0 and L >= 1")
     margin = r1 / 2.0 + r2 / math.e - L
     return margin > 0.0, margin
 

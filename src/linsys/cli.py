@@ -22,6 +22,8 @@ from pathlib import Path
 from types import GeneratorType
 from typing import Any, Callable, Iterable, Optional
 
+import numpy as np
+
 from . import bounds, structure
 from .arith import power_exceeds
 from .dominance import (
@@ -35,6 +37,7 @@ from .errors import GuardExceeded, ParseError
 from .lattice import (
     best_sphere_set,
     check_modulus,
+    json_chunks,
     norm_class_counts,
     pigeonhole_bound,
     sphere_set_checks,
@@ -406,7 +409,7 @@ def cmd_behrend(args: argparse.Namespace) -> int:
         if args.p is not None:
             report["p"] = args.p
         # the sphere is built here, before the first byte, so that its guard leaves stdout empty
-        report["points"] = best_sphere_set(args.n, args.k, counts).json_chunks()
+        report["points"] = json_chunks(best_sphere_set(args.n, args.k, counts).rows, args.k)
     _emit(report, args)
     return 0
 
@@ -416,8 +419,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     t = reduce_mod_p(s, args.p)
     fn = max_strongly_free if args.kind == "strong" else max_weakly_free
     res = fn(t, args.n, node_budget=args.node_budget)
+    top = args.p - 1
+    rows = np.fromiter(itertools.chain.from_iterable(res.witness), np.min_scalar_type(top)).reshape(-1, args.n)
     _emit({"kind": args.kind, "p": args.p, "n": args.n, "value": res.value,
-           "witness": [",".join(map(str, pt)) for pt in res.witness],
+           "witness": json_chunks(rows, top),
            "nodes_explored": res.nodes_explored, "exhaustive": res.exhaustive}, args)
     return 0
 

@@ -23,8 +23,9 @@ narrowest unsigned type that holds k, allocated at the census count, so
 it holds little more than the class's rows; a fill that does not end at
 that count is an error.  A SphereSet checks the rows once, a chunk at a
 time, and keeps them; it builds the points as tuples only when they are
-asked for, and writes them as reports print them, as JSON text built in
-numpy a chunk at a time, with no string per point.
+asked for.  json_chunks writes a sphere set's or a search witness's points
+as reports print them, as JSON text built in numpy a chunk at a time,
+with no string per point.
 
 On a sphere no integer solutions of a dominant equation exist except the
 constant ones (strict convexity of the Euclidean norm), which is what
@@ -71,6 +72,42 @@ def integer_rows(points: Sequence[Point], n: int) -> Optional[np.ndarray]:
     if arr.dtype.kind not in "iu" or arr.shape != (len(points), n):
         return None
     return arr
+
+
+def json_chunks(rows: np.ndarray, top: int) -> Iterator[str]:
+    """Integer rows with entries in [0, top] the way reports print points:
+    the JSON text of a list of strings of comma-joined entries (json.dumps
+    of that list, byte for byte), one text per chunk of 4,096 rows, "[]"
+    for no rows.  A chunk is written into a uint8 array, one row of it per
+    point: its quotes, its commas and each entry right-aligned in a field
+    of len(str(top)) bytes, then ", "; the padding (zero bytes) is dropped,
+    and the bytes are decoded once.  No string is built per point."""
+    if not len(rows):
+        yield "[]"
+        return
+    width = len(str(top))
+    narrow = np.min_scalar_type(top)  # every entry and 10^place fit
+    # a quote, n fields of width digit places each closed by a comma
+    # (the last by a quote), then ", "
+    size = rows.shape[1] * (width + 1) + 3
+    template = np.zeros(size, dtype=np.uint8)  # 0: padding
+    template[width + 1::width + 1] = ord(",")
+    template[[0, -3]] = ord('"')
+    template[-2:] = (ord(","), ord(" "))
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS].astype(narrow, copy=False)
+        buf = np.empty(len(chunk) * size + 1, dtype=np.uint8)
+        text = buf[1:].reshape(len(chunk), size)
+        text[:] = template
+        for place in range(width):  # top < 10: one place, no division
+            high = chunk // 10 ** place if place else chunk
+            digit = high % 10 + ord("0") if width > 1 else high + ord("0")
+            if place:
+                digit[high == 0] = 0  # padding ahead of a shorter entry
+            text[:, width - place:-2:width + 1] = digit
+        buf[0], buf[-2] = ord("["), ord("]")  # the last row's ", " becomes "]"
+        buf = buf[:-1]
+        yield str(buf[buf != 0].data if width > 1 else buf.data, "ascii")
 
 
 def lex_leads(arr: np.ndarray) -> np.ndarray:
@@ -126,42 +163,6 @@ class SphereSet:
 
     def __iter__(self):
         return iter(self.points)
-
-    def json_chunks(self) -> Iterator[str]:
-        """The points the way reports print them, as the JSON text of a
-        list of strings of comma-joined entries (json.dumps of that list,
-        byte for byte), one text per chunk of 4,096 rows, "[]" for an empty
-        set.  A chunk is written into a uint8 array, one row of it per
-        point: its quotes, its commas and each entry right-aligned in a
-        field of len(str(k)) bytes, then ", "; the padding (zero bytes) is
-        dropped, and the bytes are decoded once.  No string is built per
-        point."""
-        if not len(self.rows):
-            yield "[]"
-            return
-        width = len(str(self.k))
-        narrow = np.min_scalar_type(self.k)  # every entry and 10^place fit
-        # a quote, n fields of width digit places each closed by a comma
-        # (the last by a quote), then ", "
-        size = self.n * (width + 1) + 3
-        template = np.zeros(size, dtype=np.uint8)  # 0: padding
-        template[width + 1::width + 1] = ord(",")
-        template[[0, -3]] = ord('"')
-        template[-2:] = (ord(","), ord(" "))
-        for start in range(0, len(self.rows), _CHUNK_ROWS):
-            rows = self.rows[start:start + _CHUNK_ROWS].astype(narrow, copy=False)
-            buf = np.empty(len(rows) * size + 1, dtype=np.uint8)
-            text = buf[1:].reshape(len(rows), size)
-            text[:] = template
-            for place in range(width):  # k < 10: one place, no division
-                high = rows // 10 ** place if place else rows
-                digit = high % 10 + ord("0") if width > 1 else high + ord("0")
-                if place:
-                    digit[high == 0] = 0  # padding ahead of a shorter entry
-                text[:, width - place:-2:width + 1] = digit
-            buf[0], buf[-2] = ord("["), ord("]")  # the last row's ", " becomes "]"
-            buf = buf[:-1]
-            yield str(buf[buf != 0].data if width > 1 else buf.data, "ascii")
 
 
 def _census_bytes(n: int, k: int) -> int:
@@ -237,25 +238,18 @@ def _power_recurrence(n: int, k: int) -> list[int]:
     m q_m = Σ_{v=1..k} ((n+1) v² - m) q_{m-v²} with q_0 = 1; it is summed
     term by term into one Python int, a product and an add a term, with
     the weights (n+1) v² computed once, and every division by m is exact.
-    Below m = k² only the squares up to m have a term; from there on all
-    k do, and the loop runs over them with no bound test.
+    The list starts with k² zeros, the q_m of m < 0, so that a term with
+    v² > m reads 0 and needs no bound test; they are dropped at the end.
     """
-    top = n * k * k
-    terms = [(v * v, (n + 1) * v * v) for v in range(1, k + 1)]
-    q = [0] * (top + 1)
-    q[0] = 1
-    for m in range(1, k * k):
+    kk = k * k
+    terms = [(kk - v * v, (n + 1) * v * v) for v in range(1, k + 1)]
+    q = [0] * kk + [1] + [0] * (n * kk)
+    for m in range(1, n * kk + 1):
         acc = 0
-        for sq, weight in terms:
-            if sq > m:
-                break
-            acc += (weight - m) * q[m - sq]
-        q[m] = acc // m
-    for m in range(k * k, top + 1):
-        acc = 0
-        for sq, weight in terms:
-            acc += (weight - m) * q[m - sq]
-        q[m] = acc // m
+        for back, weight in terms:  # q[m + back] is q_{m - v²}
+            acc += (weight - m) * q[m + back]
+        q[kk + m] = acc // m
+    del q[:kk]
     return q
 
 
@@ -277,11 +271,8 @@ def _limb_convolution(n: int, k: int) -> list[int]:
     limbs = -(-((k + 1) ** n).bit_length() // bits)
     # (k+1)² fits one limb for any k whose census could be allocated at all
     pairs = np.bincount((squares[:, None] + squares).ravel(), minlength=n * kk + 1)
-    if limbs == 1:
-        acc = pairs[None]
-    else:
-        acc = np.zeros((limbs, pairs.size), dtype=np.int64)
-        acc[0] = pairs
+    acc = np.zeros((limbs, pairs.size), dtype=np.int64)
+    acc[0] = pairs
     del pairs
     nxt = np.empty_like(acc) if n > 2 else None  # each step zeroes the part it writes
     top, used, reach = 2 * kk, 1, (k + 1) ** 2  # largest norm, limbs in use, (k+1)^i

@@ -329,14 +329,13 @@ def compile_system(t: FpSystem, n: int, weak: bool) -> CompiledSystem:
     positions, so there are p^(n (r - rank)) solutions, and a weak table
     keeps only those with r distinct entries, at most p^n (p^n - 1) ...
     (p^n - r + 1).  Before any work, COMPILE_GUARD bounds the table's rows
-    times r, and an eighth of it bounds p^n: the engine works on the n
-    digits of every point, so a point costs the compile up to about nine
-    times the memory of a table entry (740 against 78 bytes at p = 2,
-    n = 18; 120 bytes at n = 2).  Only a point that files a support gets a
-    trie root.  A system with a support has two free positions or more, so
-    the table clause holds it to about p^(2n) r entries; past that many
-    points only a system with no support gets through, and the search
-    answers it with the whole space.
+    times r, and an eighth of it bounds p^n.  A balanced system with fewer
+    than two free positions has only constant solutions, never supports,
+    and is answered with none and no enumeration; one with a support is
+    held by the table clause to about p^(2n) r entries.  So past that many
+    points only a system with no support gets through, and the point
+    clause bounds the whole space that answers it.  Only a point that
+    files a support gets a trie root.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -350,6 +349,8 @@ def compile_system(t: FpSystem, n: int, weak: bool) -> CompiledSystem:
     if r * (min(count, math.perm(size, r)) if weak else count) > COMPILE_GUARD:
         raise GuardExceeded(f"compiling {p}^{n * free} solutions over {p}^{n} points "
                             f"exceeds the guard ({COMPILE_GUARD} table entries)")
+    if free < 2 and t.is_balanced:
+        return CompiledSystem(size, count, 0, {})
 
     space = np.indices((p,) * n).reshape(n, size).T
     table = np.concatenate([np.empty((0, r), dtype=np.int64), *_solution_table(t.rows, [space] * r, p, distinct=weak)])

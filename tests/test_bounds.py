@@ -124,6 +124,9 @@ def test_star_inequality_cases():
     assert not holds and margin < 0
     holds, margin = star_inequality(3, 0, 1)
     assert holds and abs(margin - 0.5) < 1e-12
+    for r1, r2, L in ((-1, 0, 1), (0, -1, 1), (3, 2, 0), (3, 2, -1)):
+        with pytest.raises(ValueError, match="need r1, r2 >= 0 and L >= 1"):
+            star_inequality(r1, r2, L)
 
 
 def test_c_tilde_forced_allocations():

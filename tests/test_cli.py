@@ -25,9 +25,9 @@ import linsys.lattice
 import linsys.oracle
 import linsys.structure
 from linsys.cli import _build_parser, _jsonable, main
-from linsys.eqsys import FpSystem, reduce_mod_p
+from linsys.eqsys import FpSystem, parse_system, reduce_mod_p
 from linsys.lattice import SphereSet, best_sphere_set, embed_mod_p
-from linsys.oracle import PointSet, is_strongly_free
+from linsys.oracle import PointSet, is_strongly_free, max_strongly_free, max_weakly_free
 from linsys.systems import builtin, builtin_names
 
 
@@ -273,6 +273,10 @@ def test_star_subcommand(capsys):
     assert code == 0 and rep["holds"] is True
     code, rep, err = run_json(capsys, "star", "--r1", "2", "--r2", "2", "--L", "2")
     assert rep["holds"] is False
+    # the counts ctilde refuses too
+    for r1, r2, L in (("-1", "0", "1"), ("0", "-1", "1"), ("3", "2", "0")):
+        code, out, err = run(capsys, "star", "--r1", r1, "--r2", r2, "--L", L)
+        assert code == 1 and out == "" and err == "error: need r1, r2 >= 0 and L >= 1\n"
 
 
 def test_upper_subcommand(capsys):
@@ -562,6 +566,36 @@ def test_search_answers_a_system_with_no_support_up_to_the_point_clause(capsys, 
         assert time.monotonic() - start < 1
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err == f"error: compiling over {p}^2 points exceeds the guard (500000 points)\n"
+
+
+@pytest.mark.parametrize("system, kind, p, n, budget", [
+    ("S3AP", "strong", 11, 1, None),         # two-digit entries
+    ("S3AP", "strong", 13, 2, 300),          # stopped at its budget
+    ("S3AP", "strong", 3, 3, None),
+    ("S3AP", "strong", 3, 4, 200),
+    ("SW", "weak", 7, 1, None),
+    ("x1 - x2 = 0", "strong", 67, 2, None),  # the whole space: 4,489 points, past one 4,096-row seam
+    ("x1 - x2 = 0", "weak", 11, 3, None),
+    ("x1 - x2 = 0", "strong", 11, 4, None),
+    ("3x1 = 0", "weak", 3, 2, None),         # the empty witness of a one-variable weak search
+])
+def test_search_witness_prints_as_its_points_joined(capsys, tmp_path, system, kind, p, n, budget):
+    if "=" in system:
+        (tmp_path / "system.lineq").write_text(system + "\n")
+        parsed, system = parse_system(system), str(tmp_path / "system.lineq")
+    else:
+        parsed = builtin(system)
+    search = max_strongly_free if kind == "strong" else max_weakly_free
+    res = search(reduce_mod_p(parsed, p), n, node_budget=budget)
+    witness = json.dumps([",".join(map(str, pt)) for pt in res.witness])
+    argv = ["search", "--system", system, "--kind", kind, "--p", str(p), "--n", str(n)]
+    argv += ["--node-budget", str(budget)] if budget else []
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and out == (f'{{"kind": "{kind}", "p": {p}, "n": {n}, "value": {res.value}, '
+                                 f'"witness": {witness}, "nodes_explored": {res.nodes_explored}, '
+                                 f'"exhaustive": {json.dumps(res.exhaustive)}}}\n')
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and f"\nwitness: {witness}\n" in out
 
 
 @pytest.mark.parametrize("n", [1, 2])

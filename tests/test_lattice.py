@@ -21,6 +21,7 @@ from linsys.lattice import (
     _power_recurrence,
     best_sphere_set,
     embed_mod_p,
+    json_chunks,
     norm_class_counts,
     pigeonhole_bound,
     sphere_set_checks,
@@ -308,8 +309,8 @@ def test_point_strings_join_the_entries(n, k):
     target = k * k + 1
     y = SphereSet(n, k, target, _materialize(n, k, target, norm_class_counts(n, k)[target]))
     strings = [",".join(map(str, pt)) for pt in y.points]
-    assert list(y.json_chunks()) == [json.dumps(strings[i:i + 4096]) for i in range(0, len(y) or 1, 4096)]
-    assert list(SphereSet(n, k, 0, ()).json_chunks()) == ["[]"]
+    assert list(json_chunks(y.rows, k)) == [json.dumps(strings[i:i + 4096]) for i in range(0, len(y) or 1, 4096)]
+    assert list(json_chunks(SphereSet(n, k, 0, ()).rows, k)) == ["[]"]
 
 
 def test_json_chunks_of_rows_given_as_tuples():
@@ -317,7 +318,7 @@ def test_json_chunks_of_rows_given_as_tuples():
     pts = ((0, 0, 10), (0, 6, 8), (6, 0, 8), (8, 6, 0), (10, 0, 0))
     y = SphereSet(3, 10, 100, pts)
     assert y.rows.dtype == np.int64
-    assert list(y.json_chunks()) == ['["0,0,10", "0,6,8", "6,0,8", "8,6,0", "10,0,0"]']
+    assert list(json_chunks(y.rows, y.k)) == ['["0,0,10", "0,6,8", "6,0,8", "8,6,0", "10,0,0"]']
 
 
 @pytest.mark.parametrize("points, expected", [

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import linsys.oracle
 from linsys.eqsys import FpSystem, parse_system, reduce_mod_p
 from linsys.errors import GuardExceeded
 from linsys.oracle import (
@@ -271,6 +272,25 @@ def test_compile_counts_solutions_and_supports():
     # handles them without enumerating free positions
     star = compile_system(reduce_mod_p(builtin("STAR3"), 5), 2, weak=False)
     assert star.size == 25 and star.solutions == 5**8
+
+
+@pytest.mark.parametrize("rows, weak", [
+    ("x1 - x2 = 0", False), ("x1 - x2 = 0", True), ("5x1 = 0", False),
+    ("2x1 - x2 - x3 = 0\nx2 - x3 = 0", False), ("2x1 - x2 - x3 = 0\nx2 - x3 = 0", True),
+])
+def test_compile_with_fewer_than_two_free_positions_enumerates_nothing(monkeypatch, rows, weak):
+    # balanced with one free position: the only solutions are the constant ones, never supports
+    monkeypatch.setattr(linsys.oracle, "_solution_table", lambda *a, **k: pytest.fail("enumerated"))
+    c = compile_system(reduce_mod_p(parse_system(rows), 5), 3, weak=weak)
+    assert (c.size, c.solutions, c.supports, c.forbid) == (125, 125, 0, {})
+    with pytest.raises(GuardExceeded, match="over 709\\^2 points"):  # the guard still comes first
+        compile_system(reduce_mod_p(parse_system(rows), 709), 2, weak=weak)
+
+
+def test_compile_of_an_unbalanced_system_with_one_free_position_files_its_supports():
+    # x1 = 2 x2 mod 5: every solution but 0 has two distinct entries
+    c = compile_system(reduce_mod_p(parse_system("x1 - 2x2 = 0"), 5), 1, weak=False)
+    assert (c.solutions, c.supports) == (5, 4)
 
 
 def test_compile_guard_fails_fast():
